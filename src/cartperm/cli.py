@@ -17,7 +17,7 @@ from .affine import (
 from .families import (
     AdditiveHeteroPattern, AdditivePowerFamily, BorelClaimedFamily,
     BudgetExceeded, MixedFullTorusFamily, MixedGeneralFamily,
-    MultProductFamily, describe,
+    MultProductFamily, describe, set_shape,
 )
 from .field import Field, FieldError, GF
 from .monomials import (
@@ -25,8 +25,8 @@ from .monomials import (
     has_borel_property, is_decreasing, p_borel_graph,
 )
 from .oracle import (
-    group_axioms_report, oracle_affine_perm_group, oracle_stabilizers,
-    two_route_agreement, verify_characterization,
+    affine_space_size, group_axioms_report, oracle_affine_perm_group,
+    oracle_stabilizers, two_route_agreement, verify_characterization,
 )
 from .points import (
     ADD, FULL, MULT, CartesianSet, additive_component, classify_subset,
@@ -51,13 +51,39 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config loading
 
+def _int(value, path):
+    if type(value) is not int:
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _list(value, path):
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return value
+
+
+def _ints(value, path):
+    return [_int(x, f"{path}[{i}]") for i, x in enumerate(_list(value, path))]
+
+
+def _elements(F: Field, value, path):
+    """Field elements, each given as its index or as a coordinate vector."""
+    return [F(x if type(x) is int else _ints(x, f"{path}[{i}]"))
+            for i, x in enumerate(_list(value, path))]
+
+
 def load_field(obj) -> Field:
     if not isinstance(obj, dict):
         raise ConfigError("field: expected an object")
     try:
         if "q" in obj:
-            return GF(obj["q"])
-        return Field(obj["p"], obj.get("k", 1), obj.get("irreducible"))
+            return GF(_int(obj["q"], "field.q"))
+        irreducible = obj.get("irreducible")
+        if irreducible is not None:
+            irreducible = _ints(irreducible, "field.irreducible")
+        return Field(_int(obj["p"], "field.p"), _int(obj.get("k", 1), "field.k"),
+                     irreducible)
     except KeyError as e:
         raise ConfigError(f"field: missing key {e}") from e
     except FieldError as e:
@@ -68,22 +94,26 @@ def load_set(F: Field, obj) -> CartesianSet:
     if not isinstance(obj, dict) or "components" not in obj:
         raise ConfigError("set: expected an object with a components list")
     comps = []
-    for pos, c in enumerate(obj["components"]):
+    for pos, c in enumerate(_list(obj["components"], "set.components")):
+        path = f"set.components[{pos}]"
+        if not isinstance(c, dict):
+            raise ConfigError(f"{path}: expected an object, got {c!r}")
         kind = c.get("kind")
         try:
             if kind == "full":
                 comps.append(full_component(F))
             elif kind == "mult":
-                comps.append(mult_component(F, c["order"]))
+                comps.append(mult_component(F, _int(c["order"], f"{path}.order")))
             elif kind == "add":
-                comps.append(additive_component(F, [F(b) for b in c["basis"]]))
+                comps.append(additive_component(
+                    F, _elements(F, c["basis"], f"{path}.basis")))
             elif kind == "explicit":
-                comps.append(explicit_component(F, [F(x) for x in c["elements"]]))
+                comps.append(explicit_component(
+                    F, _elements(F, c["elements"], f"{path}.elements")))
             else:
-                raise ConfigError(
-                    f"set.components[{pos}].kind: unknown kind {kind!r}")
+                raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
         except (KeyError, FieldError) as e:
-            raise ConfigError(f"set.components[{pos}]: {e}") from e
+            raise ConfigError(f"{path}: {e}") from e
     if not comps:
         raise ConfigError("set.components: empty")
     return CartesianSet(comps)
@@ -92,34 +122,31 @@ def load_set(F: Field, obj) -> CartesianSet:
 def load_monomials(obj, S: CartesianSet) -> MonomialSet:
     if not isinstance(obj, dict):
         raise ConfigError("monomials: expected an object")
-    bound = tuple(obj.get("bound", S.sizes))
+    bound = _ints(obj["bound"], "monomials.bound") if "bound" in obj else S.sizes
+    key = "generators" if "generators" in obj else "monomials"
+    if key not in obj:
+        raise ConfigError("monomials: missing key 'monomials'")
+    monos = [tuple(_ints(u, f"monomials.{key}[{i}]"))
+             for i, u in enumerate(_list(obj[key], f"monomials.{key}"))]
     try:
-        if "generators" in obj:
-            L = MonomialSet(S.m, [tuple(u) for u in obj["generators"]], bound)
-            return divisibility_closure(L)
-        return MonomialSet(S.m, [tuple(u) for u in obj["monomials"]], bound)
-    except KeyError as e:
-        raise ConfigError(f"monomials: missing key {e}") from e
+        L = MonomialSet(S.m, monos, bound)
     except ValueError as e:
         raise ConfigError(f"monomials: {e}") from e
+    return divisibility_closure(L) if key == "generators" else L
 
 
 def detect_family(S: CartesianSet):
     """The characterized stabilizer family matching the set's shape, if any."""
-    kinds = [c.kind for c in S.components]
+    if all(c.kind == MULT for c in S.components):
+        cls = MultProductFamily
+    else:
+        cls = {"additive-power": AdditivePowerFamily,
+               "full-torus": MixedFullTorusFamily,
+               "full-subgroups": MixedGeneralFamily}.get(set_shape(S))
     try:
-        if all(k == MULT for k in kinds):
-            return MultProductFamily(S)
-        if all(k in (ADD, FULL) for k in kinds) and \
-                all(c.elements == S.components[0].elements for c in S.components):
-            return AdditivePowerFamily(S)
-        if all(k in (FULL, MULT) for k in kinds):
-            if all(c.n == S.field.q - 1 for c in S.components if c.kind == MULT):
-                return MixedFullTorusFamily(S)
-            return MixedGeneralFamily(S)
+        return cls(S) if cls else None
     except FieldError:
         return None
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +214,17 @@ def task_oracle_verify(F, S, L, budget, seed, jobs):
     candidates = None
     if all(c.kind in (ADD, FULL) for c in S.components):
         pat = AdditiveHeteroPattern(S)
-        if pat.candidate_count() < S.field.q ** (S.m * S.m + S.m):
+        if pat.candidate_count() < affine_space_size(S.field, S.m):
             candidates = pat.candidates(budget)
-    stabs = oracle_stabilizers(S, budget=budget, candidates=candidates, jobs=jobs)
+    stabs = oracle_stabilizers(S, budget=budget, candidates=candidates)
     report["stabilizer_count"] = len(stabs)
 
     fam = detect_family(S)
-    if fam is not None and candidates is None:
-        rep = verify_characterization(fam, S, budget, label=fam.kind)
+    if fam is not None:
+        rep = verify_characterization(fam, S, budget, label=fam.kind,
+                                      stabilizers=stabs)
         report["characterization"] = rep.to_json()
-        ok = ok and rep.ok
-    elif fam is not None:
-        fkeys = {(T.A, T.b) for T in fam.members(budget)}
-        skeys = {(T.A, T.b) for T in stabs}
-        equal = fkeys == skeys
-        report["characterization"] = {
-            "configuration": fam.kind, "relation": "equal" if equal else "violation",
-            "oracle_count": len(skeys), "family_count": len(fkeys),
-            "count_formula": fam.count(),
-        }
-        ok = ok and equal
+        ok = rep.ok
 
     if L is not None:
         group = oracle_affine_perm_group(L, S, stabilizers=stabs)
@@ -477,10 +495,10 @@ def run_config(cfg, out_dir, budget=None, seed=0, jobs=1):
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
     tasks = cfg.get("tasks")
-    if not tasks:
+    if not tasks or not isinstance(tasks, list):
         raise ConfigError("tasks: must be a nonempty list")
     for t in tasks:
-        if t not in TASK_FUNCS:
+        if not isinstance(t, str) or t not in TASK_FUNCS:
             raise ConfigError(f"tasks: unknown task {t!r} (known: {', '.join(TASKS)})")
     needs_setup = [t for t in tasks if t != "examples"]
     F = S = L = None
@@ -490,6 +508,8 @@ def run_config(cfg, out_dir, budget=None, seed=0, jobs=1):
         if "monomials" in cfg:
             L = load_monomials(cfg["monomials"], S)
     budget = cfg.get("budget", budget)
+    if budget is not None:
+        _int(budget, "budget")
     out_dir = pathlib.Path(out_dir)
     all_ok = True
     lines = []
@@ -511,7 +531,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for sampled checks")
     ap.add_argument("--jobs", type=int, default=1,
-                    help="worker threads for exhaustive scans")
+                    help="accepted for compatibility; ignored")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the tasks of a config file")

@@ -14,7 +14,8 @@ import itertools
 import math
 
 from .affine import AffineTransformation
-from .field import Field, FieldError
+from .codes import rank_ix
+from .field import Field, FieldElement, FieldError
 from .monomials import MonomialSet, has_borel_property, stable_pattern
 from .points import ADD, FULL, MULT, CartesianSet, stabilizer_subfield, transporter_space
 
@@ -31,7 +32,22 @@ def gl_count(q: int, n: int) -> int:
 
 
 def lta_count(F: Field, m: int) -> int:
-    return (F.q - 1) ** m * F.q ** (m * (m - 1) // 2) * F.q ** m
+    return _lower_triangular_count(F.q, m) * F.q ** m
+
+
+def _lower_triangular_count(v: int, s: int) -> int:
+    return (v - 1) ** s * v ** (s * (s - 1) // 2)
+
+
+def _lower_triangular(values, s):
+    """Invertible lower-triangular s x s matrices with entries from the
+    ascending index list values (which holds 0), in row-major counting
+    order over the entries."""
+    diag = [x for x in values if x]
+    positions = [diag if i == j else values if j < i else [0]
+                 for i in range(s) for j in range(s)]
+    for ent in itertools.product(*positions):
+        yield [list(ent[i * s:(i + 1) * s]) for i in range(s)]
 
 
 def _guard(count, budget):
@@ -39,25 +55,10 @@ def _guard(count, budget):
         raise BudgetExceeded(f"family of size {count} exceeds budget {budget}")
 
 
-def _product_rows(value_lists):
-    """Row-major assignment stream over per-position value lists."""
-    return itertools.product(*value_lists)
-
-
 def enumerate_LTA(F: Field, m: int, budget=None):
     """All T = Ax+b with A lower triangular and invertible."""
     _guard(lta_count(F, m), budget)
-    positions = []
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                positions.append(range(1, F.q))
-            elif j < i:
-                positions.append(range(F.q))
-            else:
-                positions.append(range(1))
-    for ent in _product_rows(positions):
-        A = [list(ent[i * m:(i + 1) * m]) for i in range(m)]
+    for A in _lower_triangular(range(F.q), m):
         for b in itertools.product(range(F.q), repeat=m):
             yield AffineTransformation(F, A, list(b))
 
@@ -78,7 +79,7 @@ def enumerate_ML_invertible(L: MonomialSet, p: int, F: Field, budget=None):
                    for i in range(m) for j in range(m)]
     shifts = F.q ** m
     yielded = 0
-    for ent in _product_rows(value_lists):
+    for ent in itertools.product(*value_lists):
         A = [list(ent[i * m:(i + 1) * m]) for i in range(m)]
         T0 = AffineTransformation(F, A)
         if not T0.is_invertible():
@@ -161,67 +162,6 @@ class MultProductFamily:
         return len(set(sigma)) == self.m
 
 
-class MixedFullTorusFamily:
-    """Stabilizers of F_q^s x (F_q^*)^(m-s): block upper triangular with an
-    invertible top-left block, a permutation-diagonal torus block, and the
-    offset supported on the full-field coordinates."""
-
-    kind = "mixed-full-torus"
-
-    def __init__(self, S: CartesianSet):
-        kinds = [c.kind for c in S.components]
-        s = 0
-        while s < len(kinds) and kinds[s] == FULL:
-            s += 1
-        for c in S.components[s:]:
-            if not (c.kind == MULT and c.n == S.field.q - 1):
-                raise FieldError("expected full-field components then torus components")
-        self.S = S
-        self.F = S.field
-        self.m = S.m
-        self.s = s
-
-    def count(self) -> int:
-        q, s, t = self.F.q, self.s, self.m - self.s
-        return (gl_count(q, s) * q ** (s * t)
-                * math.factorial(t) * (q - 1) ** t * q ** s)
-
-    def members(self, budget=None):
-        _guard(self.count(), budget)
-        F, m, s = self.F, self.m, self.s
-        t = m - s
-        top_lists = [range(F.q)] * (s * m)
-        for ent in _product_rows(top_lists) if s else [()]:
-            top = [list(ent[i * m:(i + 1) * m]) for i in range(s)]
-            if s and rank_of(F, [row[:s] for row in top]) < s:
-                continue
-            for perm in itertools.permutations(range(t)):
-                for diag in itertools.product(range(1, F.q), repeat=t):
-                    A = [row[:] for row in top]
-                    for r in range(t):
-                        row = [0] * m
-                        row[s + perm[r]] = diag[r]
-                        A.append(row)
-                    for btop in itertools.product(range(F.q), repeat=s):
-                        yield AffineTransformation(F, A, list(btop) + [0] * t)
-
-    def contains(self, T: AffineTransformation) -> bool:
-        F, m, s = self.F, self.m, self.s
-        if any(T.b[s:]):
-            return False
-        if any(T.A[i][j] for i in range(s, m) for j in range(s)):
-            return False
-        if s and rank_of(F, [list(T.A[i][:s]) for i in range(s)]) < s:
-            return False
-        cols = []
-        for i in range(s, m):
-            nz = [j for j in range(s, m) if T.A[i][j]]
-            if len(nz) != 1:
-                return False
-            cols.append(nz[0])
-        return len(set(cols)) == m - s
-
-
 class MixedGeneralFamily:
     """Stabilizers of F_q^m0 x G_1^m1 x ... x G_l^ml for pairwise distinct
     nontrivial multiplicative subgroups: block upper strip over an invertible
@@ -229,6 +169,7 @@ class MixedGeneralFamily:
     subgroup, offset supported on the full block."""
 
     kind = "mixed-general"
+    describe_params = ("m0",)
 
     def __init__(self, S: CartesianSet):
         kinds = [c.kind for c in S.components]
@@ -268,9 +209,9 @@ class MixedGeneralFamily:
         F, m, m0 = self.F, self.m, self.m0
         sub = MultProductFamily(CartesianSet(self.S.components[m0:])) if m0 < m else None
         top_lists = [range(F.q)] * (m0 * m)
-        for ent in _product_rows(top_lists) if m0 else [()]:
+        for ent in itertools.product(*top_lists) if m0 else [()]:
             top = [list(ent[i * m:(i + 1) * m]) for i in range(m0)]
-            if m0 and rank_of(F, [row[:m0] for row in top]) < m0:
+            if m0 and rank_ix([row[:m0] for row in top], F) < m0:
                 continue
             tails = sub.members() if sub else iter([None])
             for tail in tails:
@@ -284,7 +225,7 @@ class MixedGeneralFamily:
         F, m, m0 = self.F, self.m, self.m0
         if any(T.b[m0:]):
             return False
-        if m0 and rank_of(F, [list(T.A[i][:m0]) for i in range(m0)]) < m0:
+        if m0 and rank_ix([T.A[i][:m0] for i in range(m0)], F) < m0:
             return False
         for i in range(m0, m):
             if any(T.A[i][j] for j in range(m0)):
@@ -299,11 +240,26 @@ class MixedGeneralFamily:
         return sub.contains(tail)
 
 
+class MixedFullTorusFamily(MixedGeneralFamily):
+    """Stabilizers of F_q^s x (F_q^*)^(m-s): the mixed family whose tail is
+    one block of full tori."""
+
+    kind = "mixed-full-torus"
+    describe_params = ("s",)
+
+    def __init__(self, S: CartesianSet):
+        super().__init__(S)
+        if any(c.n != S.field.q - 1 for c in S.components[self.m0:]):
+            raise FieldError("expected full-field components then torus components")
+        self.s = self.m0
+
+
 class AdditivePowerFamily:
     """Stabilizers of G^m for an additive subgroup G: A invertible with
     entries in the stabilizer subfield, offset inside the point set."""
 
     kind = "additive-power"
+    describe_params = ("subfield_degree",)
 
     def __init__(self, S: CartesianSet):
         comps = S.components
@@ -327,7 +283,7 @@ class AdditivePowerFamily:
         shifts = [[x.ix for x in c.elements] for c in self.S.components]
         for ent in itertools.product(self.subfield, repeat=m * m):
             A = [list(ent[i * m:(i + 1) * m]) for i in range(m)]
-            if rank_of(F, A) < m:
+            if rank_ix(A, F) < m:
                 continue
             for b in itertools.product(*shifts):
                 yield AffineTransformation(F, A, list(b))
@@ -374,7 +330,7 @@ class AdditiveHeteroPattern:
             if T.b[i] not in self.S.components[i].element_set():
                 return False
             for j in range(self.m):
-                if FieldElementWrap(F, T.A[i][j]) not in self.table[i][j]:
+                if FieldElement(F, T.A[i][j]) not in self.table[i][j]:
                     return False
         return True
 
@@ -384,7 +340,7 @@ class AdditiveHeteroPattern:
         entry_lists = [sorted(x.ix for x in self.table[i][j])
                        for i in range(m) for j in range(m)]
         shifts = [[x.ix for x in c.elements] for c in self.S.components]
-        for ent in _product_rows(entry_lists):
+        for ent in itertools.product(*entry_lists):
             A = [list(ent[i * m:(i + 1) * m]) for i in range(m)]
             for b in itertools.product(*shifts):
                 yield AffineTransformation(F, A, list(b))
@@ -400,6 +356,7 @@ class BorelClaimedFamily:
     powers, or an additive subgroup power."""
 
     kind = "borel-claimed"
+    describe_params = ("split", "shape", "subfield_degree")
 
     def __init__(self, S: CartesianSet, L: MonomialSet):
         if not has_borel_property(L):
@@ -408,68 +365,42 @@ class BorelClaimedFamily:
         self.L = L
         self.F = S.field
         self.m = S.m
-        kinds = [c.kind for c in S.components]
-        if all(k in (ADD, FULL) for k in kinds) and \
-                all(c.elements == S.components[0].elements for c in S.components):
-            self.shape = "additive-power"
+        self.shape = set_shape(S)
+        if self.shape is None:
+            raise FieldError("point set does not match a claimed-subgroup shape")
+        if self.shape == "additive-power":
             self.subfield_degree = stabilizer_subfield(S.components[0])
-        elif all(k in (FULL, MULT) for k in kinds) and _prefix_full(kinds):
-            torus = all(c.n == S.field.q - 1 for c in S.components if c.kind == MULT)
-            self.shape = "full-torus" if torus else "full-subgroups"
-            self.split = kinds.count(FULL)
+        else:
+            self.split = [c.kind for c in S.components].count(FULL)
             if self.shape == "full-subgroups":
                 MixedGeneralFamily(S)  # validates distinct nontrivial blocks
-        else:
-            raise FieldError("point set does not match a claimed-subgroup shape")
 
     def count(self) -> int:
         if self.shape == "additive-power":
-            qp = self.F.p ** self.subfield_degree
-            m = self.m
-            return ((qp - 1) ** m * qp ** (m * (m - 1) // 2)
-                    * self.S.components[0].n ** m)
+            return (_lower_triangular_count(self.F.p ** self.subfield_degree, self.m)
+                    * self.S.components[0].n ** self.m)
         s = self.split
-        return (self.F.q - 1) ** s * self.F.q ** (s * (s - 1) // 2) * self.F.q ** s
+        return _lower_triangular_count(self.F.q, s) * self.F.q ** s
 
     def members(self, budget=None):
+        """Lower-triangular maps over the stabilizer subfield with offsets in
+        the set, or lower-triangular on the full block, identity on the rest
+        and offsets on the full block."""
         _guard(self.count(), budget)
         F, m = self.F, self.m
         if self.shape == "additive-power":
-            sub = sorted(x.ix for x in F.subfield_elements(self.subfield_degree))
+            values = sorted(x.ix for x in F.subfield_elements(self.subfield_degree))
+            s = m
             shifts = [[x.ix for x in c.elements] for c in self.S.components]
-            positions = []
-            for i in range(m):
-                for j in range(m):
-                    if i == j:
-                        positions.append([x for x in sub if x])
-                    elif j < i:
-                        positions.append(sub)
-                    else:
-                        positions.append([0])
-            for ent in _product_rows(positions):
-                A = [list(ent[i * m:(i + 1) * m]) for i in range(m)]
-                for b in itertools.product(*shifts):
-                    yield AffineTransformation(F, A, list(b))
-            return
-        s = self.split
-        positions = []
-        for i in range(s):
-            for j in range(s):
-                if i == j:
-                    positions.append(range(1, F.q))
-                elif j < i:
-                    positions.append(range(F.q))
-                else:
-                    positions.append(range(1))
-        for ent in _product_rows(positions) if s else [()]:
-            A = [[0] * m for _ in range(m)]
-            for i in range(s):
-                for j in range(s):
-                    A[i][j] = ent[i * s + j]
-            for i in range(s, m):
-                A[i][i] = 1
-            for btop in itertools.product(range(F.q), repeat=s):
-                yield AffineTransformation(F, A, list(btop) + [0] * (m - s))
+        else:
+            values = range(F.q)
+            s = self.split
+            shifts = [range(F.q)] * s + [[0]] * (m - s)
+        for top in _lower_triangular(values, s):
+            A = [row + [0] * (m - s) for row in top]
+            A += [[int(i == j) for j in range(m)] for i in range(s, m)]
+            for b in itertools.product(*shifts):
+                yield AffineTransformation(F, A, list(b))
 
     def contains(self, T: AffineTransformation) -> bool:
         m = self.m
@@ -499,7 +430,7 @@ def describe(family) -> dict:
     if S is not None:
         params["set"] = S.to_json()
         params["field"] = S.field.to_json()
-    for name in ("s", "m0", "split", "shape", "subfield_degree"):
+    for name in getattr(family, "describe_params", ()):
         if hasattr(family, name):
             params[name] = getattr(family, name)
     L = getattr(family, "L", None)
@@ -508,23 +439,18 @@ def describe(family) -> dict:
     return {"kind": family.kind, "params": params, "count": family.count()}
 
 
-def _prefix_full(kinds):
-    seen_mult = False
-    for k in kinds:
-        if k == FULL and seen_mult:
-            return False
-        if k == MULT:
-            seen_mult = True
-    return True
-
-
-def rank_of(F, rows):
-    from .codes import rank_ix
-    if not rows:
-        return 0
-    return rank_ix(rows, F)
-
-
-def FieldElementWrap(F, ix):
-    from .field import FieldElement
-    return FieldElement(F, ix)
+def set_shape(S: CartesianSet):
+    """The structured point-set shape of S, if any: "additive-power" (one
+    additive subgroup, or the full field, in every coordinate), else
+    full-field coordinates followed by multiplicative subgroups, which is
+    "full-torus" when every subgroup is the full torus and "full-subgroups"
+    otherwise."""
+    comps = S.components
+    if all(c.kind in (ADD, FULL) and c.elements == comps[0].elements for c in comps):
+        return "additive-power"
+    kinds = [c.kind for c in comps]
+    if kinds != [FULL] * kinds.count(FULL) + [MULT] * kinds.count(MULT):
+        return None
+    if all(c.n == S.field.q - 1 for c in comps if c.kind == MULT):
+        return "full-torus"
+    return "full-subgroups"

@@ -111,7 +111,8 @@ class FieldError(ValueError):
 
 
 class FieldElement:
-    """Element of a Field; immutable, hashable, printable as a polynomial in a."""
+    """Element of a Field; immutable, hashable, printable as a polynomial in a.
+    An int compares equal to the element whose index it is."""
 
     __slots__ = ("field", "ix")
 
@@ -130,11 +131,11 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return self.ix == other.ix and self.field == other.field
         if isinstance(other, int):
-            return self == self.field(other)
+            return other == self.ix
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ix, self.field.p, self.field.k))
+        return hash(self.ix)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):

@@ -131,15 +131,16 @@ def _pack(batch, m):
 
 def oracle_stabilizers(S: CartesianSet, budget=None, candidates=None, jobs=1):
     """All affine maps carrying the point set onto itself, by exhaustive scan
-    of the full affine space or of a supplied candidate stream.  With jobs > 1
-    the counter space is scanned by a thread pool in deterministic chunk
-    order (order-independent set union, reported in counter order)."""
+    of the full affine space or of a supplied candidate stream, reported in
+    scan order.  jobs is accepted for compatibility and ignored."""
     F, m = S.field, S.m
     kern = _Kernel(F)
     pts = np.array(S.points_ix(), dtype=np.uint16)
     target = np.sort(_encode(pts, F.q))
 
     def scan(chunk):
+        # a function call, so each chunk's temporaries are freed before the
+        # next chunk is built
         A, b = chunk
         codes = np.sort(_encode(_batch_images(kern, A, b, pts), F.q), axis=1)
         hits = np.flatnonzero((codes == target[None, :]).all(axis=1))
@@ -148,14 +149,8 @@ def oracle_stabilizers(S: CartesianSet, budget=None, candidates=None, jobs=1):
     chunks = (_ab_chunks_from_counters(S, budget) if candidates is None
               else _ab_chunks_from_transforms(S, candidates, budget))
     out = []
-    if jobs > 1 and candidates is None:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(scan, chunks):
-                out.extend(part)
-    else:
-        for chunk in chunks:
-            out.extend(scan(chunk))
+    for chunk in chunks:
+        out.extend(scan(chunk))
     return out
 
 
@@ -302,10 +297,11 @@ class VerificationReport:
                 f"oracle={self.oracle_count}, family={self.family_count})")
 
 
-def verify_characterization(family, S, budget=None, label="") -> VerificationReport:
+def verify_characterization(family, S, budget=None, label="",
+                            stabilizers=None) -> VerificationReport:
     """Exact set equality between a characterized stabilizer family and the
-    exhaustive point-set stabilizers."""
-    oracle = oracle_stabilizers(S, budget)
+    exhaustive point-set stabilizers (scanned here unless supplied)."""
+    oracle = stabilizers if stabilizers is not None else oracle_stabilizers(S, budget)
     fam = list(family.members(budget))
     okeys = {(T.A, T.b) for T in oracle}
     fkeys = {(T.A, T.b) for T in fam}

@@ -6,40 +6,13 @@ from __future__ import annotations
 
 import itertools
 
-from .field import Field, FieldElement, FieldError
+from .codes import rref_ix
+from .field import GF, Field, FieldElement, FieldError
 
 FULL = "full"
 MULT = "mult"
 ADD = "add"
 EXPLICIT = "explicit"
-
-
-def _rref_modp(rows, p):
-    """Reduced echelon form of integer rows mod p; returns nonzero rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    out = []
-    pivot_col = 0
-    while rows and pivot_col < ncols:
-        piv = next((r for r in rows if r[pivot_col] % p), None)
-        if piv is None:
-            pivot_col += 1
-            continue
-        rows.remove(piv)
-        inv = pow(piv[pivot_col], -1, p)
-        piv = [(inv * c) % p for c in piv]
-        for r in rows + out:
-            f = r[pivot_col] % p
-            if f:
-                for j in range(ncols):
-                    r[j] = (r[j] - f * piv[j]) % p
-        rows = [r for r in rows if any(c % p for c in r)]
-        out.append(piv)
-        pivot_col += 1
-    out.sort(key=lambda r: next(j for j, c in enumerate(r) if c))
-    return out
 
 
 class SetComponent:
@@ -117,8 +90,7 @@ def torus_component(F: Field) -> SetComponent:
 def additive_component(F: Field, basis) -> SetComponent:
     """Additive subgroup spanned by the given elements; the stored basis is
     the reduced echelon basis and elements follow base-p counting over it."""
-    vecs = [list(F(b).coeffs) for b in basis]
-    rref = _rref_modp(vecs, F.p)
+    rref, _, _ = rref_ix([F(b).coeffs for b in basis], GF(F.p))
     bas = [F(r) for r in rref]
     # base-p counting order, first basis vector least significant
     els = []
@@ -259,9 +231,6 @@ class CartesianSet:
             # monic: x * x^(n-1) = x^n = x^n - g(x) has degree < n
             table.append(tuple(shifted))
         return table[e]
-
-    def delta_bound(self):
-        return self.sizes
 
     def __eq__(self, other):
         return isinstance(other, CartesianSet) and self.components == other.components

@@ -1,8 +1,14 @@
 """End-to-end CLI: subcommands, exit codes, report determinism, bad input."""
 
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
+import traceback
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartperm.cli import (
     EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, ConfigError,
@@ -177,3 +183,117 @@ def test_failed_verification_exit(tmp_path):
     finally:
         cli.TASK_FUNCS.clear()
         cli.TASK_FUNCS.update(old)
+
+
+def test_no_family_for_one_point_torus(tmp_path):
+    from cartperm.cli import detect_family
+    F = load_field({"q": 2})
+    S = load_set(F, {"components": [{"kind": "full"}, {"kind": "mult", "order": 1}]})
+    assert detect_family(S) is None
+    cfg = {"field": {"q": 2}, "set": S.to_json(),
+           "tasks": ["families", "oracle-verify"]}
+    out = tmp_path / "reports"
+    assert main(["--out", str(out), "verify", write_json(tmp_path / "c.json", cfg)]) \
+        == EXIT_OK
+    assert "characterization" not in json.loads((out / "oracle-verify.json").read_text())
+
+
+@pytest.mark.parametrize("cfg, family", [
+    ({"field": {"q": 5},
+      "set": {"components": [{"kind": "mult", "order": 2},
+                             {"kind": "mult", "order": 4}]},
+      "monomials": {"generators": [[1, 1]]}}, "mult-product"),
+    ({"field": {"q": 4},
+      "set": {"components": [{"kind": "add", "basis": [[1]]}] * 2},
+      "monomials": {"generators": [[1, 0]]}}, "additive-power"),
+])
+def test_oracle_verify_scans_once(tmp_path, monkeypatch, cfg, family):
+    from cartperm import cli, oracle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return scan(*args, **kwargs)
+
+    scan = oracle.oracle_stabilizers
+    monkeypatch.setattr(oracle, "oracle_stabilizers", counted)
+    monkeypatch.setattr(cli, "oracle_stabilizers", counted)
+    out = tmp_path / "reports"
+    path = write_json(tmp_path / "c.json", {**cfg, "tasks": ["oracle-verify"]})
+    assert main(["--out", str(out), "verify", path]) == EXIT_OK
+    assert len(calls) == 1
+    report = json.loads((out / "oracle-verify.json").read_text())
+    assert report["characterization"]["configuration"] == family
+    assert report["characterization"]["relation"] == "equal"
+    assert report["characterization"]["counterexamples"] == []
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("set", "components", 0), ["full"], "set.components[0]"),
+    (("set", "components", 0), "full", "set.components[0]"),
+    (("set", "components"), "full", "set.components"),
+    (("monomials", "generators"), 3, "monomials.generators"),
+    (("monomials", "generators", 0, 1), "1", "monomials.generators[0][1]"),
+    (("monomials", "generators", 0, 1), 1.0, "monomials.generators[0][1]"),
+    (("field", "q"), "4", "field.q"),
+    (("set", "components", 1, "order"), "3", "set.components[1].order"),
+    (("budget",), "10", "budget"),
+    (("tasks",), "classify", "tasks"),
+    (("tasks",), [["classify"]], "tasks"),
+])
+def test_malformed_config_values(tmp_path, capsys, path, value, where):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    _set_path(cfg, path, value)
+    code = main(["--out", str(tmp_path / "r"), "verify",
+                 write_json(tmp_path / "c.json", cfg)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: {where}")
+
+
+def _set_path(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+def _value_paths(obj, prefix=()):
+    """Every path into obj: each container and each leaf."""
+    items = (obj.items() if isinstance(obj, dict) else enumerate(obj)
+             if isinstance(obj, list) else ())
+    yield prefix
+    for key, child in items:
+        yield from _value_paths(child, prefix + (key,))
+
+
+FUZZ_CONFIG = {**BASE_CONFIG, "tasks": ["classify", "closures", "p-borel-graph"],
+               "budget": 1000000}
+FUZZ_PATHS = [p for p in _value_paths(FUZZ_CONFIG) if p]
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.floats(),
+                     st.text(max_size=8))
+FUZZ_VALUES = st.one_of(
+    st.lists(_scalars, max_size=3), st.text(max_size=8), st.none(),
+    st.dictionaries(st.sampled_from(["kind", "order", "q", "p", "x"]), _scalars,
+                    max_size=3),
+    st.floats())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(path=st.sampled_from(FUZZ_PATHS), value=FUZZ_VALUES)
+def test_mutated_configs_exit_cleanly(path, value):
+    cfg = json.loads(json.dumps(FUZZ_CONFIG))
+    _set_path(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = pathlib.Path(tmp) / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(["--out", str(pathlib.Path(tmp) / "r"), "verify",
+                             str(cfg_path)])
+            except Exception:
+                traceback.print_exc()
+                code = None
+    assert "Traceback" not in err.getvalue(), (cfg, err.getvalue())
+    assert code in (EXIT_OK, EXIT_VERIFICATION, EXIT_CONFIG, EXIT_BUDGET)

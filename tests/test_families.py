@@ -230,3 +230,49 @@ def test_family_descriptors():
     S2 = CartesianSet([full_component(F), torus_component(F)])
     d2 = describe(MixedFullTorusFamily(S2))
     assert d2["params"]["s"] == 1 and d2["count"] == 36
+
+
+def test_lta_enumeration_order():
+    # diagonal entries, then below-diagonal entries, in row-major counting
+    # order; the offset counts fastest
+    got = [(T.A, T.b) for T in enumerate_LTA(GF(2), 2)]
+    I, L = ((1, 0), (0, 1)), ((1, 0), (1, 1))
+    assert got == [(I, (0, 0)), (I, (0, 1)), (I, (1, 0)), (I, (1, 1)),
+                   (L, (0, 0)), (L, (0, 1)), (L, (1, 0)), (L, (1, 1))]
+
+
+def test_borel_full_torus_member_order():
+    F = GF(3)
+    S = CartesianSet([full_component(F), torus_component(F)])
+    L = MonomialSet(2, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)], S.sizes)
+    fam = BorelClaimedFamily(S, L)
+    assert fam.shape == "full-torus" and fam.count() == 6
+    A1, A2 = ((1, 0), (0, 1)), ((2, 0), (0, 1))
+    assert [(T.A, T.b) for T in fam.members()] == [
+        (A1, (0, 0)), (A1, (1, 0)), (A1, (2, 0)),
+        (A2, (0, 0)), (A2, (1, 0)), (A2, (2, 0))]
+
+
+@pytest.mark.parametrize("q, comps", [
+    (3, "FT"), (3, "FFT"), (4, "TT"), (2, "FF"),
+])
+def test_mixed_full_torus_is_mixed_general(q, comps):
+    F = GF(q)
+    make = {"F": full_component, "T": torus_component}
+    S = CartesianSet([make[c](F) for c in comps])
+    torus, general = MixedFullTorusFamily(S), MixedGeneralFamily(S)
+    assert torus.kind == "mixed-full-torus" and torus.s == comps.count("F")
+    members = set(torus.members())
+    assert members == set(general.members())
+    assert torus.count() == general.count() == len(members)
+    assert all(torus.contains(T) for T in members)
+
+
+def test_one_point_torus_has_no_mixed_family():
+    # the "torus" of GF(2) is {1}; like every order-1 subgroup it is rejected
+    F = GF(2)
+    S = CartesianSet([full_component(F), torus_component(F)])
+    with pytest.raises(FieldError):
+        MixedFullTorusFamily(S)
+    with pytest.raises(FieldError):
+        MixedGeneralFamily(S)

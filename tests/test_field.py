@@ -204,3 +204,14 @@ def test_np_tables_agree():
             assert int(t["neg"][a]) == F.neg_ix(a)
             if a:
                 assert int(t["inv"][a]) == F.inv_ix(a)
+
+
+def test_int_equality_agrees_with_hash():
+    F = GF(4)
+    x = F(3)
+    assert x == 3 and 3 == x
+    assert x != 7 and x != -1
+    assert 3 in {x} and x in {3}
+    assert {x: "a"}[3] == "a" and {3: "b"}[x] == "b"
+    assert hash(x) == hash(3)
+    assert F.zero == 0 and F.zero != 4

@@ -205,3 +205,13 @@ def test_mixed_general_gf9_oracle_equality():
     assert fam.count() == 1296
     rep = verify_characterization(fam, S, label="gf9-full-x-order2")
     assert rep.relation == "equal" and rep.oracle_count == 1296
+
+
+def test_verify_characterization_accepts_stabilizers():
+    F = GF(5)
+    S = CartesianSet([mult_component(F, 2), mult_component(F, 4)])
+    fam = MultProductFamily(S)
+    scanned = verify_characterization(fam, S)
+    given = verify_characterization(fam, S, stabilizers=oracle_stabilizers(S))
+    assert given.to_json() == scanned.to_json()
+    assert given.relation == "equal"
