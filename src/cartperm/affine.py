@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .codes import rank_ix
 from .field import Field, FieldElement, FieldError
-from .poly import Polynomial, reduce_mod_vanishing, substitute_affine
+from .poly import Polynomial, affine_pullback, grlex_key, substitute_affine
 
 
 class AffineTransformation:
@@ -43,13 +43,6 @@ class AffineTransformation:
         return cls(field, T.A, b)
 
     # -- views ----------------------------------------------------------------
-    def matrix(self):
-        F = self.field
-        return tuple(tuple(FieldElement(F, x) for x in row) for row in self.A)
-
-    def offset(self):
-        return tuple(FieldElement(self.field, x) for x in self.b)
-
     def is_translation(self):
         return all(self.A[i][j] == (1 if i == j else 0)
                    for i in range(self.m) for j in range(self.m))
@@ -122,7 +115,7 @@ class AffineTransformation:
         return AffineTransformation(F, Ainv, binv)
 
     def of_poly(self, f: Polynomial) -> Polynomial:
-        return substitute_affine(f, self.matrix(), self.offset())
+        return substitute_affine(f, self.A, self.b)
 
     # -- serialization -------------------------------------------------------------
     def to_json(self):
@@ -139,28 +132,38 @@ class AffineTransformation:
 
 # ---------------------------------------------------------------------------
 
-def stabilizes_set(T: AffineTransformation, S) -> bool:
-    """Whether the image multiset of the points equals the point set."""
+def point_walk(T: AffineTransformation, S):
+    """Image index of each point of S under T, in point order, and the first
+    point whose image leaves S or repeats an earlier image (None when T
+    permutes S).  A map over another ambient escapes at the first point."""
     if T.field != S.field or T.m != S.m:
-        return False
+        return (), S.points()[0]
+    images = []
     seen = set()
     for P in S.points():
         img = T.apply_point(P)
         if not S.contains_point(img):
-            return False
+            return tuple(images), P
         ix = S.point_index(img)
         if ix in seen:
-            return False
+            return tuple(images), P
         seen.add(ix)
-    return True
+        images.append(ix)
+    return tuple(images), None
+
+
+def stabilizes_set(T: AffineTransformation, S) -> bool:
+    """Whether the image multiset of the points equals the point set."""
+    return point_walk(T, S)[1] is None
 
 
 def induced_permutation(T: AffineTransformation, S):
     """Index permutation pi with point[pi[t]] = T(point[t]); requires a
     stabilizing T.  Composition: pi of (T1 after T2) = pi_T1 compose pi_T2."""
-    if not stabilizes_set(T, S):
+    images, escape = point_walk(T, S)
+    if escape is not None:
         raise ValueError("transformation does not stabilize the point set")
-    return tuple(S.point_index(T.apply_point(P)) for P in S.points())
+    return images
 
 
 def permute_word(word, pi):
@@ -176,73 +179,25 @@ class SpanChecker:
 
     def __init__(self, L, S):
         self.S = S
-        self.F = S.field
-        self.m = S.m
         monos = frozenset(getattr(L, "monomials", L))
         self.members = sorted(monos, key=lambda e: (sum(e), e))
         self.allowed = monos
-        self.sizes = S.sizes
 
-    def _reduce_term(self, out, exp, coeff):
-        F = self.F
-        stack = [(exp, coeff)]
-        while stack:
-            e, c = stack.pop()
-            j = next((t for t in range(self.m) if e[t] >= self.sizes[t]), None)
-            if j is None:
-                v = F.add_ix(out.get(e, 0), c)
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-                continue
-            for d, rc in enumerate(self.S.power_reduction(j, e[j])):
-                if rc:
-                    stack.append((e[:j] + (d,) + e[j + 1:], F.mul_ix(c, rc)))
-
-    def _mul(self, f, g):
-        F = self.F
-        out = {}
-        for e1, c1 in f.items():
-            for e2, c2 in g.items():
-                self._reduce_term(out, tuple(a + b for a, b in zip(e1, e2)),
-                                  F.mul_ix(c1, c2))
-        return out
+    def witness_ix(self, A, b):
+        """First (member, monomial) pair, members in (degree, exponent) order,
+        whose reduced pullback under x -> Ax + b has that monomial (the first
+        in grlex order) outside the set; None when the span is preserved.
+        A: rows of element indices, b: element indices."""
+        pull = affine_pullback(self.S.field, A, b, self.S)
+        for u in self.members:
+            bad = [e for e in pull(u) if e not in self.allowed]
+            if bad:
+                return u, min(bad, key=grlex_key)
+        return None
 
     def check_ix(self, A, b) -> bool:
         """A: rows of element indices, b: element indices."""
-        F, m = self.F, self.m
-        forms = []
-        for i in range(m):
-            f = {}
-            for j in range(m):
-                if A[i][j]:
-                    e = [0] * m
-                    e[j] = 1
-                    f[tuple(e)] = A[i][j]
-            if b[i]:
-                f[(0,) * m] = b[i]
-            forms.append(f)
-        pows = [{0: {(0,) * m: 1}, 1: forms[i]} for i in range(m)]
-
-        def form_pow(i, d):
-            memo = pows[i]
-            if d not in memo:
-                half = form_pow(i, d // 2)
-                sq = self._mul(half, half)
-                memo[d] = sq if d % 2 == 0 else self._mul(sq, forms[i])
-            return memo[d]
-
-        for u in self.members:
-            prod = {(0,) * m: 1}
-            for i, d in enumerate(u):
-                if d:
-                    prod = self._mul(prod, form_pow(i, d))
-                    if not prod:
-                        break
-            if any(e not in self.allowed for e in prod):
-                return False
-        return True
+        return self.witness_ix(A, b) is None
 
     def check(self, T: AffineTransformation) -> bool:
         return self.check_ix(T.A, T.b)
@@ -261,23 +216,12 @@ def is_affine_permutation(T: AffineTransformation, L, S) -> bool:
 def membership_report(T: AffineTransformation, L, S) -> dict:
     """Both membership conditions for one transformation, with the first
     offending point or (member, monomial) pair as a witness."""
-    report = {"T": T.to_json(), "stabilizes_set": True, "stabilizes_span": True,
-              "witness": None}
-    seen = set()
-    for P in S.points():
-        img = T.apply_point(P)
-        if not S.contains_point(img) or S.point_index(img) in seen:
-            report["stabilizes_set"] = False
-            report["witness"] = {"point": [x.to_json() for x in P]}
-            break
-        seen.add(S.point_index(img))
-    monos = frozenset(getattr(L, "monomials", L))
-    for u in sorted(monos, key=lambda e: (sum(e), e)):
-        got = reduce_mod_vanishing(T.of_poly(Polynomial.monomial(S.field, u)), S)
-        bad = [w for w in got.support() if w not in monos]
-        if bad:
-            report["stabilizes_span"] = False
-            if report["witness"] is None:
-                report["witness"] = {"member": list(u), "monomial": list(bad[0])}
-            break
+    escape = point_walk(T, S)[1]
+    bad = SpanChecker(L, S).witness_ix(T.A, T.b)
+    report = {"T": T.to_json(), "stabilizes_set": escape is None,
+              "stabilizes_span": bad is None, "witness": None}
+    if escape is not None:
+        report["witness"] = {"point": [x.to_json() for x in escape]}
+    elif bad is not None:
+        report["witness"] = {"member": list(bad[0]), "monomial": list(bad[1])}
     return report

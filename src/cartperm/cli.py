@@ -19,7 +19,7 @@ from .families import (
     BudgetExceeded, MixedFullTorusFamily, MixedGeneralFamily,
     MultProductFamily, describe, set_shape,
 )
-from .field import Field, FieldError, GF
+from .field import Field, FieldError, GF, is_prime
 from .monomials import (
     MonomialSet, borel_property_witness, divisibility_closure,
     has_borel_property, is_decreasing, p_borel_graph,
@@ -133,6 +133,27 @@ def load_monomials(obj, S: CartesianSet) -> MonomialSet:
     except ValueError as e:
         raise ConfigError(f"monomials: {e}") from e
     return divisibility_closure(L) if key == "generators" else L
+
+
+def load_monomial_file(obj, p=None):
+    """The monomial set and the prime of a ``graph`` file; p, when given,
+    overrides the file's "p" key."""
+    if not isinstance(obj, dict) or "monomials" not in obj:
+        raise ConfigError("graph: expected an object with a monomials list")
+    monos = [tuple(_ints(u, f"monomials[{i}]"))
+             for i, u in enumerate(_list(obj["monomials"], "monomials"))]
+    bound = _ints(obj["bound"], "bound") if "bound" in obj else None
+    if p is None:
+        if "p" not in obj:
+            raise ConfigError("graph: needs --p or a 'p' key in the file")
+        p = _int(obj["p"], "p")
+    if not is_prime(p):
+        raise ConfigError(f"p: {p} is not a prime")
+    m = len(monos[0]) if monos else len(bound or ())
+    try:
+        return MonomialSet(m, monos, bound), p
+    except ValueError as e:
+        raise ConfigError(f"monomials: {e}") from e
 
 
 def detect_family(S: CartesianSet):
@@ -566,11 +587,7 @@ def main(argv=None) -> int:
             return EXIT_OK if ok else EXIT_VERIFICATION
 
         if args.command == "graph":
-            obj = _read_json(args.monomials)
-            L = MonomialSet.from_json(obj)
-            p = args.p or obj.get("p")
-            if not p:
-                raise ConfigError("graph: needs --p or a 'p' key in the file")
+            L, p = load_monomial_file(_read_json(args.monomials), args.p)
             g = p_borel_graph(L, p)
             _dump(pathlib.Path(args.out) / "graph.json", g.to_json())
             print(json.dumps(g.to_json(), indent=2, sort_keys=True))

@@ -4,7 +4,7 @@ and code-level equality via reduced row echelon forms."""
 from __future__ import annotations
 
 from .field import Field, FieldElement
-from .poly import sorted_monomials
+from .poly import Polynomial, evaluate_on_set, sorted_monomials
 
 
 def rref_ix(rows, F: Field):
@@ -110,33 +110,9 @@ def build_code(L, S) -> GeneratorMatrix:
         if any(e[j] >= S.sizes[j] for j in range(S.m)):
             raise ValueError(f"monomial {e} outside the exponent box of the set")
     exps = sorted_monomials(exps)
-    # per-component power tables: pows[j][d][t] = (t-th element of A_j)^d
-    pows = []
-    for j, comp in enumerate(S.components):
-        maxd = max((e[j] for e in exps), default=0)
-        col = [[1] * comp.n]
-        for d in range(maxd):
-            col.append([F.mul_ix(col[-1][t], comp.elements[t].ix)
-                        for t in range(comp.n)])
-        pows.append(col)
-    rows = []
-    for e in exps:
-        row = []
-        for pt in _index_tuples(S.sizes):
-            v = 1
-            for j, d in enumerate(e):
-                if d:
-                    v = F.mul_ix(v, pows[j][d][pt[j]])
-                    if not v:
-                        break
-            row.append(v)
-        rows.append(tuple(row))
+    rows = [tuple(x.ix for x in evaluate_on_set(Polynomial.monomial(F, e), S))
+            for e in exps]
     return GeneratorMatrix(F, exps, rows, S)
-
-
-def _index_tuples(sizes):
-    import itertools
-    return itertools.product(*[range(s) for s in sizes])
 
 
 def codes_equal(c1: GeneratorMatrix, c2: GeneratorMatrix) -> bool:

@@ -15,7 +15,7 @@ import math
 
 from .affine import AffineTransformation
 from .codes import rank_ix
-from .field import Field, FieldElement, FieldError
+from .field import Field, FieldError
 from .monomials import MonomialSet, has_borel_property, stable_pattern
 from .points import ADD, FULL, MULT, CartesianSet, stabilizer_subfield, transporter_space
 
@@ -323,16 +323,6 @@ class AdditiveHeteroPattern:
         for c in self.S.components:
             out *= c.n
         return out
-
-    def satisfies_pattern(self, T: AffineTransformation) -> bool:
-        F = self.F
-        for i in range(self.m):
-            if T.b[i] not in self.S.components[i].element_set():
-                return False
-            for j in range(self.m):
-                if FieldElement(F, T.A[i][j]) not in self.table[i][j]:
-                    return False
-        return True
 
     def candidates(self, budget=None):
         _guard(self.candidate_count(), budget)

@@ -391,9 +391,6 @@ class Field:
             raise FieldError(f"{d} does not divide extension degree {self.k}")
         return [x for x in self.elements() if x.in_subfield(d)]
 
-    def frobenius(self, x: FieldElement) -> FieldElement:
-        return x ** self.p
-
     # -- numpy kernels ----------------------------------------------------------
     def np_tables(self):
         """uint16 lookup tables for vectorized arithmetic on element indices."""

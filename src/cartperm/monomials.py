@@ -15,10 +15,6 @@ from .field import leq_p_values
 from .poly import sorted_monomials
 
 
-def divides(u, v):
-    return all(a <= b for a, b in zip(u, v))
-
-
 def divisors_of(u):
     return itertools.product(*[range(e + 1) for e in u])
 
@@ -259,9 +255,6 @@ class StableMatrixPattern:
 
     def allows(self, i, j):
         return self.mask[i][j]
-
-    def free_positions(self):
-        return [(i, j) for i in range(self.m) for j in range(self.m) if self.mask[i][j]]
 
     def __eq__(self, other):
         return isinstance(other, StableMatrixPattern) and self.mask == other.mask

@@ -16,7 +16,7 @@ import numpy as np
 from .affine import AffineTransformation, SpanChecker, induced_permutation, stabilizes_set
 from .codes import build_code, codes_equal
 from .families import BudgetExceeded
-from .field import Field
+from .field import Field, FieldError
 from .monomials import MonomialSet
 from .points import CartesianSet
 
@@ -130,9 +130,14 @@ def _pack(batch, m):
 
 
 def oracle_stabilizers(S: CartesianSet, budget=None, candidates=None, jobs=1):
-    """All affine maps carrying the point set onto itself, by exhaustive scan
-    of the full affine space or of a supplied candidate stream, reported in
-    scan order.  jobs is accepted for compatibility and ignored."""
+    """All invertible affine maps carrying the point set onto itself, by
+    exhaustive scan of the full affine space or of a supplied candidate
+    stream, reported in scan order.  jobs is accepted for compatibility and
+    ignored.
+
+    A singular map can permute S only when some component has one point
+    (otherwise S affinely spans F^m); such hits are dropped, so the result
+    is a subgroup of AGL(m, q)."""
     F, m = S.field, S.m
     kern = _Kernel(F)
     pts = np.array(S.points_ix(), dtype=np.uint16)
@@ -151,6 +156,8 @@ def oracle_stabilizers(S: CartesianSet, budget=None, candidates=None, jobs=1):
     out = []
     for chunk in chunks:
         out.extend(scan(chunk))
+    if 1 in S.sizes:
+        out = [T for T in out if T.is_invertible()]
     return out
 
 
@@ -181,7 +188,11 @@ def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
         "witness": None,
     }
     for T in ts:
-        if not T.is_invertible() or (T.invert().A, T.invert().b) not in keys:
+        try:
+            inv = T.invert()
+        except FieldError:
+            inv = None
+        if inv is None or (inv.A, inv.b) not in keys:
             report["closed_under_inverse"] = False
             report["witness"] = T.to_json()
             break

@@ -1,6 +1,11 @@
 """Sparse multivariate polynomials over GF(q): arithmetic, affine
 substitution, canonical reduction modulo a Cartesian vanishing ideal, and
-evaluation.
+evaluation.  This module is the package's only polynomial engine: one term
+reducer (``add_term``), one product (``mul_terms``) and one pullback helper
+(``affine_pullback``) serve ``Polynomial``, ``substitute_affine``,
+``reduce_mod_vanishing`` and the span check of ``affine.SpanChecker``.
+
+Term dicts map exponent tuples to nonzero coefficient indices.
 
 Monomials are plain exponent tuples of length m.  Term iteration is in
 graded lexicographic order (total degree first, ties broken with x1 biggest)
@@ -8,6 +13,9 @@ so printed output and JSON are stable.
 """
 
 from __future__ import annotations
+
+import itertools
+import operator
 
 from .field import Field, FieldElement, FieldError
 
@@ -65,17 +73,8 @@ class Polynomial:
     def coeff(self, exp) -> FieldElement:
         return FieldElement(self.field, self._terms.get(tuple(exp), 0))
 
-    def terms(self):
-        return [(e, FieldElement(self.field, self._terms[e])) for e in self.support()]
-
     def is_zero(self):
         return not self._terms
-
-    def total_degree(self):
-        return max((sum(e) for e in self._terms), default=0)
-
-    def degree_in(self, i):
-        return max((e[i] for e in self._terms), default=0)
 
     def __bool__(self):
         return bool(self._terms)
@@ -96,14 +95,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        F = self.field
         out = dict(self._terms)
         for e, c in other._terms.items():
-            v = F.add_ix(out.get(e, 0), c)
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+            add_term(out, e, c, self.field)
         return self._raw(out)
 
     def __sub__(self, other):
@@ -119,17 +113,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        F = self.field
-        out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = F.add_ix(out.get(e, 0), F.mul_ix(c1, c2))
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return self._raw(out)
+        return self._raw(mul_terms(self.field, self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -159,23 +143,6 @@ class Polynomial:
         p._terms = terms
         return p
 
-    # -- evaluation -------------------------------------------------------------
-    def evaluate(self, point) -> FieldElement:
-        F = self.field
-        pix = [F(x).ix for x in point]
-        if len(pix) != self.m:
-            raise ValueError("point dimension mismatch")
-        acc = 0
-        for e, c in self._terms.items():
-            v = c
-            for x, d in zip(pix, e):
-                if d:
-                    v = F.mul_ix(v, F.pow_ix(x, d))
-                    if not v:
-                        break
-            acc = F.add_ix(acc, v)
-        return FieldElement(F, acc)
-
     # -- serialization ------------------------------------------------------------
     def to_json(self):
         return [{"exp": list(e), "coeff": list(FieldElement(self.field, c).coeffs)}
@@ -203,48 +170,90 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# the engine: term reducer, product, affine pullback
+
+def add_term(out, e, c, F: Field, S=None):
+    """Add c * x^e into the term dict out, reduced modulo the vanishing
+    ideal of the Cartesian set S when S is given."""
+    if S is not None:
+        for j, n in enumerate(S.sizes):
+            if e[j] >= n:
+                # x_j^e[j] is a combination of lower powers; add each piece
+                for d, rc in enumerate(S.power_reduction(j, e[j])):
+                    if rc:
+                        add_term(out, e[:j] + (d,) + e[j + 1:], F.mul_ix(c, rc), F, S)
+                return
+    v = F.add_ix(out.get(e, 0), c)
+    if v:
+        out[e] = v
+    else:
+        out.pop(e, None)
+
+
+def mul_terms(F: Field, f, g, S=None):
+    """Product of two term dicts, each term reduced as it lands when S is
+    given."""
+    out = {}
+    mul = F.mul_ix
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            add_term(out, tuple(map(operator.add, e1, e2)), mul(c1, c2), F, S)
+    return out
+
+
+def affine_pullback(F: Field, A, b, S=None):
+    """The map u -> term dict of x^u pulled back through x -> Ax + b (A as
+    rows of element indices, b as element indices): products of powers of
+    the linear forms of Ax + b, whose powers are memoized.  Every product is
+    reduced modulo the vanishing ideal of S when S is given."""
+    m = len(A)
+    one = (0,) * m
+    forms = []
+    for i in range(m):
+        form = {one[:j] + (1,) + one[j + 1:]: A[i][j] for j in range(m) if A[i][j]}
+        if b[i]:
+            form[one] = b[i]
+        forms.append(form)
+    pows = [{0: {one: 1}, 1: form} for form in forms]
+
+    def form_pow(i, d):
+        memo = pows[i]
+        if d not in memo:
+            half = form_pow(i, d // 2)
+            sq = mul_terms(F, half, half, S)
+            memo[d] = sq if d % 2 == 0 else mul_terms(F, sq, forms[i], S)
+        return memo[d]
+
+    def pull(u):
+        prod = {one: 1}
+        for i, d in enumerate(u):
+            if d:
+                prod = mul_terms(F, prod, form_pow(i, d), S)
+                if not prod:
+                    break
+        return prod
+
+    return pull
+
 
 def substitute_affine(f: Polynomial, A, b) -> Polynomial:
     """Replace each x_i in f by the i-th entry of Ax+b, fully expanded.
 
-    A is an m x m matrix and b a length-m vector over the same field; no
-    reduction modulo any vanishing ideal happens here.
+    A is an m x m matrix and b a length-m vector over the same field, given
+    as elements or element indices; no reduction modulo any vanishing ideal
+    happens here.
     """
     F, m = f.field, f.m
-    rows = [list(r) for r in A]
-    if len(rows) != m or any(len(r) != m for r in rows) or len(list(b)) != m:
+    A = [[F(x).ix for x in row] for row in A]
+    b = [F(x).ix for x in b]
+    if len(A) != m or any(len(r) != m for r in A) or len(b) != m:
         raise ValueError("dimension mismatch in affine substitution")
-    forms = []
-    for i in range(m):
-        terms = {}
-        for j in range(m):
-            c = F(rows[i][j])
-            if c:
-                e = [0] * m
-                e[j] = 1
-                terms[tuple(e)] = c
-        bi = F(list(b)[i])
-        if bi:
-            terms[(0,) * m] = bi
-        forms.append(Polynomial(F, m, terms))
-
-    powers = [{} for _ in range(m)]
-
-    def form_pow(i, d):
-        memo = powers[i]
-        if d not in memo:
-            memo[d] = forms[i] ** d if d > 1 else (forms[i] if d == 1 else
-                                                   Polynomial.constant(F, m, 1))
-        return memo[d]
-
-    out = Polynomial.zero(F, m)
+    pull = affine_pullback(F, A, b)
+    out = {}
     for e, c in f._terms.items():
-        prod = Polynomial.constant(F, m, c)
-        for i, d in enumerate(e):
-            if d:
-                prod = prod * form_pow(i, d)
-        out = out + prod
-    return out
+        for e2, c2 in pull(e).items():
+            add_term(out, e2, F.mul_ix(c, c2), F)
+    return f._raw(out)
 
 
 def reduce_mod_vanishing(f: Polynomial, S) -> Polynomial:
@@ -254,35 +263,36 @@ def reduce_mod_vanishing(f: Polynomial, S) -> Polynomial:
     F, m = f.field, f.m
     if S.field != F or S.m != m:
         raise FieldError("set and polynomial ambients differ")
-    bounds = S.sizes
-    terms = dict(f._terms)
-    for j in range(m):
-        nj = bounds[j]
-        while True:
-            bad = [e for e in terms if e[j] >= nj]
-            if not bad:
-                break
-            # rewrite the highest violating power first
-            bad.sort(key=lambda e: -e[j])
-            e = bad[0]
-            c = terms.pop(e)
-            rep = S.power_reduction(j, e[j])
-            for d, rc in enumerate(rep):
-                if rc:
-                    e2 = e[:j] + (d,) + e[j + 1:]
-                    v = F.add_ix(terms.get(e2, 0), F.mul_ix(c, rc))
-                    if v:
-                        terms[e2] = v
-                    else:
-                        terms.pop(e2, None)
-    out = Polynomial.__new__(Polynomial)
-    out.field, out.m, out._terms = F, m, terms
-    return out
+    out = {}
+    for e, c in f._terms.items():
+        add_term(out, e, c, F, S)
+    return f._raw(out)
 
 
 def evaluate_on_set(f: Polynomial, S) -> tuple:
-    """Codeword of f on S: evaluations at the canonically ordered points."""
+    """Codeword of f on S: evaluations at the canonically ordered points.
+    Works from per-component power tables and never reduces f, so it is
+    independent of the product and the term reducer."""
     F, m = f.field, f.m
     if S.field != F or S.m != m:
         raise FieldError("set and polynomial ambients differ")
-    return tuple(f.evaluate(P) for P in S.points())
+    # pows[j][d][t] = (t-th element of the j-th component)^d
+    pows = []
+    for j, comp in enumerate(S.components):
+        col = [[1] * comp.n]
+        for _ in range(max((e[j] for e in f._terms), default=0)):
+            col.append([F.mul_ix(x, a.ix) for x, a in zip(col[-1], comp.elements)])
+        pows.append(col)
+    word = []
+    for pt in itertools.product(*[range(n) for n in S.sizes]):
+        acc = 0
+        for e, c in f._terms.items():
+            v = c
+            for j, d in enumerate(e):
+                if d:
+                    v = F.mul_ix(v, pows[j][d][pt[j]])
+                    if not v:
+                        break
+            acc = F.add_ix(acc, v)
+        word.append(FieldElement(F, acc))
+    return tuple(word)

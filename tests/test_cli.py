@@ -98,6 +98,41 @@ def test_graph_command(tmp_path):
     assert main(["--out", str(out), "graph", path2]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("obj, args", [
+    ({"p": 2, "monomials": 3}, []),
+    ([[1, "x"]], []),
+    ({"p": 2, "monomials": [[1, "x"]]}, []),
+    ({"p": "2", "monomials": [[1, 0]]}, []),
+    ({"p": 2, "monomials": [[1, 0]], "bound": "x"}, []),
+    ({"p": 2, "monomials": [[1, 0], [1]]}, []),
+    ({"p": 4, "monomials": [[1, 0]]}, []),
+    ({"monomials": [[1, 0]]}, ["--p", "1"]),
+    ({"monomials": [[1, 0]]}, ["--p", "4"]),
+], ids=["monomials-int", "not-object", "entry-str", "p-str", "bound-str",
+        "arity", "p-4", "cli-p-1", "cli-p-4"])
+def test_graph_rejects_malformed_files(tmp_path, obj, args):
+    path = write_json(tmp_path / "L.json", obj)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--out", str(tmp_path / "r"), "graph", path, *args])
+    assert code == EXIT_CONFIG
+    assert "config error:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_verify_one_point_component_group(tmp_path):
+    # the oracle keeps only invertible maps, so the group is closed under inverse
+    cfg = {"field": {"q": 2},
+           "set": {"components": [{"kind": "full"}, {"kind": "mult", "order": 1}]},
+           "monomials": {"generators": [[1, 0]]}, "tasks": ["oracle-verify"]}
+    out = tmp_path / "reports"
+    assert main(["--out", str(out), "verify", write_json(tmp_path / "c.json", cfg)]) \
+        == EXIT_OK
+    report = json.loads((out / "oracle-verify.json").read_text())
+    assert report["stabilizer_count"] == 4
+    assert report["affine_permutation_group"]["group_axioms"]["closed_under_inverse"]
+
+
 def test_group_command(tmp_path):
     cfg = dict(BASE_CONFIG)
     cfg["tasks"] = ["oracle-verify"]

@@ -60,6 +60,19 @@ def test_oracle_stabilizers_against_slow_path():
     assert [(T.A, T.b) for T in fast] == [(T.A, T.b) for T in slow]
 
 
+def test_stabilizers_of_one_point_component_are_invertible():
+    # singular maps such as x1 -> x1 + x2 + 1 also permute GF(2) x {1}
+    F = GF(2)
+    S = CartesianSet([full_component(F), torus_component(F)])
+    slow = [T for T in enumerate_all_affine(F, 2) if stabilizes_set(T, S)]
+    stabs = oracle_stabilizers(S)
+    assert len(slow) == 8 and len(stabs) == 4
+    assert all(T.is_invertible() for T in stabs)
+    assert [T for T in slow if T.is_invertible()] == stabs
+    axioms = group_axioms_report(F, stabs)
+    assert axioms["closed_under_inverse"] and axioms["closed_under_composition"]
+
+
 def test_oracle_stabilizer_counts():
     F3 = GF(3)
     assert len(oracle_stabilizers(CartesianSet([torus_component(F3)] * 2))) == 8

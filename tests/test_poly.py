@@ -4,15 +4,17 @@ evaluation on Cartesian sets."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cartperm.field import GF, FieldError
+from cartperm.affine import AffineTransformation
+from cartperm.field import GF, Field, FieldError
 from cartperm.poly import (
-    Polynomial, evaluate_on_set, grlex_key, reduce_mod_vanishing,
-    sorted_monomials, substitute_affine,
+    Polynomial, affine_pullback, evaluate_on_set, grlex_key,
+    reduce_mod_vanishing, sorted_monomials, substitute_affine,
 )
 from cartperm.points import (
-    CartesianSet, explicit_component, full_component, mult_component,
-    torus_component,
+    CartesianSet, additive_component, explicit_component, full_component,
+    mult_component, torus_component,
 )
 
 
@@ -214,3 +216,59 @@ def test_reduction_confluence_over_variable_order():
     for _ in range(40):
         f = random_poly(rng, F, 2, 7)
         assert reduce_mod_vanishing(f, S) == reduce_reversed(f)
+
+
+# GF(8) under x^3 + x^2 + 1, not the default x^3 + x + 1
+ENGINE_FIELDS = [GF(2), GF(3), GF(4), GF(5), GF(8), GF(9),
+                 Field(2, 3, (1, 0, 1, 1))]
+
+
+@st.composite
+def components(draw, F):
+    kind = draw(st.sampled_from(["full", "mult", "add", "explicit"]))
+    if kind == "full":
+        return full_component(F)
+    if kind == "mult":
+        return mult_component(F, draw(st.sampled_from(
+            [d for d in range(1, F.q) if (F.q - 1) % d == 0])))
+    elems = draw(st.lists(st.integers(1 if kind == "add" else 0, F.q - 1),
+                          min_size=1, max_size=F.k if kind == "add" else F.q))
+    if kind == "add":
+        return additive_component(F, [F(x) for x in elems])
+    return explicit_component(F, [F(x) for x in elems])
+
+
+@st.composite
+def pullback_cases(draw):
+    F = draw(st.sampled_from(ENGINE_FIELDS))
+    m = draw(st.integers(1, 3 if F.q <= 5 else 2))
+    S = CartesianSet([draw(components(F)) for _ in range(m)])
+    entry = st.integers(0, F.q - 1)
+    T = AffineTransformation(F, [[draw(entry) for _ in range(m)] for _ in range(m)],
+                             [draw(entry) for _ in range(m)])
+    u = tuple(draw(st.integers(0, 2 * n)) for n in S.sizes)
+    return S, T, u
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(pullback_cases())
+def test_reduced_pullback_is_the_box_normal_form(case):
+    # evaluation on S is injective on the exponent box, so landing in the box
+    # with the right values pins the reduced pullback without using the
+    # engine's product or reducer
+    S, T, u = case
+    F = S.field
+    want = tuple(_monomial_value(F, T.apply_point(P), u) for P in S.points())
+    via_span = Polynomial(F, S.m, affine_pullback(F, T.A, T.b, S)(u))
+    via_reduce = reduce_mod_vanishing(T.of_poly(Polynomial.monomial(F, u)), S)
+    for got in (via_span, via_reduce):
+        assert all(e[j] < S.sizes[j] for e in got.support() for j in range(S.m))
+        assert evaluate_on_set(got, S) == want
+    assert via_span == via_reduce
+
+
+def _monomial_value(F, point, u):
+    v = F.one
+    for x, d in zip(point, u):
+        v = v * x ** d
+    return v
