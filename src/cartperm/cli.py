@@ -19,14 +19,14 @@ from .families import (
     BudgetExceeded, MixedFullTorusFamily, MixedGeneralFamily,
     MultProductFamily, describe, set_shape,
 )
-from .field import Field, FieldError, GF, is_prime
+from .field import TABLE_LIMIT, Field, FieldError, GF, is_prime
 from .monomials import (
     MonomialSet, borel_property_witness, divisibility_closure,
     has_borel_property, is_decreasing, p_borel_graph,
 )
 from .oracle import (
-    affine_space_size, group_axioms_report, oracle_affine_perm_group,
-    oracle_stabilizers, two_route_agreement, verify_characterization,
+    group_axioms_report, oracle_affine_perm_group, oracle_stabilizers,
+    two_route_agreement, verify_characterization,
 )
 from .points import (
     ADD, FULL, MULT, CartesianSet, additive_component, classify_subset,
@@ -173,7 +173,7 @@ def detect_family(S: CartesianSet):
 # ---------------------------------------------------------------------------
 # tasks
 
-def task_classify(F, S, L, budget, seed, jobs):
+def task_classify(F, S, L, budget, seed):
     comps = []
     for c in S.components:
         detected = classify_subset(F, c.elements)
@@ -187,7 +187,7 @@ def task_classify(F, S, L, budget, seed, jobs):
     return {"components": comps}, True
 
 
-def task_closures(F, S, L, budget, seed, jobs):
+def task_closures(F, S, L, budget, seed):
     closure = divisibility_closure(L)
     witness = borel_property_witness(closure)
     report = {
@@ -203,11 +203,11 @@ def task_closures(F, S, L, budget, seed, jobs):
     return report, True
 
 
-def task_graph(F, S, L, budget, seed, jobs):
+def task_graph(F, S, L, budget, seed):
     return p_borel_graph(L, F.p).to_json(), True
 
 
-def task_families(F, S, L, budget, seed, jobs):
+def task_families(F, S, L, budget, seed):
     report = {}
     fam = detect_family(S)
     if fam is not None:
@@ -229,15 +229,10 @@ def task_families(F, S, L, budget, seed, jobs):
     return report, True
 
 
-def task_oracle_verify(F, S, L, budget, seed, jobs):
+def task_oracle_verify(F, S, L, budget, seed):
     report = {}
     ok = True
-    candidates = None
-    if all(c.kind in (ADD, FULL) for c in S.components):
-        pat = AdditiveHeteroPattern(S)
-        if pat.candidate_count() < affine_space_size(S.field, S.m):
-            candidates = pat.candidates(budget)
-    stabs = oracle_stabilizers(S, budget=budget, candidates=candidates)
+    stabs = oracle_stabilizers(S, budget=budget)
     report["stabilizer_count"] = len(stabs)
 
     fam = detect_family(S)
@@ -287,7 +282,7 @@ def task_oracle_verify(F, S, L, budget, seed, jobs):
     return report, ok
 
 
-def task_examples(F, S, L, budget, seed, jobs):
+def task_examples(F, S, L, budget, seed):
     results = [ex() for ex in (example_shear, example_gf9_quartics,
                                example_transporter_table, example_scaled_line,
                                example_additive_triple)]
@@ -466,8 +461,7 @@ def example_additive_triple():
             mixing_ok = False
     _assert(asr, "mixing-entries-forced-zero", mixing_ok)
 
-    pat = AdditiveHeteroPattern(S)
-    stabs = oracle_stabilizers(S, candidates=pat.candidates())
+    stabs = oracle_stabilizers(S)
     group = oracle_affine_perm_group(L, S, stabilizers=stabs)
     translations = {T.b for T in group if T.is_translation()}
     _assert(asr, "all-translations-present",
@@ -512,7 +506,7 @@ def _dump(path: pathlib.Path, obj):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def run_config(cfg, out_dir, budget=None, seed=0, jobs=1):
+def run_config(cfg, out_dir, budget=None, seed=0):
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
     tasks = cfg.get("tasks")
@@ -525,6 +519,9 @@ def run_config(cfg, out_dir, budget=None, seed=0, jobs=1):
     F = S = L = None
     if needs_setup:
         F = load_field(cfg.get("field", {}))
+        if "oracle-verify" in tasks and F.q > TABLE_LIMIT:
+            raise ConfigError(f"field: oracle-verify scans fields of at most "
+                              f"{TABLE_LIMIT} elements, not GF({F.q})")
         S = load_set(F, cfg.get("set", {}))
         if "monomials" in cfg:
             L = load_monomials(cfg["monomials"], S)
@@ -535,7 +532,7 @@ def run_config(cfg, out_dir, budget=None, seed=0, jobs=1):
     all_ok = True
     lines = []
     for t in tasks:
-        report, ok = TASK_FUNCS[t](F, S, L, budget, seed, jobs)
+        report, ok = TASK_FUNCS[t](F, S, L, budget, seed)
         _dump(out_dir / f"{t}.json", report)
         all_ok = all_ok and ok
         lines.append(f"{t}: {'ok' if ok else 'FAIL'} -> {out_dir / (t + '.json')}")
@@ -547,7 +544,9 @@ def main(argv=None) -> int:
         prog="cartperm",
         description="Monomial Cartesian codes: affine permutation toolkit")
     ap.add_argument("--budget", type=int, default=None,
-                    help="cap on enumerated candidates (error when exceeded)")
+                    help="cap on enumerated candidates: the stabilizer scan's "
+                         "q^(m+1) rows and its product of surviving rows, and "
+                         "each family's members (exit 3 when exceeded)")
     ap.add_argument("--out", default="cartperm-reports", help="report directory")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for sampled checks")
@@ -571,13 +570,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             cfg = _read_json(args.config)
-            code, lines = run_config(cfg, args.out, args.budget, args.seed, args.jobs)
+            code, lines = run_config(cfg, args.out, args.budget, args.seed)
             print("\n".join(lines))
             return code
 
         if args.command == "examples":
-            report, ok = task_examples(None, None, None, args.budget, args.seed,
-                                       args.jobs)
+            report, ok = task_examples(None, None, None, args.budget, args.seed)
             _dump(pathlib.Path(args.out) / "examples.json", report)
             for ex in report["examples"]:
                 for a in ex["assertions"]:
@@ -595,9 +593,9 @@ def main(argv=None) -> int:
 
         if args.command == "group":
             cfg = _read_json(args.config)
-            cfg = dict(cfg)
-            cfg["tasks"] = ["oracle-verify"]
-            code, lines = run_config(cfg, args.out, args.budget, args.seed, args.jobs)
+            if isinstance(cfg, dict):   # run_config rejects anything else
+                cfg = {**cfg, "tasks": ["oracle-verify"]}
+            code, lines = run_config(cfg, args.out, args.budget, args.seed)
             print("\n".join(lines))
             return code
     except ConfigError as e:

@@ -13,22 +13,43 @@ import itertools
 from functools import lru_cache
 
 # fields up to this size get full q x q multiplication/addition tables
-_TABLE_LIMIT = 4096
+TABLE_LIMIT = 4096
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the prime bases 2 to 41: exact for
+    n < 3.3 * 10^24 (a strong probable-prime test beyond)."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r^k <= n (integer Newton iteration from above)."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +369,7 @@ class Field:
     def mul_ix(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if self.q <= _TABLE_LIMIT:
+        if self.q <= TABLE_LIMIT:
             self._ensure_tables()
             return self._mul[a * self.q + b]
         return self._mul_ix_slow(a, b)
@@ -358,7 +379,7 @@ class Field:
             raise ZeroDivisionError("inversion of zero field element")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        if self.q <= _TABLE_LIMIT:
+        if self.q <= TABLE_LIMIT:
             self._ensure_tables()
             return self._inv[a]
         return self.pow_ix(a, self.q - 2)
@@ -397,8 +418,9 @@ class Field:
         import numpy as np
         if self._np is None:
             q = self.q
-            if q > _TABLE_LIMIT:
-                raise FieldError("numpy tables only built for small fields")
+            if q > TABLE_LIMIT:
+                raise FieldError(f"numpy tables are built only for fields of at "
+                                 f"most {TABLE_LIMIT} elements, not GF({q})")
             self._ensure_tables()
             mul = np.array(self._mul, dtype=np.uint16).reshape(q, q)
             add = np.empty((q, q), dtype=np.uint16)
@@ -424,15 +446,9 @@ def GF(q: int) -> Field:
     """Field of order q = p^k with the default irreducible polynomial."""
     if q < 2:
         raise FieldError("field order must be >= 2")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n != 1:
-                raise FieldError(f"{q} is not a prime power")
+    for k in range(1, q.bit_length() + 1):
+        p = _iroot(q, k)
+        if p ** k == q and is_prime(p):
             return Field(p, k)
     raise FieldError(f"{q} is not a prime power")
 

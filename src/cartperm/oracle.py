@@ -1,15 +1,19 @@
-"""Brute-force ground truth: exhaustive enumeration of affine maps, batched
-point-set stabilizer scans, the exact affine permutation group of a code, and
+"""Brute-force ground truth: exhaustive enumeration of affine maps, the
+point-set stabilizer scan, the exact affine permutation group of a code, and
 the independent code-level permutation check.
 
-The scans run on numpy index arrays with field lookup tables; results are
-identical to the element-level API and deterministic (candidates are visited
+There is one stabilizer scan, row-factored: T(S) = S for a Cartesian S forces
+each row of T to map S onto its component, so the q^(m+1) candidate rows are
+filtered once and only the product of the surviving rows is checked for
+bijectivity.  Scans run on numpy index arrays with field lookup tables;
+results are identical to the element-level API and deterministic (reported
 in base-q counter order, so the first counterexample is reproducible).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -25,23 +29,6 @@ _CHUNK_CELLS = 4_000_000
 
 def affine_space_size(F: Field, m: int) -> int:
     return F.q ** (m * m + m)
-
-
-def _counter_to_AB(counters, q, m):
-    """Decode base-q counters into (A, b) index arrays; the digit layout is A
-    in column-major order (A[0][0], A[1][0], ..., then next column), then b."""
-    N = len(counters)
-    c = counters.astype(np.int64).copy()
-    digits = np.empty((N, m * m + m), dtype=np.uint16)
-    for t in range(m * m + m):
-        digits[:, t] = (c % q).astype(np.uint16)
-        c //= q
-    A = np.empty((N, m, m), dtype=np.uint16)
-    for col in range(m):
-        for row in range(m):
-            A[:, row, col] = digits[:, col * m + row]
-    b = digits[:, m * m:]
-    return A, b
 
 
 def enumerate_all_affine(F: Field, m: int, budget=None, invertible_only=False):
@@ -95,78 +82,84 @@ def _encode(codes, q):
     return (codes.astype(np.int64) * weights).sum(axis=-1)
 
 
-def _ab_chunks_from_counters(S, budget):
-    F, m = S.field, S.m
-    total = affine_space_size(F, m)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"affine space of size {total} exceeds budget {budget}")
-    chunk = max(1, _CHUNK_CELLS // max(1, S.n * m * m))
-    for lo in range(0, total, chunk):
-        counters = np.arange(lo, min(lo + chunk, total))
-        yield _counter_to_AB(counters, F.q, m)
+def _chunks(total, cells):
+    """Index ranges covering range(total), each about _CHUNK_CELLS / cells long."""
+    step = max(1, _CHUNK_CELLS // max(1, cells))
+    for lo in range(0, total, step):
+        yield np.arange(lo, min(lo + step, total))
 
 
-def _ab_chunks_from_transforms(S, transforms, budget):
-    m = S.m
-    chunk = max(1, _CHUNK_CELLS // max(1, S.n * m * m))
-    batch = []
-    count = 0
-    for T in transforms:
-        batch.append(T)
-        count += 1
-        if budget is not None and count > budget:
-            raise BudgetExceeded(f"candidate stream exceeds budget {budget}")
-        if len(batch) == chunk:
-            yield _pack(batch, m)
-            batch = []
-    if batch:
-        yield _pack(batch, m)
+def _check_budget(size, budget, phase):
+    if budget is not None and size > budget:
+        raise BudgetExceeded(f"{phase} of {size} candidates exceeds budget {budget}")
 
 
-def _pack(batch, m):
-    A = np.array([[list(T.A[i]) for i in range(m)] for T in batch], dtype=np.uint16)
-    b = np.array([list(T.b) for T in batch], dtype=np.uint16)
-    return A, b
-
-
-def oracle_stabilizers(S: CartesianSet, budget=None, candidates=None, jobs=1):
-    """All invertible affine maps carrying the point set onto itself, by
-    exhaustive scan of the full affine space or of a supplied candidate
-    stream, reported in scan order.  jobs is accepted for compatibility and
-    ignored.
+def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1):
+    """All invertible affine maps carrying the point set onto itself, in
+    base-q counter order; the budget caps the candidate rows and then the
+    product of the surviving rows.  jobs is accepted and ignored.
 
     A singular map can permute S only when some component has one point
     (otherwise S affinely spans F^m); such hits are dropped, so the result
     is a subgroup of AGL(m, q)."""
-    F, m = S.field, S.m
+    F, m, q = S.field, S.m, S.field.q
+    _check_budget(q ** (m + 1), budget, "stabilizer row pass")
     kern = _Kernel(F)
     pts = np.array(S.points_ix(), dtype=np.uint16)
-    target = np.sort(_encode(pts, F.q))
+    rows = _surviving_rows(kern, S, pts)
+    total = math.prod(len(r) for r in rows)
+    _check_budget(total, budget, "stabilizer product scan")
+    target = np.sort(_encode(pts, q))
 
-    def scan(chunk):
+    def scan(k):
         # a function call, so each chunk's temporaries are freed before the
-        # next chunk is built
-        A, b = chunk
-        codes = np.sort(_encode(_batch_images(kern, A, b, pts), F.q), axis=1)
-        hits = np.flatnonzero((codes == target[None, :]).all(axis=1))
-        return [AffineTransformation(F, A[t].tolist(), b[t].tolist()) for t in hits]
+        # next chunk is built; ab[t] is the augmented matrix [A | b]
+        ab = np.empty((len(k), m, m + 1), dtype=np.uint16)
+        for i, r in enumerate(rows):
+            k, pick = np.divmod(k, len(r))
+            ab[:, i] = r[pick]
+        codes = np.sort(_encode(_batch_images(kern, ab[:, :, :m], ab[:, :, m], pts), q),
+                        axis=1)
+        return ab[(codes == target[None, :]).all(axis=1)]
 
-    chunks = (_ab_chunks_from_counters(S, budget) if candidates is None
-              else _ab_chunks_from_transforms(S, candidates, budget))
-    out = []
-    for chunk in chunks:
-        out.extend(scan(chunk))
+    ab = np.concatenate([scan(k) for k in _chunks(total, S.n * m * m)]
+                        + [np.empty((0, m, m + 1), dtype=np.uint16)])
+    # counter digits, least significant first: [A | b] in column-major order
+    keys = [ab[:, i, j] for j in range(m + 1) for i in range(m)]
+    out = [AffineTransformation(F, [r[:m] for r in M], [r[m] for r in M])
+           for M in ab[np.lexsort(keys)].tolist()]
     if 1 in S.sizes:
         out = [T for T in out if T.is_invertible()]
     return out
 
 
+def _surviving_rows(kern, S, pts):
+    """Per coordinate i, the rows [a | c] (an (R_i, m + 1) index array) whose
+    image x -> a.x + c of S is exactly A_i."""
+    q, m = kern.q, S.m
+    want = np.zeros((m, q), dtype=bool)
+    for i, c in enumerate(S.components):
+        want[i, list(c.element_set())] = True
+
+    def keep(k):
+        ac = np.empty((len(k), m + 1), dtype=np.uint16)
+        for j in range(m + 1):
+            k, ac[:, j] = np.divmod(k, q)
+        img = _batch_images(kern, ac[:, None, :m], ac[:, m:], pts)[..., 0]
+        seen = np.zeros((len(ac), q), dtype=bool)
+        seen[np.arange(len(ac))[:, None], img] = True
+        return [ac[(seen == want[i]).all(axis=1)] for i in range(m)]
+
+    kept = [keep(k) for k in _chunks(q ** (m + 1), S.n * m)]
+    return [np.concatenate([f[i] for f in kept]) for i in range(m)]
+
+
 def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
-                             candidates=None, stabilizers=None):
+                             stabilizers=None):
     """Exact affine permutation group of the code of L on S: point-set
     stabilizers that also keep the reduced monomial span inside L."""
     if stabilizers is None:
-        stabilizers = oracle_stabilizers(S, budget, candidates)
+        stabilizers = oracle_stabilizers(S, budget)
     checker = SpanChecker(L, S)
     return [T for T in stabilizers if checker.check(T)]
 
@@ -234,8 +227,7 @@ def code_permutation_check(T: AffineTransformation, L, S, code=None) -> bool:
 def two_route_agreement(L, S, transforms=None, budget=None):
     """Compare the monomial-span condition with the code-level permutation
     check on every stabilizing map; returns (agree, disagreements)."""
-    if transforms is None:
-        transforms = oracle_stabilizers(S, budget)
+    ts = oracle_stabilizers(S, budget) if transforms is None else list(transforms)
     F, m = S.field, S.m
     kern = _Kernel(F)
     pts = np.array(S.points_ix(), dtype=np.uint16)
@@ -249,8 +241,11 @@ def two_route_agreement(L, S, transforms=None, budget=None):
     checker = SpanChecker(L, S)
     neg = F.np_tables()["neg"]
 
+    all_A = np.array([T.A for T in ts], dtype=np.uint16).reshape(-1, m, m)
+    all_b = np.array([T.b for T in ts], dtype=np.uint16).reshape(-1, m)
     disagreements = []
-    for A, b in _ab_chunks_from_transforms(S, transforms, budget):
+    for k in _chunks(len(ts), S.n * m * m):
+        A, b = all_A[k], all_b[k]
         img_codes = _encode(_batch_images(kern, A, b, pts), F.q)
         pos = np.searchsorted(sorted_codes, img_codes)
         if (sorted_codes[pos] != img_codes).any():

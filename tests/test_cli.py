@@ -5,6 +5,7 @@ import io
 import json
 import pathlib
 import tempfile
+import time
 import traceback
 
 import pytest
@@ -143,7 +144,11 @@ def test_group_command(tmp_path):
     assert report["affine_permutation_group"]["size"] == 36
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
+    assert main(["group", write_json(tmp_path / "list.json", [1, 2])]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: expected a JSON object")
+    assert "Traceback" not in err
     bad = dict(BASE_CONFIG)
     bad["tasks"] = []
     path = write_json(tmp_path / "bad.json", bad)
@@ -206,7 +211,7 @@ def test_failed_verification_exit(tmp_path):
     # emitters, so assert the exit-code plumbing directly instead.
     from cartperm import cli
 
-    def fake_task(F, S, L, budget, seed, jobs):
+    def fake_task(F, S, L, budget, seed):
         return {"ok": False}, False
 
     old = dict(cli.TASK_FUNCS)
@@ -218,6 +223,42 @@ def test_failed_verification_exit(tmp_path):
     finally:
         cli.TASK_FUNCS.clear()
         cli.TASK_FUNCS.update(old)
+
+
+def test_budget_caps_rows_and_product_not_affine_space(tmp_path, capsys):
+    # GF(16) additive triple: 16^4 = 65,536 candidate rows and 33,792 row
+    # products, though the affine space has 16^12 maps
+    from cartperm.cli import _gf16_groups
+    from cartperm.points import CartesianSet
+    _, _, G1, G2, G3 = _gf16_groups()
+    cfg = {"field": {"q": 16}, "set": CartesianSet([G1, G2, G3]).to_json(),
+           "tasks": ["oracle-verify"], "budget": 100000}
+    out = tmp_path / "reports"
+    assert main(["--out", str(out), "verify", write_json(tmp_path / "c.json", cfg)]) \
+        == EXIT_OK
+    assert json.loads((out / "oracle-verify.json").read_text()) \
+        == {"stabilizer_count": 24576}
+    cfg["budget"] = 50000
+    assert main(["verify", write_json(tmp_path / "c.json", cfg)]) == EXIT_BUDGET
+    assert "row pass of 65536 candidates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--p", "1000000000000000003"],
+    ["verify"],
+])
+def test_huge_primes_answer_quickly(tmp_path, argv):
+    if argv[0] == "graph":
+        path = write_json(tmp_path / "m.json", {"monomials": [[1, 0], [0, 1]]})
+    else:
+        path = write_json(tmp_path / "c.json", {
+            "field": {"q": 1000000000000000003},
+            "set": {"components": [{"kind": "explicit", "elements": [0, 1]}]},
+            "monomials": {"generators": [[1]]}, "tasks": ["closures"]})
+    t0 = time.perf_counter()
+    assert main(["--out", str(tmp_path / "r")] + argv[:1] + [path] + argv[1:]) \
+        == EXIT_OK
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_no_family_for_one_point_torus(tmp_path):
@@ -275,6 +316,7 @@ def test_oracle_verify_scans_once(tmp_path, monkeypatch, cfg, family):
     (("budget",), "10", "budget"),
     (("tasks",), "classify", "tasks"),
     (("tasks",), [["classify"]], "tasks"),
+    (("field", "q"), 8192, "field: oracle-verify scans fields of at most 4096"),
 ])
 def test_malformed_config_values(tmp_path, capsys, path, value, where):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -284,6 +326,7 @@ def test_malformed_config_values(tmp_path, capsys, path, value, where):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith(f"config error: {where}")
+    assert "Traceback" not in err
 
 
 def _set_path(obj, path, value):

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from cartperm.field import (
-    GF, Field, FieldError, default_irreducible, leq_p, leq_p_values,
-    multinomial_nonzero_mod_p, p_adic,
+    GF, Field, FieldError, TABLE_LIMIT, default_irreducible, is_prime, leq_p,
+    leq_p_values, multinomial_nonzero_mod_p, p_adic,
 )
 
 SMALL_FIELDS = [GF(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64)]
@@ -215,3 +215,33 @@ def test_int_equality_agrees_with_hash():
     assert {x: "a"}[3] == "a" and {3: "b"}[x] == "b"
     assert hash(x) == hash(3)
     assert F.zero == 0 and F.zero != 4
+
+
+def test_is_prime_is_exact():
+    assert [n for n in range(-3, 5000) if is_prime(n)] == \
+        [n for n in range(2, 5000) if all(n % f for f in range(2, math.isqrt(n) + 1))]
+    # the smallest strong pseudoprimes to the first 1, 2, 3, ..., 12 prime
+    # bases (some serve several)
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(1000000000000000003) and is_prime(2 ** 89 - 1)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+
+
+def test_gf_finds_the_prime_by_roots():
+    for q in (2, 4, 8, 9, 25, 27, 49, 64, 125, 4096, 8192):
+        F = GF(q)
+        assert F.p ** F.k == q and is_prime(F.p)
+    for q in (6, 12, 100, 2 ** 64 * 3):
+        with pytest.raises(FieldError):
+            GF(q)
+    F = GF(1000000000000000003)
+    assert (F.p, F.k) == (1000000000000000003, 1)
+
+
+def test_np_tables_name_their_limit():
+    F = GF(8192)
+    with pytest.raises(FieldError, match=f"at most {TABLE_LIMIT} elements"):
+        F.np_tables()

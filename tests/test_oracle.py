@@ -5,13 +5,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cartperm import oracle
 from cartperm.affine import AffineTransformation, SpanChecker, stabilizes_set
 from cartperm.families import (
     BudgetExceeded, BorelClaimedFamily, MultProductFamily, enumerate_LTA,
     gl_count,
 )
-from cartperm.field import GF
+from cartperm.field import GF, Field
 from cartperm.monomials import MonomialSet, p_borel_graph, random_decreasing_set
 from cartperm.oracle import (
     affine_space_size, code_permutation_check, enumerate_all_affine,
@@ -22,6 +24,7 @@ from cartperm.points import (
     CartesianSet, explicit_component, full_component, mult_component,
     torus_component,
 )
+from test_poly import components
 
 
 def full_square(q):
@@ -83,12 +86,40 @@ def test_oracle_stabilizer_counts():
         oracle_stabilizers(full_square(3), budget=100)
 
 
-def test_candidate_stream_restriction():
-    F = GF(3)
-    S = CartesianSet([torus_component(F)] * 2)
-    fam = MultProductFamily(S)
-    got = oracle_stabilizers(S, candidates=fam.members())
-    assert len(got) == 8
+def test_budget_names_each_phase(monkeypatch):
+    S = full_square(3)          # 27 candidate rows, 24 of them per coordinate
+    with pytest.raises(BudgetExceeded, match="row pass of 27 candidates"):
+        oracle_stabilizers(S, budget=26)
+    with pytest.raises(BudgetExceeded, match="product scan of 576 candidates"):
+        oracle_stabilizers(S, budget=575)
+    assert len(oracle_stabilizers(S, budget=576)) == 432
+    # the row budget trips before any field table is built
+    monkeypatch.setattr(oracle, "_Kernel", None)
+    with pytest.raises(BudgetExceeded):
+        oracle_stabilizers(full_square(4), budget=63)
+
+
+# GF(8) under x^3 + x^2 + 1, not the default x^3 + x + 1
+ORACLE_FIELDS = [GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9),
+                 Field(2, 3, (1, 0, 1, 1))]
+
+
+@st.composite
+def small_sets(draw):
+    F = draw(st.sampled_from(ORACLE_FIELDS))
+    sizes = [m for m in (1, 2, 3) if F.q ** (m * m + m) <= 15625]
+    m = draw(st.sampled_from(sizes))
+    return CartesianSet([draw(components(F)) for _ in range(m)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_sets())
+@example(CartesianSet([full_component(GF(2)), torus_component(GF(2)),
+                       full_component(GF(2))]))
+def test_row_factored_scan_matches_scalar_reference(S):
+    want = [T for T in enumerate_all_affine(S.field, S.m, invertible_only=True)
+            if stabilizes_set(T, S)]
+    assert oracle_stabilizers(S) == want
 
 
 def test_perm_group_whole_box_is_stabilizers():
