@@ -213,7 +213,7 @@ def task_families(F, S, L, budget, seed):
     if fam is not None:
         report["stabilizer_family"] = describe(fam)
     if all(c.kind in (ADD, FULL) for c in S.components):
-        pat = AdditiveHeteroPattern(S)
+        pat = AdditiveHeteroPattern(S, budget)
         report["entry_constraints"] = {
             "table": pat.table_json(),
             "candidate_count": pat.candidate_count(),
@@ -245,7 +245,7 @@ def task_oracle_verify(F, S, L, budget, seed):
     if L is not None:
         group = oracle_affine_perm_group(L, S, stabilizers=stabs)
         axioms = group_axioms_report(F, group, seed=seed)
-        agree, disagreements = two_route_agreement(L, S, stabs)
+        agree, disagreements = two_route_agreement(L, S, stabs, span_group=group)
         report["affine_permutation_group"] = {
             "size": len(group),
             "group_axioms": axioms,

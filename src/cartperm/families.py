@@ -306,9 +306,15 @@ class AdditiveHeteroPattern:
     kind = "additive-hetero"
     necessary_only = True
 
-    def __init__(self, S: CartesianSet):
+    def __init__(self, S: CartesianSet, budget=None):
+        """The budget caps the field products the table costs: entry (i, j)
+        tests q candidates against the n_j points of component j."""
         if any(c.kind not in (ADD, FULL) for c in S.components):
             raise FieldError("components must be additive subgroups")
+        size = S.m * S.field.q * sum(S.sizes)
+        if budget is not None and size > budget:
+            raise BudgetExceeded(f"transporter table of {size} field products "
+                                 f"exceeds budget {budget}")
         self.S = S
         self.F = S.field
         self.m = S.m

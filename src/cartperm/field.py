@@ -17,6 +17,10 @@ TABLE_LIMIT = 4096
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+# most monic trial divisors an irreducibility test may try: under a second
+# of trial division at the slowest measured rate, about 20 us per divisor
+TRIAL_DIVISOR_LIMIT = 1 << 15
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the prime bases 2 to 41: exact for
@@ -90,6 +94,7 @@ def _poly_mod(a, m, p):
 def _poly_is_irreducible(c, p):
     """Trial division by every monic polynomial of degree <= deg(c)/2."""
     k = len(c) - 1
+    _check_trial_division(p, k)
     if k < 1 or c[0:1] == [] or c[-1] != 1:
         return False
     if k == 1:
@@ -104,17 +109,46 @@ def _poly_is_irreducible(c, p):
     return True
 
 
+def _check_trial_division(p, k):
+    """Raise FieldError when testing a degree-k polynomial over Z_p for
+    irreducibility would try more than TRIAL_DIVISOR_LIMIT monic divisors
+    (p + p^2 + ... + p^(k // 2) of them)."""
+    count, power = 0, 1
+    for _ in range(k // 2):
+        power *= p
+        count += power
+        if count > TRIAL_DIVISOR_LIMIT:
+            raise FieldError(f"GF({p}^{k}) is too large: testing a degree-{k} "
+                             f"polynomial for irreducibility would try more "
+                             f"than {TRIAL_DIVISOR_LIMIT} trial divisors")
+
+
 def default_irreducible(p: int, k: int) -> tuple:
     """Monic irreducible of degree k over Z_p with the smallest base-p
     integer encoding of its coefficient vector (constant term least
     significant).  Deterministic; k=1 gives x."""
     if k == 1:
         return (0, 1)
+    _check_trial_division(p, k)
     for enc in range(p ** k):
         c = list(_digits(enc, p, k)) + [1]
         if _poly_is_irreducible(c, p):
             return tuple(c)
     raise ArithmeticError(f"no irreducible of degree {k} over Z_{p}")  # unreachable
+
+
+def _digitwise_tables(p, k):
+    """The q x q addition table and the negation table of GF(p^k) on element
+    indices: coordinate vectors add digit by digit modulo p."""
+    import numpy as np
+    ix = np.arange(p ** k, dtype=np.int32)
+    add = np.zeros((len(ix), len(ix)), dtype=np.int32)
+    neg = np.zeros(len(ix), dtype=np.int32)
+    for t in range(k):
+        digit = ix // p ** t % p
+        add += (digit[:, None] + digit[None, :]) % p * p ** t
+        neg += -digit % p * p ** t
+    return add, neg
 
 
 def _digits(n, p, width):
@@ -274,6 +308,8 @@ class Field:
         self.irreducible = irreducible
         self._mul = None
         self._inv = None
+        self._add = None
+        self._neg = None
         self._np = None
 
     # -- identity -----------------------------------------------------------
@@ -317,26 +353,36 @@ class Field:
         return [FieldElement(self, i) for i in range(self.q)]
 
     # -- index arithmetic -----------------------------------------------------
+    # addition and negation look up the tables once they exist: a list
+    # lookup costs a tenth of the digit loop
     def add_ix(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if self._add is None:
+            if self.k == 1:
+                return (a + b) % self.p
+            if self.q > TABLE_LIMIT:
+                p, out, mult = self.p, 0, 1
+                for _ in range(self.k):
+                    out += ((a + b) % p) * mult
+                    a //= p
+                    b //= p
+                    mult *= p
+                return out
+            self._ensure_tables()
+        return self._add[a * self.q + b]
 
     def neg_ix(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.k):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        if self._neg is None:
+            if self.k == 1:
+                return (-a) % self.p
+            if self.q > TABLE_LIMIT:
+                p, out, mult = self.p, 0, 1
+                for _ in range(self.k):
+                    out += ((-a) % p) * mult
+                    a //= p
+                    mult *= p
+                return out
+            self._ensure_tables()
+        return self._neg[a]
 
     def sub_ix(self, a: int, b: int) -> int:
         return self.add_ix(a, self.neg_ix(b))
@@ -363,8 +409,11 @@ class Field:
         for a in range(1, q):
             row = mul[a * q:(a + 1) * q]
             inv[a] = row.index(1)
+        add, neg = _digitwise_tables(self.p, self.k)
         self._mul = mul
         self._inv = inv
+        self._add = add.ravel().tolist()
+        self._neg = neg.tolist()
 
     def mul_ix(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -410,6 +459,8 @@ class Field:
         """All elements of the subfield F_{p^d}; requires d | k."""
         if self.k % d != 0:
             raise FieldError(f"{d} does not divide extension degree {self.k}")
+        if d == self.k:     # the whole field, without q Frobenius powers
+            return self.elements()
         return [x for x in self.elements() if x.in_subfield(d)]
 
     # -- numpy kernels ----------------------------------------------------------
@@ -423,11 +474,8 @@ class Field:
                                  f"most {TABLE_LIMIT} elements, not GF({q})")
             self._ensure_tables()
             mul = np.array(self._mul, dtype=np.uint16).reshape(q, q)
-            add = np.empty((q, q), dtype=np.uint16)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self.add_ix(a, b)
-            neg = np.array([self.neg_ix(a) for a in range(q)], dtype=np.uint16)
+            add = np.array(self._add, dtype=np.uint16).reshape(q, q)
+            neg = np.array(self._neg, dtype=np.uint16)
             inv = np.array(self._inv, dtype=np.uint16)
             self._np = {"mul": mul, "add": add, "neg": neg, "inv": inv}
         return self._np

@@ -8,11 +8,17 @@ filtered once and only the product of the surviving rows is checked for
 bijectivity.  Scans run on numpy index arrays with field lookup tables;
 results are identical to the element-level API and deterministic (reported
 in base-q counter order, so the first counterexample is reproducible).
+
+The group-axioms check composes its pairs in batches on the same tables:
+the members are packed once into an (N, m, m + 1) array [A | b], keyed by
+the bytes of each row, and every product is looked up among the sorted
+keys.  The pairs run in itertools.product order (or the seeded sample's
+order), so the count of pairs checked and the witness are those of a
+pair-by-pair loop; tests/test_axioms.py keeps that loop as the reference.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -25,6 +31,9 @@ from .monomials import MonomialSet
 from .points import CartesianSet
 
 _CHUNK_CELLS = 4_000_000
+# the composition batches stay small: their int64 index temporaries would
+# otherwise raise the peak memory of a run the stabilizer scan keeps low
+_PAIR_CELLS = 1 << 16
 
 
 def affine_space_size(F: Field, m: int) -> int:
@@ -82,11 +91,44 @@ def _encode(codes, q):
     return (codes.astype(np.int64) * weights).sum(axis=-1)
 
 
-def _chunks(total, cells):
-    """Index ranges covering range(total), each about _CHUNK_CELLS / cells long."""
-    step = max(1, _CHUNK_CELLS // max(1, cells))
+def _chunks(total, cells, limit=_CHUNK_CELLS):
+    """Index ranges covering range(total), each about limit / cells long."""
+    step = max(1, limit // max(1, cells))
     for lo in range(0, total, step):
         yield np.arange(lo, min(lo + step, total))
+
+
+def _pack(transforms, m):
+    """The maps as an (N, m, m + 1) uint16 array of augmented matrices [A | b]."""
+    return np.array([[row + (c,) for row, c in zip(T.A, T.b)] for T in transforms],
+                    dtype=np.uint16).reshape(-1, m, m + 1)
+
+
+def _row_keys(ab):
+    """One byte key per map of an (N, m, m + 1) array: its flattened entries
+    viewed as np.void, so that no integer key can overflow."""
+    flat = np.ascontiguousarray(ab).reshape(len(ab), ab.shape[1] * ab.shape[2])
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+
+
+def _contains(sorted_keys, keys):
+    """Whether each key occurs in the sorted key array."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
+def _compose(kern, left, right):
+    """left after right, pair by pair, for (N, m, m + 1) arrays [A | b]:
+    [A_l A_r | A_l b_r + b_l] by table lookups."""
+    m = left.shape[1]
+    prods = kern.vmul(left[:, :, :m, None], right[:, None, :, :])   # [n, row, t, col]
+    out = prods[:, :, 0]
+    for t in range(1, m):
+        out = kern.vadd(out, prods[:, :, t])
+    out[:, :, m] = kern.vadd(out[:, :, m], left[:, :, m])
+    return out
 
 
 def _check_budget(size, budget, phase):
@@ -167,7 +209,9 @@ def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
 def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
     """Identity membership, closure under inverse, and closure under
     composition (exhaustive when the pair count is within the sample limit,
-    deterministic sampling beyond)."""
+    deterministic sampling beyond).  The pairs are composed in batches on the
+    field tables, in itertools.product order (or the sampled order), and the
+    first product outside the set is the witness."""
     ts = list(transforms)
     keys = {(T.A, T.b) for T in ts}
     g = len(ts)
@@ -191,22 +235,25 @@ def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
             break
     if g == 0:
         return report
+    kern = _Kernel(F)
+    m = ts[0].m
+    ab = _pack(ts, m)
+    members = np.sort(_row_keys(ab))
     if report["exhaustive"]:
-        pairs = itertools.product(range(g), repeat=2)
-        total = g * g
+        total, draws = g * g, None
     else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, g, size=(sample_limit, 2))
-        pairs = map(tuple, idx)
         total = sample_limit
-    for i, j in pairs:
-        C = ts[i].compose(ts[j])
-        report["composition_pairs_checked"] += 1
-        if (C.A, C.b) not in keys:
+        draws = np.random.default_rng(seed).integers(0, g, size=(sample_limit, 2))
+    for k in _chunks(total, m * m * (m + 1), _PAIR_CELLS):
+        i, j = np.divmod(k, g) if draws is None else draws[k].T
+        miss = np.flatnonzero(~_contains(members, _row_keys(_compose(kern, ab[i], ab[j]))))
+        if len(miss):
+            t = miss[0]
+            report["composition_pairs_checked"] = int(k[t]) + 1
             report["closed_under_composition"] = False
-            report["witness"] = {"left": ts[i].to_json(), "right": ts[j].to_json()}
-            break
-    assert report["composition_pairs_checked"] <= total
+            report["witness"] = {"left": ts[i[t]].to_json(), "right": ts[j[t]].to_json()}
+            return report
+    report["composition_pairs_checked"] = total
     return report
 
 
@@ -224,9 +271,14 @@ def code_permutation_check(T: AffineTransformation, L, S, code=None) -> bool:
     return codes_equal(code, code.permute_columns(pi))
 
 
-def two_route_agreement(L, S, transforms=None, budget=None):
+def two_route_agreement(L, S, transforms=None, budget=None, span_group=None):
     """Compare the monomial-span condition with the code-level permutation
-    check on every stabilizing map; returns (agree, disagreements)."""
+    check on every stabilizing map; returns (agree, disagreements).
+
+    span_group, when given, is the span route's answer already computed: the
+    maps among the stabilizers that pass the span check, as
+    oracle_affine_perm_group returns them.  A map's span verdict is then its
+    membership in that group instead of a second span check."""
     ts = oracle_stabilizers(S, budget) if transforms is None else list(transforms)
     F, m = S.field, S.m
     kern = _Kernel(F)
@@ -238,16 +290,19 @@ def two_route_agreement(L, S, transforms=None, budget=None):
     G = np.array([list(r) for r in code.rows], dtype=np.uint16)
     rref_rows, _, pivots = code.rref()
     R = np.array([list(r) for r in rref_rows], dtype=np.uint16)
-    checker = SpanChecker(L, S)
     neg = F.np_tables()["neg"]
 
-    all_A = np.array([T.A for T in ts], dtype=np.uint16).reshape(-1, m, m)
-    all_b = np.array([T.b for T in ts], dtype=np.uint16).reshape(-1, m)
+    all_ab = _pack(ts, m)
+    if span_group is None:
+        checker = SpanChecker(L, S)
+        span_ok = np.array([checker.check(T) for T in ts], dtype=bool)
+    else:
+        span_ok = _contains(np.sort(_row_keys(_pack(span_group, m))), _row_keys(all_ab))
     disagreements = []
     for k in _chunks(len(ts), S.n * m * m):
-        A, b = all_A[k], all_b[k]
+        A, b = all_ab[k, :, :m], all_ab[k, :, m]
         img_codes = _encode(_batch_images(kern, A, b, pts), F.q)
-        pos = np.searchsorted(sorted_codes, img_codes)
+        pos = np.minimum(np.searchsorted(sorted_codes, img_codes), len(sorted_codes) - 1)
         if (sorted_codes[pos] != img_codes).any():
             raise ValueError("transform stream contains a non-stabilizer")
         pi = order[pos]                       # pi[t, idx] = index of image of point idx
@@ -258,14 +313,12 @@ def two_route_agreement(L, S, transforms=None, budget=None):
             prod = kern.vmul(neg[factor.astype(np.int64)][:, :, None], R[r_idx][None, None, :])
             residue = kern.vadd(residue, prod)
         code_ok = ~(residue != 0).any(axis=(1, 2))
-        for t in range(len(code_ok)):
-            span_ok = checker.check_ix(tuple(map(tuple, A[t].tolist())), tuple(b[t].tolist()))
-            if span_ok != bool(code_ok[t]):
-                disagreements.append({
-                    "T": AffineTransformation(F, A[t].tolist(), b[t].tolist()).to_json(),
-                    "span_route": span_ok,
-                    "code_route": bool(code_ok[t]),
-                })
+        for t in np.flatnonzero(span_ok[k] != code_ok):
+            disagreements.append({
+                "T": ts[k[t]].to_json(),
+                "span_route": bool(span_ok[k[t]]),
+                "code_route": bool(code_ok[t]),
+            })
     return (not disagreements, disagreements)
 
 

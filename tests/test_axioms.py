@@ -1,0 +1,176 @@
+"""The batched group-axioms check against the scalar pairwise reference, and
+the two-route check's reuse of the span route's group."""
+
+import itertools
+import pathlib
+
+import numpy as np
+from hypothesis import given, settings
+
+from cartperm import cli
+from cartperm.affine import AffineTransformation
+from cartperm.field import GF, FieldError
+from cartperm.monomials import MonomialSet, divisibility_closure
+from cartperm.oracle import (
+    group_axioms_report, oracle_affine_perm_group, oracle_stabilizers,
+    two_route_agreement,
+)
+from cartperm.points import CartesianSet, full_component, torus_component
+from test_oracle import small_sets
+
+VERIFY_GROUP = pathlib.Path(__file__).resolve().parents[1] / "bench" / "configs" / "verify-group"
+
+
+def pairwise_axioms_report(F, transforms, sample_limit=2_000_000, seed=0):
+    """Scalar reference: one AffineTransformation.compose per pair, the
+    pairs in itertools.product order or drawn like the batched check."""
+    ts = list(transforms)
+    keys = {(T.A, T.b) for T in ts}
+    g = len(ts)
+    report = {
+        "size": g,
+        "has_identity": any(T.is_translation() and not any(T.b) for T in ts),
+        "closed_under_inverse": True,
+        "closed_under_composition": True,
+        "composition_pairs_checked": 0,
+        "exhaustive": g * g <= sample_limit,
+        "witness": None,
+    }
+    for T in ts:
+        try:
+            inv = T.invert()
+        except FieldError:
+            inv = None
+        if inv is None or (inv.A, inv.b) not in keys:
+            report["closed_under_inverse"] = False
+            report["witness"] = T.to_json()
+            break
+    if g == 0:
+        return report
+    if report["exhaustive"]:
+        pairs = itertools.product(range(g), repeat=2)
+    else:
+        rng = np.random.default_rng(seed)
+        pairs = map(tuple, rng.integers(0, g, size=(sample_limit, 2)))
+    for i, j in pairs:
+        C = ts[i].compose(ts[j])
+        report["composition_pairs_checked"] += 1
+        if (C.A, C.b) not in keys:
+            report["closed_under_composition"] = False
+            report["witness"] = {"left": ts[i].to_json(), "right": ts[j].to_json()}
+            break
+    return report
+
+
+def assert_same_report(F, ts, **kw):
+    got = group_axioms_report(F, ts, **kw)
+    assert got == pairwise_axioms_report(F, ts, **kw)
+    return got
+
+
+# pairs beyond this are sampled, which keeps the scalar reference fast on the
+# larger stabilizer groups (up to |AGL(2, 9)| = 466,560 members)
+LIMIT = 20_000
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(small_sets())
+def test_batched_axioms_match_pairwise_reference(S):
+    F = S.field
+    stabs = oracle_stabilizers(S)
+    rep = assert_same_report(F, stabs, sample_limit=LIMIT)
+    assert rep["closed_under_inverse"] and rep["closed_under_composition"]
+    assert_same_report(F, stabs[:len(stabs) // 2] + stabs[len(stabs) // 2 + 1:],
+                       sample_limit=LIMIT)
+    # the zero map is singular, so it is never a stabilizer
+    zero = AffineTransformation(F, [[0] * S.m] * S.m)
+    assert_same_report(F, stabs + [zero], sample_limit=LIMIT)
+
+
+def test_non_groups_and_the_empty_list():
+    F = GF(3)
+    S = CartesianSet([full_component(F), torus_component(F)])
+    stabs = oracle_stabilizers(S)
+    assert len(stabs) == 36
+    assert assert_same_report(F, []) == {
+        "size": 0, "has_identity": False, "closed_under_inverse": True,
+        "closed_under_composition": True, "composition_pairs_checked": 0,
+        "exhaustive": True, "witness": None}
+    for k in (0, 17, 35):
+        rep = assert_same_report(F, stabs[:k] + stabs[k + 1:])
+        assert not rep["closed_under_composition"]
+    rep = assert_same_report(F, stabs + [AffineTransformation(F, [[1, 0], [1, 1]])])
+    assert not rep["closed_under_composition"]
+    singular = AffineTransformation(F, [[1, 0], [0, 0]])
+    rep = assert_same_report(F, [singular] + stabs)
+    assert not rep["closed_under_inverse"] and not rep["closed_under_composition"]
+    # the identity and an idempotent singular map compose inside the set
+    rep = assert_same_report(F, [AffineTransformation.identity(F, 2), singular])
+    assert not rep["closed_under_inverse"] and rep["closed_under_composition"]
+
+
+def test_sampled_branch():
+    F = GF(4)
+    S = CartesianSet([full_component(F), full_component(F)])
+    stabs = oracle_stabilizers(S)
+    for seed in (0, 7):
+        rep = assert_same_report(F, stabs[:500], sample_limit=1000, seed=seed)
+        assert not rep["exhaustive"] and not rep["closed_under_composition"]
+        rep = assert_same_report(F, stabs, sample_limit=1000, seed=seed)
+        assert not rep["exhaustive"] and rep["composition_pairs_checked"] == 1000
+
+
+def test_gf16_four_dimensional_keys():
+    # x -> d*x + c*v for d in F4*, c in F4: a group of 12 maps over GF(16)^4,
+    # whose base-q counter keys reach 16^20 > 2^63.  The extra map differs
+    # from the identity only in the digit of weight 16^16 = 2^64, which a
+    # wrapped 64-bit counter key would not see.
+    F = GF(16)
+    f4 = [x.ix for x in F.subfield_elements(2)]
+    v = [F.primitive_element().ix, 9, 14, 15]
+    group = [AffineTransformation(F, [[d if r == c else 0 for c in range(4)]
+                                      for r in range(4)],
+                                  [F.mul_ix(c, x) for x in v])
+             for d in f4 if d for c in f4]
+    rep = assert_same_report(F, group)
+    assert rep["closed_under_inverse"] and rep["closed_under_composition"]
+    assert rep["composition_pairs_checked"] == 144
+    alias = AffineTransformation.translation(F, [1, 0, 0, 0])
+    rep = assert_same_report(F, group + [alias])
+    assert not rep["closed_under_composition"]
+    rep = assert_same_report(F, group[:5] + group[6:])
+    assert not rep["closed_under_composition"]
+
+
+def test_verify_reuses_the_span_group(tmp_path, monkeypatch):
+    """verify writes the same report whether the two-route check takes the
+    span route's group or runs the span check again."""
+    cfg = str(next(VERIFY_GROUP.glob("*.json")))
+    assert cli.main(["--out", str(tmp_path / "reuse"), "verify", cfg]) == cli.EXIT_OK
+    seen = []
+
+    def recheck(L, S, transforms=None, budget=None, span_group=None):
+        seen.append(span_group is not None)
+        return two_route_agreement(L, S, transforms, budget)
+
+    monkeypatch.setattr(cli, "two_route_agreement", recheck)
+    assert cli.main(["--out", str(tmp_path / "recheck"), "verify", cfg]) == cli.EXIT_OK
+    assert seen == [True]
+    name = "oracle-verify.json"
+    assert (tmp_path / "reuse" / name).read_bytes() == (tmp_path / "recheck" / name).read_bytes()
+
+
+def test_two_route_agreement_span_group_disagreements():
+    # a span group that wrongly drops a member shows up as a disagreement,
+    # in stabilizer order, exactly as a failing span check would
+    F = GF(3)
+    S = CartesianSet([full_component(F), torus_component(F)])
+    L = divisibility_closure(MonomialSet(2, [(1, 1), (2, 0)], bound=S.sizes))
+    stabs = oracle_stabilizers(S)
+    group = oracle_affine_perm_group(L, S, stabilizers=stabs)
+    assert two_route_agreement(L, S, stabs, span_group=group) == \
+        two_route_agreement(L, S, stabs) == (True, [])
+    agree, dis = two_route_agreement(L, S, stabs, span_group=group[1:])
+    assert not agree
+    assert dis == [{"T": group[0].to_json(), "span_route": False, "code_route": True}]
+    assert two_route_agreement(L, S, stabs, span_group=[])[1][0]["T"] == group[0].to_json()

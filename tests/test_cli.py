@@ -261,6 +261,39 @@ def test_huge_primes_answer_quickly(tmp_path, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("field", [{"p": 2, "k": 64}, {"q": (2 ** 61 - 1) ** 3}])
+def test_untestable_fields_answer_quickly(tmp_path, capsys, field):
+    # the irreducibility search would try 2^32 or 2^61 trial divisors
+    path = write_json(tmp_path / "c.json", {
+        "field": field, "set": {"components": [{"kind": "full"}]},
+        "tasks": ["closures"]})
+    t0 = time.perf_counter()
+    assert main(["--out", str(tmp_path / "r"), "verify", path]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field: ") and "trial divisors" in err
+
+
+def test_families_budget_before_transporter_table(tmp_path, capsys):
+    # GF(8192) full x full: the table would cost 2 * 8192 * 16384 products
+    path = write_json(tmp_path / "c.json", {
+        "field": {"q": 8192},
+        "set": {"components": [{"kind": "full"}, {"kind": "full"}]},
+        "tasks": ["families"], "budget": 10})
+    t0 = time.perf_counter()
+    assert main(["--out", str(tmp_path / "r"), "verify", path]) == EXIT_BUDGET
+    assert time.perf_counter() - t0 < 2.0
+    assert "transporter table of 268435456 field products exceeds budget 10" \
+        in capsys.readouterr().err
+    # within budget the task still reports the table
+    path = write_json(tmp_path / "c.json", {
+        "field": {"q": 4}, "set": {"components": [{"kind": "full"}] * 2},
+        "tasks": ["families"], "budget": 64})
+    assert main(["--out", str(tmp_path / "r"), "verify", path]) == EXIT_OK
+    report = json.loads((tmp_path / "r" / "families.json").read_text())
+    assert report["entry_constraints"]["candidate_count"] == 4 ** 6
+
+
 def test_no_family_for_one_point_torus(tmp_path):
     from cartperm.cli import detect_family
     F = load_field({"q": 2})

@@ -2,12 +2,13 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from cartperm.field import (
-    GF, Field, FieldError, TABLE_LIMIT, default_irreducible, is_prime, leq_p,
-    leq_p_values, multinomial_nonzero_mod_p, p_adic,
+    GF, Field, FieldError, TABLE_LIMIT, TRIAL_DIVISOR_LIMIT, default_irreducible,
+    is_prime, leq_p, leq_p_values, multinomial_nonzero_mod_p, p_adic,
 )
 
 SMALL_FIELDS = [GF(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64)]
@@ -131,6 +132,7 @@ def test_subfield_membership():
                 continue
             members = [x for x in F.elements() if x.in_subfield(d)]
             assert len(members) == F.p ** d
+            assert F.subfield_elements(d) == members
 
 
 def test_p_adic():
@@ -245,3 +247,34 @@ def test_np_tables_name_their_limit():
     F = GF(8192)
     with pytest.raises(FieldError, match=f"at most {TABLE_LIMIT} elements"):
         F.np_tables()
+
+
+@pytest.mark.parametrize("F", SMALL_FIELDS + [Field(2, 3, (1, 0, 1, 1)), GF(8192)],
+                         ids=lambda F: f"GF{F.q}-{''.join(map(str, F.irreducible))}")
+def test_add_and_neg_are_digitwise(F):
+    # coordinate vectors add digit by digit modulo p, whether add_ix reads
+    # the tables (q <= TABLE_LIMIT) or loops over the digits
+    def ix(digits):
+        return sum(d * F.p ** t for t, d in enumerate(digits))
+
+    els = F.elements() if F.q <= 256 else F.elements()[::97]
+    for x in els:
+        assert F.neg_ix(x.ix) == ix([-d % F.p for d in x.coeffs])
+        for y in els:
+            assert F.add_ix(x.ix, y.ix) == \
+                ix([(d + e) % F.p for d, e in zip(x.coeffs, y.coeffs)])
+
+
+def test_irreducibility_search_is_bounded():
+    # p + p^2 + ... + p^(k // 2) monic trial divisors, at most the limit
+    assert TRIAL_DIVISOR_LIMIT == 1 << 15
+    assert len(default_irreducible(2, 29)) == 30        # 2^15 - 2 divisors
+    for p, k in ((2, 30), (2, 64), (2, 10 ** 12), (2 ** 61 - 1, 3), (32771, 2)):
+        t0 = time.perf_counter()
+        with pytest.raises(FieldError, match="trial divisors"):
+            default_irreducible(p, k)
+        with pytest.raises(FieldError, match="trial divisors"):
+            Field(p, k, [1] + [0] * (k - 1) + [1] if k < 100 else None)
+        assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(FieldError, match="trial divisors"):
+        GF((2 ** 61 - 1) ** 3)

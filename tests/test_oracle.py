@@ -194,6 +194,15 @@ def test_two_route_agreement_random_decreasing():
             assert agree, dis
 
 
+def test_two_route_agreement_rejects_non_stabilizers():
+    # x2 -> x2 + 1 sends (2, 1) to (2, 2), past the largest point (2, 1)
+    F = GF(3)
+    S = CartesianSet([full_component(F), explicit_component(F, [F(0), F(1)])])
+    L = MonomialSet(2, [(0, 0)], bound=S.sizes)
+    with pytest.raises(ValueError, match="non-stabilizer"):
+        two_route_agreement(L, S, [AffineTransformation(F, [[1, 0], [0, 1]], [0, 1])])
+
+
 def test_verification_reports():
     F = GF(3)
     S = CartesianSet([torus_component(F)] * 2)
