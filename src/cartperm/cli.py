@@ -33,7 +33,7 @@ from .points import (
     explicit_component, full_component, mult_component, stabilizer_subfield,
     transporter_space,
 )
-from .poly import Polynomial, substitute_affine
+from .poly import Polynomial, evaluate_on_set, substitute_affine
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -51,9 +51,10 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config loading
 
-def _int(value, path):
-    if type(value) is not int:
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+def _int(value, path, bound=None):
+    if type(value) is not int or not (bound is None or 0 <= value < bound):
+        want = "an integer" if bound is None else f"an integer in 0..{bound - 1}"
+        raise ConfigError(f"{path}: expected {want}, got {value!r}")
     return value
 
 
@@ -63,13 +64,15 @@ def _list(value, path):
     return value
 
 
-def _ints(value, path):
-    return [_int(x, f"{path}[{i}]") for i, x in enumerate(_list(value, path))]
+def _ints(value, path, bound=None):
+    return [_int(x, f"{path}[{i}]", bound) for i, x in enumerate(_list(value, path))]
 
 
 def _elements(F: Field, value, path):
-    """Field elements, each given as its index or as a coordinate vector."""
-    return [F(x if type(x) is int else _ints(x, f"{path}[{i}]"))
+    """Field elements, each given as its index in 0..q-1 or as a coordinate
+    vector with entries in 0..p-1."""
+    return [F(_int(x, f"{path}[{i}]", F.q) if type(x) is int
+              else _ints(x, f"{path}[{i}]", F.p))
             for i, x in enumerate(_list(value, path))]
 
 
@@ -310,20 +313,15 @@ def example_shear():
     a = out["assertions"]
     f = Polynomial(F, 2, {(0, 1): 1, (1, 0): 2, (0, 0): 1})
     T = AffineTransformation(F, [[1, 0], [1, 1]])
-    _assert(a, "point-order", S.points_ix() == ((1, 0), (1, 1), (2, 0), (2, 1)))
-    _assert(a, "codeword", tuple(x.ix for x in _evals(f, S)) == (0, 1, 2, 0))
     g = T.of_poly(f)
+    fv, gv = (tuple(x.ix for x in evaluate_on_set(h, S)) for h in (f, g))
+    _assert(a, "point-order", S.points_ix() == ((1, 0), (1, 1), (2, 0), (2, 1)))
+    _assert(a, "codeword", fv == (0, 1, 2, 0))
     _assert(a, "pullback", g == Polynomial(F, 2, {(0, 1): 1, (0, 0): 1}))
-    _assert(a, "pullback-codeword", tuple(x.ix for x in _evals(g, S)) == (1, 2, 1, 2))
-    _assert(a, "weights-differ",
-            sum(1 for x in _evals(f, S) if x) != sum(1 for x in _evals(g, S) if x))
+    _assert(a, "pullback-codeword", gv == (1, 2, 1, 2))
+    _assert(a, "weights-differ", sum(map(bool, fv)) != sum(map(bool, gv)))
     _assert(a, "does-not-stabilize", not stabilizes_set(T, S))
     return out
-
-
-def _evals(f, S):
-    from .poly import evaluate_on_set
-    return evaluate_on_set(f, S)
 
 
 def example_gf9_quartics():

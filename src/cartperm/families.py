@@ -81,8 +81,7 @@ def enumerate_ML_invertible(L: MonomialSet, p: int, F: Field, budget=None):
     yielded = 0
     for ent in itertools.product(*value_lists):
         A = [list(ent[i * m:(i + 1) * m]) for i in range(m)]
-        T0 = AffineTransformation(F, A)
-        if not T0.is_invertible():
+        if rank_ix(A, F) < m:
             continue
         yielded += shifts
         if budget is not None and yielded > budget:

@@ -4,17 +4,16 @@ the independent code-level permutation check.
 
 There is one stabilizer scan, row-factored: T(S) = S for a Cartesian S forces
 each row of T to map S onto its component, so the q^(m+1) candidate rows are
-filtered once and only the product of the surviving rows is checked for
-bijectivity.  Scans run on numpy index arrays with field lookup tables;
-results are identical to the element-level API and deterministic (reported
-in base-q counter order, so the first counterexample is reproducible).
+filtered once; a product of surviving rows maps S into S, and onto S exactly
+when A is invertible.  Scans run on numpy index arrays with field lookup
+tables and report in base-q counter order, so the first counterexample is
+reproducible.
 
-The group-axioms check composes its pairs in batches on the same tables:
-the members are packed once into an (N, m, m + 1) array [A | b], keyed by
-the bytes of each row, and every product is looked up among the sorted
-keys.  The pairs run in itertools.product order (or the seeded sample's
-order), so the count of pairs checked and the witness are those of a
-pair-by-pair loop; tests/test_axioms.py keeps that loop as the reference.
+One batched Gauss-Jordan elimination (_invert) on (N, m, m + 1) arrays
+[A | b] tests A for invertibility and inverts the map, for the scan and the
+group-axioms check.  That check keys the members by the bytes of each row,
+looks every inverse and product up among the sorted keys, and visits the
+pairs in the order of the pair-by-pair reference in tests/test_axioms.py.
 """
 
 from __future__ import annotations
@@ -26,13 +25,13 @@ import numpy as np
 from .affine import AffineTransformation, SpanChecker, induced_permutation, stabilizes_set
 from .codes import build_code, codes_equal
 from .families import BudgetExceeded
-from .field import Field, FieldError
+from .field import Field
 from .monomials import MonomialSet
 from .points import CartesianSet
 
 _CHUNK_CELLS = 4_000_000
-# the composition batches stay small: their int64 index temporaries would
-# otherwise raise the peak memory of a run the stabilizer scan keeps low
+# the elimination and composition batches stay small: their int64 index
+# temporaries would otherwise raise the peak memory of a run
 _PAIR_CELLS = 1 << 16
 
 
@@ -67,6 +66,8 @@ class _Kernel:
         self.q = F.q
         self.mul = t["mul"]
         self.add = t["add"]
+        self.neg = t["neg"]
+        self.inv = t["inv"]
 
     def vadd(self, x, y):
         return self.add[x.astype(np.int64), y.astype(np.int64)]
@@ -131,6 +132,27 @@ def _compose(kern, left, right):
     return out
 
 
+def _invert(kern, ab):
+    """[A^-1 | -A^-1 b] and the mask of invertible A for an (N, m, m + 1)
+    array [A | b], by one batched Gauss-Jordan elimination of [A | I | b]:
+    A is invertible exactly when the left block ends as I."""
+    n, m = len(ab), ab.shape[1]
+    eye = np.broadcast_to(np.eye(m, dtype=np.uint16), (n, m, m))
+    aug = np.concatenate([ab[:, :, :m], eye, ab[:, :, m:]], axis=2)
+    t = np.arange(n)
+    for c in range(m):
+        # swap in the first nonzero pivot at or below the diagonal
+        r = c + (aug[:, c:, c] != 0).argmax(axis=1)
+        pivot_row = aug[t, r]
+        aug[t, r] = aug[:, c]
+        aug[:, c] = kern.vmul(kern.inv[pivot_row[:, c]][:, None], pivot_row)
+        factor = kern.neg[aug[:, :, c]]
+        factor[:, c] = 0
+        aug = kern.vadd(aug, kern.vmul(factor[:, :, None], aug[:, None, c]))
+    ok = (aug[:, np.arange(m), np.arange(m)] == 1).all(axis=1)
+    return np.concatenate([aug[:, :, m:2 * m], kern.neg[aug[:, :, 2 * m:]]], axis=2), ok
+
+
 def _check_budget(size, budget, phase):
     if budget is not None and size > budget:
         raise BudgetExceeded(f"{phase} of {size} candidates exceeds budget {budget}")
@@ -141,17 +163,15 @@ def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1):
     base-q counter order; the budget caps the candidate rows and then the
     product of the surviving rows.  jobs is accepted and ignored.
 
-    A singular map can permute S only when some component has one point
-    (otherwise S affinely spans F^m); such hits are dropped, so the result
-    is a subgroup of AGL(m, q)."""
+    A product of surviving rows maps S into S, and onto S exactly when A is
+    invertible, so only invertibility is tested; a singular A is never a
+    stabilizer, even where it permutes S (a component with one point)."""
     F, m, q = S.field, S.m, S.field.q
     _check_budget(q ** (m + 1), budget, "stabilizer row pass")
     kern = _Kernel(F)
-    pts = np.array(S.points_ix(), dtype=np.uint16)
-    rows = _surviving_rows(kern, S, pts)
+    rows = _surviving_rows(kern, S)
     total = math.prod(len(r) for r in rows)
     _check_budget(total, budget, "stabilizer product scan")
-    target = np.sort(_encode(pts, q))
 
     def scan(k):
         # a function call, so each chunk's temporaries are freed before the
@@ -160,25 +180,21 @@ def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1):
         for i, r in enumerate(rows):
             k, pick = np.divmod(k, len(r))
             ab[:, i] = r[pick]
-        codes = np.sort(_encode(_batch_images(kern, ab[:, :, :m], ab[:, :, m], pts), q),
-                        axis=1)
-        return ab[(codes == target[None, :]).all(axis=1)]
+        return ab[_invert(kern, ab)[1]]
 
-    ab = np.concatenate([scan(k) for k in _chunks(total, S.n * m * m)]
+    ab = np.concatenate([scan(k) for k in _chunks(total, m * (2 * m + 1), _PAIR_CELLS)]
                         + [np.empty((0, m, m + 1), dtype=np.uint16)])
     # counter digits, least significant first: [A | b] in column-major order
     keys = [ab[:, i, j] for j in range(m + 1) for i in range(m)]
-    out = [AffineTransformation(F, [r[:m] for r in M], [r[m] for r in M])
-           for M in ab[np.lexsort(keys)].tolist()]
-    if 1 in S.sizes:
-        out = [T for T in out if T.is_invertible()]
-    return out
+    return [AffineTransformation(F, [r[:m] for r in M], [r[m] for r in M])
+            for M in ab[np.lexsort(keys)].tolist()]
 
 
-def _surviving_rows(kern, S, pts):
+def _surviving_rows(kern, S):
     """Per coordinate i, the rows [a | c] (an (R_i, m + 1) index array) whose
     image x -> a.x + c of S is exactly A_i."""
     q, m = kern.q, S.m
+    pts = np.array(S.points_ix(), dtype=np.uint16)
     want = np.zeros((m, q), dtype=bool)
     for i, c in enumerate(S.components):
         want[i, list(c.element_set())] = True
@@ -209,11 +225,10 @@ def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
 def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
     """Identity membership, closure under inverse, and closure under
     composition (exhaustive when the pair count is within the sample limit,
-    deterministic sampling beyond).  The pairs are composed in batches on the
-    field tables, in itertools.product order (or the sampled order), and the
-    first product outside the set is the witness."""
+    deterministic sampling beyond), batched on the field tables.  The witness
+    is the first member whose inverse is missing, overwritten by the first
+    product outside the set (pairs in itertools.product or sampled order)."""
     ts = list(transforms)
-    keys = {(T.A, T.b) for T in ts}
     g = len(ts)
     report = {
         "size": g,
@@ -224,21 +239,19 @@ def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
         "exhaustive": g * g <= sample_limit,
         "witness": None,
     }
-    for T in ts:
-        try:
-            inv = T.invert()
-        except FieldError:
-            inv = None
-        if inv is None or (inv.A, inv.b) not in keys:
-            report["closed_under_inverse"] = False
-            report["witness"] = T.to_json()
-            break
     if g == 0:
         return report
     kern = _Kernel(F)
     m = ts[0].m
     ab = _pack(ts, m)
     members = np.sort(_row_keys(ab))
+    for k in _chunks(g, m * (2 * m + 1), _PAIR_CELLS):
+        inv, ok = _invert(kern, ab[k])
+        bad = np.flatnonzero(~(ok & _contains(members, _row_keys(inv))))
+        if len(bad):
+            report["closed_under_inverse"] = False
+            report["witness"] = ts[k[bad[0]]].to_json()
+            break
     if report["exhaustive"]:
         total, draws = g * g, None
     else:
@@ -290,7 +303,6 @@ def two_route_agreement(L, S, transforms=None, budget=None, span_group=None):
     G = np.array([list(r) for r in code.rows], dtype=np.uint16)
     rref_rows, _, pivots = code.rref()
     R = np.array([list(r) for r in rref_rows], dtype=np.uint16)
-    neg = F.np_tables()["neg"]
 
     all_ab = _pack(ts, m)
     if span_group is None:
@@ -302,15 +314,16 @@ def two_route_agreement(L, S, transforms=None, budget=None, span_group=None):
     for k in _chunks(len(ts), S.n * m * m):
         A, b = all_ab[k, :, :m], all_ab[k, :, m]
         img_codes = _encode(_batch_images(kern, A, b, pts), F.q)
-        pos = np.minimum(np.searchsorted(sorted_codes, img_codes), len(sorted_codes) - 1)
-        if (sorted_codes[pos] != img_codes).any():
+        # the images permute S exactly when their sorted codes are S's
+        if (np.sort(img_codes, axis=1) != sorted_codes).any():
             raise ValueError("transform stream contains a non-stabilizer")
+        pos = np.searchsorted(sorted_codes, img_codes)
         pi = order[pos]                       # pi[t, idx] = index of image of point idx
         Gp = np.transpose(G[:, pi], (1, 0, 2))  # (N, k, n) permuted generators
         residue = Gp.copy()
         for r_idx, c in enumerate(pivots):
             factor = residue[:, :, c]
-            prod = kern.vmul(neg[factor.astype(np.int64)][:, :, None], R[r_idx][None, None, :])
+            prod = kern.vmul(kern.neg[factor][:, :, None], R[r_idx][None, None, :])
             residue = kern.vadd(residue, prod)
         code_ok = ~(residue != 0).any(axis=(1, 2))
         for t in np.flatnonzero(span_ok[k] != code_ok):

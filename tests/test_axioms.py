@@ -107,6 +107,14 @@ def test_non_groups_and_the_empty_list():
     # the identity and an idempotent singular map compose inside the set
     rep = assert_same_report(F, [AffineTransformation.identity(F, 2), singular])
     assert not rep["closed_under_inverse"] and rep["closed_under_composition"]
+    # drop the inverse of a member of order > 2: that member is the first
+    # whose inverse is missing, ahead of a singular map later in the list
+    T = next(T for T in stabs if T.compose(T) != AffineTransformation.identity(F, 2))
+    ts = [U for U in stabs if U != T.invert()] + [singular]
+    rep = assert_same_report(F, ts, sample_limit=0)
+    assert not rep["closed_under_inverse"] and rep["witness"] == T.to_json()
+    rep = assert_same_report(F, ts)
+    assert not rep["closed_under_inverse"] and not rep["closed_under_composition"]
 
 
 def test_sampled_branch():

@@ -350,6 +350,14 @@ def test_oracle_verify_scans_once(tmp_path, monkeypatch, cfg, family):
     (("tasks",), "classify", "tasks"),
     (("tasks",), [["classify"]], "tasks"),
     (("field", "q"), 8192, "field: oracle-verify scans fields of at most 4096"),
+    (("set", "components", 0), {"kind": "explicit", "elements": [0, 7, -1]},
+     "set.components[0].elements[1]: expected an integer in 0..2, got 7"),
+    (("set", "components", 0), {"kind": "explicit", "elements": [0, -1]},
+     "set.components[0].elements[1]: expected an integer in 0..2, got -1"),
+    (("set", "components", 0), {"kind": "add", "basis": [[5]]},
+     "set.components[0].basis[0][0]: expected an integer in 0..2, got 5"),
+    (("set", "components", 0), {"kind": "add", "basis": [[1, 3]]},
+     "set.components[0].basis[0][1]: expected an integer in 0..2, got 3"),
 ])
 def test_malformed_config_values(tmp_path, capsys, path, value, where):
     cfg = json.loads(json.dumps(BASE_CONFIG))

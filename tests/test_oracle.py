@@ -105,6 +105,48 @@ ORACLE_FIELDS = [GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9),
 
 
 @st.composite
+def affine_batches(draw):
+    """A field and maps over it with m <= 4: arbitrary, zero, singular (the
+    last row a multiple of the first) or invertible with a zero first pivot,
+    so that the elimination must swap rows."""
+    F = draw(st.sampled_from(ORACLE_FIELDS + [GF(16), GF(25)]))
+    m = draw(st.integers(1, 4))
+    entry = st.integers(0, F.q - 1)
+    ts = []
+    for _ in range(draw(st.integers(1, 6))):
+        A = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(m)]
+        kind = draw(st.sampled_from(["any", "zero", "singular", "swap"]))
+        if kind == "zero":
+            A = [[0] * m for _ in range(m)]
+        elif kind == "singular":
+            c = draw(entry)
+            A[-1] = [F.mul_ix(c, x) for x in A[0]] if m > 1 else [0]
+        elif kind == "swap":
+            # nonzero anti-diagonal, zeros below it: det = +-(its product)
+            for i in range(m):
+                for j in range(m):
+                    if i + j == m - 1:
+                        A[i][j] = draw(st.integers(1, F.q - 1))
+                    elif i + j > m - 1 or (i, j) == (0, 0):
+                        A[i][j] = 0
+        ts.append(AffineTransformation(F, A, draw(st.lists(entry, min_size=m, max_size=m))))
+    return F, m, ts
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(affine_batches())
+def test_batched_inverse_matches_scalar_inverse(batch):
+    F, m, ts = batch
+    inv, ok = oracle._invert(oracle._Kernel(F), oracle._pack(ts, m))
+    assert ok.tolist() == [T.is_invertible() for T in ts]
+    for T, row, invertible in zip(ts, inv.tolist(), ok):
+        if invertible:
+            inverse = T.invert()
+            assert tuple(tuple(r[:m]) for r in row) == inverse.A
+            assert tuple(r[m] for r in row) == inverse.b
+
+
+@st.composite
 def small_sets(draw):
     F = draw(st.sampled_from(ORACLE_FIELDS))
     sizes = [m for m in (1, 2, 3) if F.q ** (m * m + m) <= 15625]
@@ -201,6 +243,11 @@ def test_two_route_agreement_rejects_non_stabilizers():
     L = MonomialSet(2, [(0, 0)], bound=S.sizes)
     with pytest.raises(ValueError, match="non-stabilizer"):
         two_route_agreement(L, S, [AffineTransformation(F, [[1, 0], [0, 1]], [0, 1])])
+    # x -> (x1, 0) maps S into S but is not injective
+    singular = AffineTransformation(F, [[1, 0], [0, 0]])
+    assert not stabilizes_set(singular, S)
+    with pytest.raises(ValueError, match="non-stabilizer"):
+        two_route_agreement(MonomialSet(2, [(0, 0), (1, 0)], bound=S.sizes), S, [singular])
 
 
 def test_verification_reports():
