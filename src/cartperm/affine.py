@@ -173,9 +173,10 @@ def permute_word(word, pi):
 
 
 class SpanChecker:
-    """Reusable tester for the span condition of one (monomial set, point set)
+    """Scalar tester for the span condition of one (monomial set, point set)
     pair: the reduced pullback of every member must be supported inside the
-    set.  Keeps per-pair state so scanning many transformations is cheap."""
+    set.  It finds the witness of membership_report and is the reference of
+    the batched span route in oracle."""
 
     def __init__(self, L, S):
         self.S = S

@@ -68,6 +68,14 @@ def _ints(value, path, bound=None):
     return [_int(x, f"{path}[{i}]", bound) for i, x in enumerate(_list(value, path))]
 
 
+def _exponents(value, path, bound):
+    """An exponent vector with its j-th entry in 0..bound[j] - 1."""
+    u = _list(value, path)
+    if len(u) != len(bound):
+        raise ConfigError(f"{path}: expected {len(bound)} exponents, got {len(u)}")
+    return tuple(_int(e, f"{path}[{j}]", n) for j, (e, n) in enumerate(zip(u, bound)))
+
+
 def _elements(F: Field, value, path):
     """Field elements, each given as its index in 0..q-1 or as a coordinate
     vector with entries in 0..p-1."""
@@ -82,11 +90,11 @@ def load_field(obj) -> Field:
     try:
         if "q" in obj:
             return GF(_int(obj["q"], "field.q"))
+        p = _int(obj["p"], "field.p")
         irreducible = obj.get("irreducible")
         if irreducible is not None:
-            irreducible = _ints(irreducible, "field.irreducible")
-        return Field(_int(obj["p"], "field.p"), _int(obj.get("k", 1), "field.k"),
-                     irreducible)
+            irreducible = _ints(irreducible, "field.irreducible", bound=p)
+        return Field(p, _int(obj.get("k", 1), "field.k"), irreducible)
     except KeyError as e:
         raise ConfigError(f"field: missing key {e}") from e
     except FieldError as e:
@@ -125,16 +133,15 @@ def load_set(F: Field, obj) -> CartesianSet:
 def load_monomials(obj, S: CartesianSet) -> MonomialSet:
     if not isinstance(obj, dict):
         raise ConfigError("monomials: expected an object")
-    bound = _ints(obj["bound"], "monomials.bound") if "bound" in obj else S.sizes
+    bound = S.sizes
+    if "bound" in obj:
+        bound = _exponents(obj["bound"], "monomials.bound", [n + 1 for n in S.sizes])
     key = "generators" if "generators" in obj else "monomials"
     if key not in obj:
         raise ConfigError("monomials: missing key 'monomials'")
-    monos = [tuple(_ints(u, f"monomials.{key}[{i}]"))
+    monos = [_exponents(u, f"monomials.{key}[{i}]", bound)
              for i, u in enumerate(_list(obj[key], f"monomials.{key}"))]
-    try:
-        L = MonomialSet(S.m, monos, bound)
-    except ValueError as e:
-        raise ConfigError(f"monomials: {e}") from e
+    L = MonomialSet(S.m, monos, bound)
     return divisibility_closure(L) if key == "generators" else L
 
 
@@ -248,7 +255,7 @@ def task_oracle_verify(F, S, L, budget, seed):
     if L is not None:
         group = oracle_affine_perm_group(L, S, stabilizers=stabs)
         axioms = group_axioms_report(F, group, seed=seed)
-        agree, disagreements = two_route_agreement(L, S, stabs, span_group=group)
+        agree, disagreements = two_route_agreement(L, S, stabs)
         report["affine_permutation_group"] = {
             "size": len(group),
             "group_axioms": axioms,

@@ -14,6 +14,13 @@ One batched Gauss-Jordan elimination (_invert) on (N, m, m + 1) arrays
 group-axioms check.  That check keys the members by the bytes of each row,
 looks every inverse and product up among the sorted keys, and visits the
 pairs in the order of the pair-by-pair reference in tests/test_axioms.py.
+
+The span route is one batched kernel (_span_ok): the reduced pullbacks of a
+chunk of maps are coefficient arrays over the box basis of F[x]/I(S), built
+by shift-and-reduce along the divisor closure of L.  affine.SpanChecker is
+its scalar reference and the witness finder of membership_report.  The code
+route stays independent of it: a permuted generator matrix must have a zero
+residue against the row-reduced one.
 """
 
 from __future__ import annotations
@@ -22,11 +29,11 @@ import math
 
 import numpy as np
 
-from .affine import AffineTransformation, SpanChecker, induced_permutation, stabilizes_set
+from .affine import AffineTransformation, induced_permutation, stabilizes_set
 from .codes import build_code, codes_equal
 from .families import BudgetExceeded
 from .field import Field
-from .monomials import MonomialSet
+from .monomials import MonomialSet, divisors_of
 from .points import CartesianSet
 
 _CHUNK_CELLS = 4_000_000
@@ -70,9 +77,12 @@ class _Kernel:
         self.inv = t["inv"]
 
     def vadd(self, x, y):
-        return self.add[x.astype(np.int64), y.astype(np.int64)]
+        # one flat index array: every sum has an operand of its full shape
+        return self.add.take(x.astype(np.int64) * self.q + y)
 
     def vmul(self, x, y):
+        # two broadcast index arrays: a product of a few maps by many points
+        # would otherwise need a flat index array of its full shape
         return self.mul[x.astype(np.int64), y.astype(np.int64)]
 
 
@@ -101,8 +111,10 @@ def _chunks(total, cells, limit=_CHUNK_CELLS):
 
 def _pack(transforms, m):
     """The maps as an (N, m, m + 1) uint16 array of augmented matrices [A | b]."""
-    return np.array([[row + (c,) for row, c in zip(T.A, T.b)] for T in transforms],
-                    dtype=np.uint16).reshape(-1, m, m + 1)
+    ts = list(transforms)
+    return np.concatenate([np.array([T.A for T in ts], dtype=np.uint16).reshape(-1, m, m),
+                           np.array([T.b for T in ts], dtype=np.uint16).reshape(-1, m, 1)],
+                          axis=2)
 
 
 def _row_keys(ab):
@@ -151,6 +163,76 @@ def _invert(kern, ab):
         aug = kern.vadd(aug, kern.vmul(factor[:, :, None], aug[:, None, c]))
     ok = (aug[:, np.arange(m), np.arange(m)] == 1).all(axis=1)
     return np.concatenate([aug[:, :, m:2 * m], kern.neg[aug[:, :, 2 * m:]]], axis=2), ok
+
+
+def _span_ok(kern, L, S, ab, limit=_PAIR_CELLS):
+    """Whether each map x -> Ax + b of an (N, m, m + 1) array [A | b] keeps
+    the span of L: the reduced pullback modulo I(S) of every member of L is
+    supported on L.
+
+    The pullbacks of a chunk of maps are (N, n_1, ..., n_m) coefficient
+    arrays over the box basis of F[x]/I(S).  The divisor closure of L is
+    walked in (degree, exponent) order, so that p_v = p_(v - e_i) * l_i for
+    the linear form l_i = sum_j A_ij x_j + b_i: x_j shifts along axis j and
+    folds the top slice back through x_j^n_j = -sum_d g_d x_j^d, g the
+    vanishing polynomial of the j-th component.  A map leaves its chunk at
+    the first member of L with a coefficient outside L."""
+    m, sizes = S.m, S.sizes
+    members = frozenset(getattr(L, "monomials", L))
+    closure = sorted({d for u in members for d in divisors_of(u)},
+                     key=lambda e: (sum(e), e))
+    inside = np.zeros(sizes, dtype=bool)
+    for u in members:
+        if all(e < n for e, n in zip(u, sizes)):
+            inside[u] = True
+    outside = np.flatnonzero(~inside)
+    # x_j^n_j = sum of c x_j^d over the pairs (d, c) of folds[j]
+    folds = [[(d, kern.neg[g]) for d, g in enumerate(S.vanishing_coeffs(j)[:-1]) if g]
+             for j in range(m)]
+    views = [(math.prod(sizes[:j]), n, math.prod(sizes[j + 1:])) for j, n in enumerate(sizes)]
+
+    def scale(c, P):
+        # c[t] * P[t], one element index c[t] per map, by flat index: the
+        # chunks keep the index array small
+        return kern.mul.take(c.astype(np.int64)[:, None] * kern.q + P)
+
+    def times_x(P, j):
+        before, n, after = views[j]
+        P = P.reshape(len(P), before, n, after)
+        out = np.zeros_like(P)
+        out[:, :, 1:] = P[:, :, :-1]
+        for d, c in folds[j]:
+            out[:, :, d] = kern.vadd(out[:, :, d], kern.mul[c][P[:, :, -1]])
+        return out.reshape(len(P), S.n)
+
+    def scan(sub):
+        # the indices of the maps of the chunk that keep the span
+        live = np.arange(len(sub))
+        pulled = {}
+        for v in closure:
+            if not any(v):
+                P = np.zeros((len(sub), S.n), dtype=np.uint16)
+                P[:, 0] = 1
+            else:
+                i = next(i for i, e in enumerate(v) if e)
+                base = pulled[v[:i] + (v[i] - 1,) + v[i + 1:]]
+                P = scale(sub[:, i, m], base)
+                for j in range(m):
+                    P = kern.vadd(P, scale(sub[:, i, j], times_x(base, j)))
+            pulled[v] = P
+            if v in members:
+                keep = ~(P[:, outside] != 0).any(axis=1)
+                if not keep.all():
+                    live, sub = live[keep], sub[keep]
+                    if not len(live):
+                        break
+                    pulled = {w: Q[keep] for w, Q in pulled.items()}
+        return live
+
+    ok = np.zeros(len(ab), dtype=bool)
+    for k in _chunks(len(ab), S.n * max(1, len(closure)), limit):
+        ok[k[scan(ab[k])]] = True
+    return ok
 
 
 def _check_budget(size, budget, phase):
@@ -216,10 +298,9 @@ def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
                              stabilizers=None):
     """Exact affine permutation group of the code of L on S: point-set
     stabilizers that also keep the reduced monomial span inside L."""
-    if stabilizers is None:
-        stabilizers = oracle_stabilizers(S, budget)
-    checker = SpanChecker(L, S)
-    return [T for T in stabilizers if checker.check(T)]
+    ts = oracle_stabilizers(S, budget) if stabilizers is None else list(stabilizers)
+    ok = _span_ok(_Kernel(S.field), L, S, _pack(ts, S.m))
+    return [T for T, keep in zip(ts, ok) if keep]
 
 
 def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
@@ -284,14 +365,9 @@ def code_permutation_check(T: AffineTransformation, L, S, code=None) -> bool:
     return codes_equal(code, code.permute_columns(pi))
 
 
-def two_route_agreement(L, S, transforms=None, budget=None, span_group=None):
+def two_route_agreement(L, S, transforms=None, budget=None):
     """Compare the monomial-span condition with the code-level permutation
-    check on every stabilizing map; returns (agree, disagreements).
-
-    span_group, when given, is the span route's answer already computed: the
-    maps among the stabilizers that pass the span check, as
-    oracle_affine_perm_group returns them.  A map's span verdict is then its
-    membership in that group instead of a second span check."""
+    check on every stabilizing map; returns (agree, disagreements)."""
     ts = oracle_stabilizers(S, budget) if transforms is None else list(transforms)
     F, m = S.field, S.m
     kern = _Kernel(F)
@@ -300,16 +376,18 @@ def two_route_agreement(L, S, transforms=None, budget=None, span_group=None):
     order = np.argsort(pt_codes)
     sorted_codes = pt_codes[order]
     code = build_code(L, S)
-    G = np.array([list(r) for r in code.rows], dtype=np.uint16)
+    G = np.array([list(r) for r in code.rows], dtype=np.uint16).reshape(-1, S.n)
     rref_rows, _, pivots = code.rref()
-    R = np.array([list(r) for r in rref_rows], dtype=np.uint16)
+    R = np.array([list(r) for r in rref_rows], dtype=np.uint16).reshape(-1, S.n)
+    # a word w lies in the code exactly when w = sum_r w[c_r] R[r] over the
+    # pivot columns c_r, i.e. when its residue w - sum_r w[c_r] R[r] is zero;
+    # that residue vanishes at the pivot columns, so only the free ones are
+    # kept.  minus[r, c] = -c R[r] on the free columns.
+    free = [c for c in range(S.n) if c not in pivots]
+    minus = kern.vmul(kern.neg[:, None], R[:, None, free])
 
     all_ab = _pack(ts, m)
-    if span_group is None:
-        checker = SpanChecker(L, S)
-        span_ok = np.array([checker.check(T) for T in ts], dtype=bool)
-    else:
-        span_ok = _contains(np.sort(_row_keys(_pack(span_group, m))), _row_keys(all_ab))
+    span_ok = _span_ok(kern, L, S, all_ab)
     disagreements = []
     for k in _chunks(len(ts), S.n * m * m):
         A, b = all_ab[k, :, :m], all_ab[k, :, m]
@@ -320,12 +398,10 @@ def two_route_agreement(L, S, transforms=None, budget=None, span_group=None):
         pos = np.searchsorted(sorted_codes, img_codes)
         pi = order[pos]                       # pi[t, idx] = index of image of point idx
         Gp = np.transpose(G[:, pi], (1, 0, 2))  # (N, k, n) permuted generators
-        residue = Gp.copy()
-        for r_idx, c in enumerate(pivots):
-            factor = residue[:, :, c]
-            prod = kern.vmul(kern.neg[factor][:, :, None], R[r_idx][None, None, :])
-            residue = kern.vadd(residue, prod)
-        code_ok = ~(residue != 0).any(axis=(1, 2))
+        residue = Gp[:, :, free]
+        for r, c in enumerate(pivots):
+            residue = kern.vadd(residue, minus[r][Gp[:, :, c]])
+        code_ok = ~residue.any(axis=(1, 2))
         for t in np.flatnonzero(span_ok[k] != code_ok):
             disagreements.append({
                 "T": ts[k[t]].to_json(),

@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials over GF(q): arithmetic, affine
 substitution, canonical reduction modulo a Cartesian vanishing ideal, and
-evaluation.  This module is the package's only polynomial engine: one term
-reducer (``add_term``), one product (``mul_terms``) and one pullback helper
-(``affine_pullback``) serve ``Polynomial``, ``substitute_affine``,
-``reduce_mod_vanishing`` and the span check of ``affine.SpanChecker``.
+evaluation.  This module is the package's only scalar polynomial engine: one
+term reducer (``add_term``), one product (``mul_terms``) and one pullback
+helper (``affine_pullback``) serve ``Polynomial``, ``substitute_affine``,
+``reduce_mod_vanishing`` and ``affine.SpanChecker``, the scalar reference
+and witness finder of the span route (batched in ``oracle``).
 
 Term dicts map exponent tuples to nonzero coefficient indices.
 

@@ -261,7 +261,7 @@ def test_criterion_6_family_containments(containment_data):
             gkeys = {(T.A, T.b) for T in group}
             for T in enumerate_ML_invertible(L, F.p, F):
                 assert (T.A, T.b) in gkeys, (q, m, L.sorted(), T)
-    assert time.perf_counter() - t0 < 600
+    assert time.perf_counter() - t0 < 60
 
 
 @criterion(7, "stabilizer characterizations, exact set equality")
@@ -278,6 +278,7 @@ def test_criterion_7_characterizations():
 
 @criterion(8, "two-route agreement on every stabilizer of criteria 5-7")
 def test_criterion_8_two_route_agreement(triple_stabilizers, containment_data):
+    t0 = time.perf_counter()
     F, S, L, stabs = triple_stabilizers
     agree, dis = two_route_agreement(L, S, stabs)
     assert agree, dis[:3]
@@ -292,6 +293,7 @@ def test_criterion_8_two_route_agreement(triple_stabilizers, containment_data):
         stabs7 = oracle_stabilizers(S7)
         agree, dis = two_route_agreement(L7, S7, stabs7)
         assert agree, (label, dis[:3])
+    assert time.perf_counter() - t0 < 60
 
 
 @criterion(9, "property suites: axioms, digits, reduction, dimension")

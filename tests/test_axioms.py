@@ -1,13 +1,16 @@
-"""The batched group-axioms check against the scalar pairwise reference, and
-the two-route check's reuse of the span route's group."""
+"""The batched group-axioms check against the scalar pairwise reference, the
+verify-group report against its golden digest, and the two-route check's
+disagreement records."""
 
+import hashlib
 import itertools
+import json
 import pathlib
 
 import numpy as np
 from hypothesis import given, settings
 
-from cartperm import cli
+from cartperm import cli, oracle
 from cartperm.affine import AffineTransformation
 from cartperm.field import GF, FieldError
 from cartperm.monomials import MonomialSet, divisibility_closure
@@ -150,35 +153,34 @@ def test_gf16_four_dimensional_keys():
     assert not rep["closed_under_composition"]
 
 
-def test_verify_reuses_the_span_group(tmp_path, monkeypatch):
-    """verify writes the same report whether the two-route check takes the
-    span route's group or runs the span check again."""
-    cfg = str(next(VERIFY_GROUP.glob("*.json")))
-    assert cli.main(["--out", str(tmp_path / "reuse"), "verify", cfg]) == cli.EXIT_OK
-    seen = []
-
-    def recheck(L, S, transforms=None, budget=None, span_group=None):
-        seen.append(span_group is not None)
-        return two_route_agreement(L, S, transforms, budget)
-
-    monkeypatch.setattr(cli, "two_route_agreement", recheck)
-    assert cli.main(["--out", str(tmp_path / "recheck"), "verify", cfg]) == cli.EXIT_OK
-    assert seen == [True]
-    name = "oracle-verify.json"
-    assert (tmp_path / "reuse" / name).read_bytes() == (tmp_path / "recheck" / name).read_bytes()
+def test_verify_group_report_is_unchanged(tmp_path):
+    """verify on the verify-group config writes the oracle-verify.json whose
+    sha256 bench/golden.json records."""
+    cfg = next(VERIFY_GROUP.glob("*.json"))
+    assert cli.main(["--out", str(tmp_path), "verify", str(cfg)]) == cli.EXIT_OK
+    golden = json.loads((VERIFY_GROUP.parents[1] / "golden.json").read_text())
+    want = golden[f"verify-group/{cfg.stem}"]["digests"]["oracle-verify.json"]
+    assert hashlib.sha256((tmp_path / "oracle-verify.json").read_bytes()).hexdigest() == want
 
 
-def test_two_route_agreement_span_group_disagreements():
-    # a span group that wrongly drops a member shows up as a disagreement,
-    # in stabilizer order, exactly as a failing span check would
+def test_two_route_agreement_reports_disagreements(monkeypatch):
+    # a span route that wrongly drops a member shows up as a disagreement,
+    # in stabilizer order
     F = GF(3)
     S = CartesianSet([full_component(F), torus_component(F)])
     L = divisibility_closure(MonomialSet(2, [(1, 1), (2, 0)], bound=S.sizes))
     stabs = oracle_stabilizers(S)
     group = oracle_affine_perm_group(L, S, stabilizers=stabs)
-    assert two_route_agreement(L, S, stabs, span_group=group) == \
-        two_route_agreement(L, S, stabs) == (True, [])
-    agree, dis = two_route_agreement(L, S, stabs, span_group=group[1:])
+    assert two_route_agreement(L, S, stabs) == (True, [])
+    first = stabs.index(group[0])
+    span_ok = oracle._span_ok
+
+    def drop_first(*args, **kwargs):
+        ok = span_ok(*args, **kwargs)
+        ok[first] = False
+        return ok
+
+    monkeypatch.setattr(oracle, "_span_ok", drop_first)
+    agree, dis = two_route_agreement(L, S, stabs)
     assert not agree
     assert dis == [{"T": group[0].to_json(), "span_route": False, "code_route": True}]
-    assert two_route_agreement(L, S, stabs, span_group=[])[1][0]["T"] == group[0].to_json()

@@ -358,6 +358,20 @@ def test_oracle_verify_scans_once(tmp_path, monkeypatch, cfg, family):
      "set.components[0].basis[0][0]: expected an integer in 0..2, got 5"),
     (("set", "components", 0), {"kind": "add", "basis": [[1, 3]]},
      "set.components[0].basis[0][1]: expected an integer in 0..2, got 3"),
+    (("monomials",), {"bound": [9, 9], "monomials": [[0, 0], [5, 0]]},
+     "monomials.bound[0]: expected an integer in 0..3, got 9"),
+    (("monomials",), {"monomials": [[0, 0], [5, 0]]},
+     "monomials.monomials[1][0]: expected an integer in 0..2, got 5"),
+    (("monomials",), {"bound": [2, 2], "monomials": [[0, 0], [2, 0]]},
+     "monomials.monomials[1][0]: expected an integer in 0..1, got 2"),
+    (("monomials", "generators", 0), [1, 2],
+     "monomials.generators[0][1]: expected an integer in 0..1, got 2"),
+    (("monomials", "generators", 0), [1],
+     "monomials.generators[0]: expected 2 exponents, got 1"),
+    (("field",), {"p": 2, "k": 3, "irreducible": [1, 3, 0, 1]},
+     "field.irreducible[1]: expected an integer in 0..1, got 3"),
+    (("field",), {"p": 2, "k": 3, "irreducible": [1, 2, 0, 1]},
+     "field.irreducible[1]: expected an integer in 0..1, got 2"),
 ])
 def test_malformed_config_values(tmp_path, capsys, path, value, where):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -14,7 +14,9 @@ from cartperm.families import (
     gl_count,
 )
 from cartperm.field import GF, Field
-from cartperm.monomials import MonomialSet, p_borel_graph, random_decreasing_set
+from cartperm.monomials import (
+    MonomialSet, divisibility_closure, p_borel_graph, random_decreasing_set,
+)
 from cartperm.oracle import (
     affine_space_size, code_permutation_check, enumerate_all_affine,
     group_axioms_report, oracle_affine_perm_group, oracle_stabilizers,
@@ -164,6 +166,50 @@ def test_row_factored_scan_matches_scalar_reference(S):
     assert oracle_stabilizers(S) == want
 
 
+@st.composite
+def span_batches(draw):
+    """A point set with m <= 3, an arbitrary subset L of its box (its
+    divisor closure half the time), maps over the field ending with the
+    identity, and a chunk limit: down to one map per chunk.  The maps are
+    arbitrary, singular, translations, or scaled permutations x -> PDx,
+    which carry x_i^d onto a power of another variable that may overflow
+    its box; stabilizing or not."""
+    F = draw(st.sampled_from(ORACLE_FIELDS))
+    m = draw(st.integers(1, 3 if F.q <= 5 else 2))
+    S = CartesianSet([draw(components(F)) for _ in range(m)])
+    box = list(itertools.product(*[range(n) for n in S.sizes]))
+    L = MonomialSet(m, draw(st.lists(st.sampled_from(box), max_size=6)), bound=S.sizes)
+    if draw(st.booleans()):
+        L = divisibility_closure(L)
+    entry = st.integers(0, F.q - 1)
+    ts = []
+    for _ in range(draw(st.integers(0, 6))):
+        A = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(m)]
+        b = draw(st.lists(entry, min_size=m, max_size=m))
+        kind = draw(st.sampled_from(["any", "singular", "translation", "permutation"]))
+        if kind == "singular":
+            A[-1] = [0] * m
+        elif kind == "translation":
+            A = [[int(i == j) for j in range(m)] for i in range(m)]
+        elif kind == "permutation":
+            perm = draw(st.permutations(range(m)))
+            A = [[draw(st.integers(1, F.q - 1)) if j == perm[i] else 0
+                  for j in range(m)] for i in range(m)]
+            b = [0] * m
+        ts.append(AffineTransformation(F, A, b))
+    ts.append(AffineTransformation.identity(F, m))
+    return S, L, ts, draw(st.sampled_from([1, 40, 400, oracle._PAIR_CELLS]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(span_batches())
+def test_batched_span_matches_span_checker(batch):
+    S, L, ts, limit = batch
+    got = oracle._span_ok(oracle._Kernel(S.field), L, S, oracle._pack(ts, S.m), limit)
+    checker = SpanChecker(L, S)
+    assert got.tolist() == [checker.check(T) for T in ts]
+
+
 def test_perm_group_whole_box_is_stabilizers():
     F = GF(2)
     S = full_square(2)
@@ -234,6 +280,15 @@ def test_two_route_agreement_random_decreasing():
             L = random_decreasing_set(rng, S.sizes)
             agree, dis = two_route_agreement(L, S, stabs)
             assert agree, dis
+
+
+def test_empty_monomial_set_keeps_every_stabilizer():
+    # the zero code: both routes keep every stabilizer
+    S = CartesianSet([full_component(GF(3)), torus_component(GF(3))])
+    L = MonomialSet(2, [], bound=S.sizes)
+    stabs = oracle_stabilizers(S)
+    assert oracle_affine_perm_group(L, S, stabilizers=stabs) == stabs
+    assert two_route_agreement(L, S, stabs) == (True, [])
 
 
 def test_two_route_agreement_rejects_non_stabilizers():
