@@ -26,7 +26,7 @@ from .monomials import (
     random_decreasing_set, stable_pattern, valid_p_borel_reachable,
 )
 from .oracle import (
-    VerificationReport, code_permutation_check, enumerate_all_affine,
+    AffineMaps, VerificationReport, code_permutation_check, enumerate_all_affine,
     group_axioms_report, oracle_affine_perm_group, oracle_stabilizers,
     two_route_agreement, verify_characterization, verify_containment,
 )

@@ -17,16 +17,17 @@ class AffineTransformation:
 
     def __init__(self, field: Field, A, b=None):
         self.field = field
-        rows = []
-        for row in A:
-            rows.append(tuple(field(x).ix for x in row))
+        q = field.q
+        # an int entry is an index, reduced as field(x) would reduce it
+        rows = [tuple(x % q if isinstance(x, int) else field(x).ix for x in row)
+                for row in A]
         self.m = len(rows)
         if any(len(r) != self.m for r in rows):
             raise ValueError("matrix must be square")
         self.A = tuple(rows)
         if b is None:
             b = [0] * self.m
-        self.b = tuple(field(x).ix for x in b)
+        self.b = tuple(x % q if isinstance(x, int) else field(x).ix for x in b)
         if len(self.b) != self.m:
             raise ValueError("offset length mismatch")
 

@@ -2,30 +2,31 @@
 point-set stabilizer scan, the exact affine permutation group of a code, and
 the independent code-level permutation check.
 
-There is one stabilizer scan, row-factored: T(S) = S for a Cartesian S forces
-each row of T to map S onto its component, so the q^(m+1) candidate rows are
-filtered once; a product of surviving rows maps S into S, and onto S exactly
-when A is invertible.  Scans run on numpy index arrays with field lookup
-tables and report in base-q counter order, so the first counterexample is
-reproducible.
+Maps have one representation from the scan to the report: AffineMaps, a
+sequence over one (N, m, m + 1) uint16 array of augmented matrices [A | b]
+in the scan's base-q counter order.  Every kernel and report reads the
+array; AffineTransformation objects are built on demand, for the members,
+witnesses and counterexamples a report names.  Object lists from callers
+are packed once (_as_array).
 
-One batched Gauss-Jordan elimination (_invert) on (N, m, m + 1) arrays
-[A | b] tests A for invertibility and inverts the map, for the scan and the
-group-axioms check.  That check keys the members by the bytes of each row,
-looks every inverse and product up among the sorted keys, and visits the
-pairs in the order of the pair-by-pair reference in tests/test_axioms.py.
-
-The span route is one batched kernel (_span_ok): the reduced pullbacks of a
-chunk of maps are coefficient arrays over the box basis of F[x]/I(S), built
-by shift-and-reduce along the divisor closure of L.  affine.SpanChecker is
-its scalar reference and the witness finder of membership_report.  The code
-route stays independent of it: a permuted generator matrix must have a zero
-residue against the row-reduced one.
+The scan is row-factored: T(S) = S for a Cartesian S forces each row of T to
+map S onto its component, so the q^(m+1) candidate rows are filtered once; a
+product of surviving rows maps S onto S exactly when A is invertible, which
+one batched Gauss-Jordan elimination of [A | I | b] (_invert) tests.  The
+group-axioms check inverts with it too, and looks each inverse and product
+up among the members' sorted byte keys, pairs in the order of the reference
+in tests/test_axioms.py.  The span route is one batched kernel (_span_ok):
+reduced pullbacks as coefficient arrays over the box basis of F[x]/I(S),
+built by shift-and-reduce along the divisor closure of L; affine.SpanChecker
+is its scalar reference and the witness finder of membership_report.  The
+code route stays independent of it: a permuted generator matrix must have a
+zero residue against the row-reduced one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -109,11 +110,37 @@ def _chunks(total, cells, limit=_CHUNK_CELLS):
         yield np.arange(lo, min(lo + step, total))
 
 
-def _pack(transforms, m):
-    """The maps as an (N, m, m + 1) uint16 array of augmented matrices [A | b]."""
-    ts = list(transforms)
-    return np.concatenate([np.array([T.A for T in ts], dtype=np.uint16).reshape(-1, m, m),
-                           np.array([T.b for T in ts], dtype=np.uint16).reshape(-1, m, 1)],
+class AffineMaps(Sequence):
+    """Affine maps held as one (N, m, m + 1) uint16 array ab of augmented
+    matrices [A | b]: indexing and iteration build each AffineTransformation
+    on demand, and a slice is again an AffineMaps."""
+
+    def __init__(self, field: Field, ab):
+        self.field, self.ab = field, ab
+
+    def __len__(self):
+        return len(self.ab)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return AffineMaps(self.field, self.ab[i])
+        M = self.ab[i].tolist()
+        return AffineTransformation(self.field, [r[:-1] for r in M], [r[-1] for r in M])
+
+    def holds(self, transforms):
+        """Whether each of the given maps is one of these maps."""
+        return _contains(_key_set(self.ab), _row_keys(_as_array(transforms, self.ab.shape[1])))
+
+
+def _as_array(maps, m=0):
+    """The [A | b] array of an AffineMaps, or of AffineTransformation objects
+    packed once (m is their dimension when there are none)."""
+    if isinstance(maps, AffineMaps):
+        return maps.ab
+    ts = list(maps)
+    m = ts[0].m if ts else m
+    return np.concatenate([np.array([T.A for T in ts], dtype=np.uint16).reshape(len(ts), m, m),
+                           np.array([T.b for T in ts], dtype=np.uint16).reshape(len(ts), m, 1)],
                           axis=2)
 
 
@@ -122,6 +149,12 @@ def _row_keys(ab):
     viewed as np.void, so that no integer key can overflow."""
     flat = np.ascontiguousarray(ab).reshape(len(ab), ab.shape[1] * ab.shape[2])
     return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+
+
+def _key_set(ab):
+    """The distinct row keys, sorted (np.unique would import numpy.ma)."""
+    keys = np.sort(_row_keys(ab))
+    return keys[np.r_[True, keys[1:] != keys[:-1]][:len(keys)]]
 
 
 def _contains(sorted_keys, keys):
@@ -240,7 +273,7 @@ def _check_budget(size, budget, phase):
         raise BudgetExceeded(f"{phase} of {size} candidates exceeds budget {budget}")
 
 
-def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1):
+def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1) -> AffineMaps:
     """All invertible affine maps carrying the point set onto itself, in
     base-q counter order; the budget caps the candidate rows and then the
     product of the surviving rows.  jobs is accepted and ignored.
@@ -268,8 +301,7 @@ def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1):
                         + [np.empty((0, m, m + 1), dtype=np.uint16)])
     # counter digits, least significant first: [A | b] in column-major order
     keys = [ab[:, i, j] for j in range(m + 1) for i in range(m)]
-    return [AffineTransformation(F, [r[:m] for r in M], [r[m] for r in M])
-            for M in ab[np.lexsort(keys)].tolist()]
+    return AffineMaps(F, ab[np.lexsort(keys)])
 
 
 def _surviving_rows(kern, S):
@@ -295,12 +327,11 @@ def _surviving_rows(kern, S):
 
 
 def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
-                             stabilizers=None):
-    """Exact affine permutation group of the code of L on S: point-set
-    stabilizers that also keep the reduced monomial span inside L."""
-    ts = oracle_stabilizers(S, budget) if stabilizers is None else list(stabilizers)
-    ok = _span_ok(_Kernel(S.field), L, S, _pack(ts, S.m))
-    return [T for T, keep in zip(ts, ok) if keep]
+                             stabilizers=None) -> AffineMaps:
+    """Exact affine permutation group of the code of L on S, in stabilizer
+    order: the point-set stabilizers that keep the reduced span inside L."""
+    ab = _as_array(oracle_stabilizers(S, budget) if stabilizers is None else stabilizers, S.m)
+    return AffineMaps(S.field, ab[_span_ok(_Kernel(S.field), L, S, ab)])
 
 
 def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
@@ -309,11 +340,12 @@ def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
     deterministic sampling beyond), batched on the field tables.  The witness
     is the first member whose inverse is missing, overwritten by the first
     product outside the set (pairs in itertools.product or sampled order)."""
-    ts = list(transforms)
-    g = len(ts)
+    ab = _as_array(transforms)
+    maps = AffineMaps(F, ab)
+    g, m = ab.shape[:2]
     report = {
         "size": g,
-        "has_identity": any(T.is_translation() and not any(T.b) for T in ts),
+        "has_identity": bool((ab == np.eye(m, m + 1, dtype=np.uint16)).all(axis=(1, 2)).any()),
         "closed_under_inverse": True,
         "closed_under_composition": True,
         "composition_pairs_checked": 0,
@@ -323,29 +355,25 @@ def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
     if g == 0:
         return report
     kern = _Kernel(F)
-    m = ts[0].m
-    ab = _pack(ts, m)
-    members = np.sort(_row_keys(ab))
+    members = _key_set(ab)
     for k in _chunks(g, m * (2 * m + 1), _PAIR_CELLS):
         inv, ok = _invert(kern, ab[k])
         bad = np.flatnonzero(~(ok & _contains(members, _row_keys(inv))))
         if len(bad):
             report["closed_under_inverse"] = False
-            report["witness"] = ts[k[bad[0]]].to_json()
+            report["witness"] = maps[k[bad[0]]].to_json()
             break
-    if report["exhaustive"]:
-        total, draws = g * g, None
-    else:
-        total = sample_limit
-        draws = np.random.default_rng(seed).integers(0, g, size=(sample_limit, 2))
+    # chunked draws equal one draw of sample_limit pairs: rng keeps its state
+    rng = None if report["exhaustive"] else np.random.default_rng(seed)
+    total = g * g if rng is None else sample_limit
     for k in _chunks(total, m * m * (m + 1), _PAIR_CELLS):
-        i, j = np.divmod(k, g) if draws is None else draws[k].T
+        i, j = np.divmod(k, g) if rng is None else rng.integers(0, g, size=(len(k), 2)).T
         miss = np.flatnonzero(~_contains(members, _row_keys(_compose(kern, ab[i], ab[j]))))
         if len(miss):
             t = miss[0]
             report["composition_pairs_checked"] = int(k[t]) + 1
             report["closed_under_composition"] = False
-            report["witness"] = {"left": ts[i[t]].to_json(), "right": ts[j[t]].to_json()}
+            report["witness"] = {"left": maps[i[t]].to_json(), "right": maps[j[t]].to_json()}
             return report
     report["composition_pairs_checked"] = total
     return report
@@ -368,8 +396,8 @@ def code_permutation_check(T: AffineTransformation, L, S, code=None) -> bool:
 def two_route_agreement(L, S, transforms=None, budget=None):
     """Compare the monomial-span condition with the code-level permutation
     check on every stabilizing map; returns (agree, disagreements)."""
-    ts = oracle_stabilizers(S, budget) if transforms is None else list(transforms)
     F, m = S.field, S.m
+    all_ab = _as_array(oracle_stabilizers(S, budget) if transforms is None else transforms, m)
     kern = _Kernel(F)
     pts = np.array(S.points_ix(), dtype=np.uint16)
     pt_codes = _encode(pts, F.q)
@@ -386,10 +414,9 @@ def two_route_agreement(L, S, transforms=None, budget=None):
     free = [c for c in range(S.n) if c not in pivots]
     minus = kern.vmul(kern.neg[:, None], R[:, None, free])
 
-    all_ab = _pack(ts, m)
     span_ok = _span_ok(kern, L, S, all_ab)
     disagreements = []
-    for k in _chunks(len(ts), S.n * m * m):
+    for k in _chunks(len(all_ab), S.n * m * m):
         A, b = all_ab[k, :, :m], all_ab[k, :, m]
         img_codes = _encode(_batch_images(kern, A, b, pts), F.q)
         # the images permute S exactly when their sorted codes are S's
@@ -404,7 +431,7 @@ def two_route_agreement(L, S, transforms=None, budget=None):
         code_ok = ~residue.any(axis=(1, 2))
         for t in np.flatnonzero(span_ok[k] != code_ok):
             disagreements.append({
-                "T": ts[k[t]].to_json(),
+                "T": AffineMaps(F, all_ab)[k[t]].to_json(),
                 "span_route": bool(span_ok[k[t]]),
                 "code_route": bool(code_ok[t]),
             })
@@ -449,23 +476,19 @@ def verify_characterization(family, S, budget=None, label="",
                             stabilizers=None) -> VerificationReport:
     """Exact set equality between a characterized stabilizer family and the
     exhaustive point-set stabilizers (scanned here unless supplied)."""
-    oracle = stabilizers if stabilizers is not None else oracle_stabilizers(S, budget)
-    fam = list(family.members(budget))
-    okeys = {(T.A, T.b) for T in oracle}
-    fkeys = {(T.A, T.b) for T in fam}
+    oracle = AffineMaps(S.field, _as_array(
+        oracle_stabilizers(S, budget) if stabilizers is None else stabilizers, S.m))
+    fam = AffineMaps(S.field, _as_array(family.members(budget), S.m))
+    okeys, fkeys = _key_set(oracle.ab), _key_set(fam.ab)
     counterexamples = []
-    for T in oracle:
-        if (T.A, T.b) not in fkeys:
-            counterexamples.append({"T": T.to_json(), "reason": "oracle-only"})
-            break
-    for T in fam:
-        if (T.A, T.b) not in okeys:
-            counterexamples.append({"T": T.to_json(), "reason": "family-only"})
-            break
+    for maps, others, reason in ((oracle, fkeys, "oracle-only"), (fam, okeys, "family-only")):
+        # the first map, in its own order, that the other side lacks
+        miss = np.flatnonzero(~_contains(others, _row_keys(maps.ab)))
+        if len(miss):
+            counterexamples.append({"T": maps[miss[0]].to_json(), "reason": reason})
     relation = "equal" if not counterexamples else "violation"
-    return VerificationReport(label or family.kind, relation,
-                              len(okeys), len(fkeys), counterexamples,
-                              {"count_formula": family.count()})
+    return VerificationReport(label or family.kind, relation, len(okeys), len(fkeys),
+                              counterexamples, {"count_formula": family.count()})
 
 
 def verify_containment(members, L, S, budget=None, label="",
@@ -473,13 +496,11 @@ def verify_containment(members, L, S, budget=None, label="",
     """Every emitted transformation must lie in the oracle's affine
     permutation group of the code of L on S."""
     group = oracle_affine_perm_group(L, S, budget, stabilizers=stabilizers)
-    gkeys = {(T.A, T.b) for T in group}
-    counterexamples = []
-    count = 0
-    for T in members:
-        count += 1
-        if (T.A, T.b) not in gkeys:
-            counterexamples.append({"T": T.to_json(), "reason": "not-in-oracle-group"})
+    gkeys = _key_set(group.ab)
+    emitted = AffineMaps(S.field, _as_array(members, S.m))
+    counterexamples = [{"T": emitted[t].to_json(), "reason": "not-in-oracle-group"}
+                       for t in np.flatnonzero(~_contains(gkeys, _row_keys(emitted.ab)))]
+    # equal when the distinct members (all in the group) are as many as it
     relation = "violation" if counterexamples else (
-        "equal" if count == len(gkeys) else "family-subset")
-    return VerificationReport(label, relation, len(gkeys), count, counterexamples)
+        "equal" if len(_key_set(emitted.ab)) == len(gkeys) else "family-subset")
+    return VerificationReport(label, relation, len(gkeys), len(emitted), counterexamples)

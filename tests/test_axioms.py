@@ -83,11 +83,11 @@ def test_batched_axioms_match_pairwise_reference(S):
     stabs = oracle_stabilizers(S)
     rep = assert_same_report(F, stabs, sample_limit=LIMIT)
     assert rep["closed_under_inverse"] and rep["closed_under_composition"]
-    assert_same_report(F, stabs[:len(stabs) // 2] + stabs[len(stabs) // 2 + 1:],
-                       sample_limit=LIMIT)
+    half = len(stabs) // 2
+    assert_same_report(F, list(stabs[:half]) + list(stabs[half + 1:]), sample_limit=LIMIT)
     # the zero map is singular, so it is never a stabilizer
     zero = AffineTransformation(F, [[0] * S.m] * S.m)
-    assert_same_report(F, stabs + [zero], sample_limit=LIMIT)
+    assert_same_report(F, list(stabs) + [zero], sample_limit=LIMIT)
 
 
 def test_non_groups_and_the_empty_list():
@@ -100,12 +100,12 @@ def test_non_groups_and_the_empty_list():
         "closed_under_composition": True, "composition_pairs_checked": 0,
         "exhaustive": True, "witness": None}
     for k in (0, 17, 35):
-        rep = assert_same_report(F, stabs[:k] + stabs[k + 1:])
+        rep = assert_same_report(F, list(stabs[:k]) + list(stabs[k + 1:]))
         assert not rep["closed_under_composition"]
-    rep = assert_same_report(F, stabs + [AffineTransformation(F, [[1, 0], [1, 1]])])
+    rep = assert_same_report(F, list(stabs) + [AffineTransformation(F, [[1, 0], [1, 1]])])
     assert not rep["closed_under_composition"]
     singular = AffineTransformation(F, [[1, 0], [0, 0]])
-    rep = assert_same_report(F, [singular] + stabs)
+    rep = assert_same_report(F, [singular] + list(stabs))
     assert not rep["closed_under_inverse"] and not rep["closed_under_composition"]
     # the identity and an idempotent singular map compose inside the set
     rep = assert_same_report(F, [AffineTransformation.identity(F, 2), singular])
@@ -129,6 +129,29 @@ def test_sampled_branch():
         assert not rep["exhaustive"] and not rep["closed_under_composition"]
         rep = assert_same_report(F, stabs, sample_limit=1000, seed=seed)
         assert not rep["exhaustive"] and rep["composition_pairs_checked"] == 1000
+
+
+def test_sampled_pairs_are_drawn_in_chunks():
+    # consecutive draws from one generator equal a single draw of them all
+    for g in (3, 2880, 24576, 70000, 2 ** 33):
+        rng = np.random.default_rng(0)
+        chunked = np.concatenate([rng.integers(0, g, size=(n, 2))
+                                  for n in (65_537, 65_537, 1000)])
+        assert np.array_equal(chunked,
+                              np.random.default_rng(0).integers(0, g, size=(132_074, 2)))
+    # GF(2)^3 minus one member: m = 3 composes 65536 // 36 = 1820 pairs a
+    # chunk, and under these seeds the first missing product is drawn in the
+    # second and the third chunk
+    F = GF(2)
+    S = CartesianSet([full_component(F)] * 3)
+    stabs = list(oracle_stabilizers(S))
+    ts = stabs[:600] + stabs[601:]
+    for seed, chunk in ((4, 1), (2, 2)):
+        rep = assert_same_report(F, ts, sample_limit=20_000, seed=seed)
+        assert not rep["exhaustive"] and not rep["closed_under_composition"]
+        assert rep["composition_pairs_checked"] // (65536 // 36) == chunk
+    rep = assert_same_report(F, stabs, sample_limit=20_000)
+    assert rep["closed_under_composition"] and rep["composition_pairs_checked"] == 20_000
 
 
 def test_gf16_four_dimensional_keys():

@@ -73,7 +73,7 @@ def test_stabilizers_of_one_point_component_are_invertible():
     stabs = oracle_stabilizers(S)
     assert len(slow) == 8 and len(stabs) == 4
     assert all(T.is_invertible() for T in stabs)
-    assert [T for T in slow if T.is_invertible()] == stabs
+    assert [T for T in slow if T.is_invertible()] == list(stabs)
     axioms = group_axioms_report(F, stabs)
     assert axioms["closed_under_inverse"] and axioms["closed_under_composition"]
 
@@ -139,7 +139,7 @@ def affine_batches(draw):
 @given(affine_batches())
 def test_batched_inverse_matches_scalar_inverse(batch):
     F, m, ts = batch
-    inv, ok = oracle._invert(oracle._Kernel(F), oracle._pack(ts, m))
+    inv, ok = oracle._invert(oracle._Kernel(F), oracle._as_array(ts))
     assert ok.tolist() == [T.is_invertible() for T in ts]
     for T, row, invertible in zip(ts, inv.tolist(), ok):
         if invertible:
@@ -163,7 +163,7 @@ def small_sets(draw):
 def test_row_factored_scan_matches_scalar_reference(S):
     want = [T for T in enumerate_all_affine(S.field, S.m, invertible_only=True)
             if stabilizes_set(T, S)]
-    assert oracle_stabilizers(S) == want
+    assert list(oracle_stabilizers(S)) == want
 
 
 @st.composite
@@ -205,7 +205,7 @@ def span_batches(draw):
 @given(span_batches())
 def test_batched_span_matches_span_checker(batch):
     S, L, ts, limit = batch
-    got = oracle._span_ok(oracle._Kernel(S.field), L, S, oracle._pack(ts, S.m), limit)
+    got = oracle._span_ok(oracle._Kernel(S.field), L, S, oracle._as_array(ts), limit)
     checker = SpanChecker(L, S)
     assert got.tolist() == [checker.check(T) for T in ts]
 
@@ -287,7 +287,7 @@ def test_empty_monomial_set_keeps_every_stabilizer():
     S = CartesianSet([full_component(GF(3)), torus_component(GF(3))])
     L = MonomialSet(2, [], bound=S.sizes)
     stabs = oracle_stabilizers(S)
-    assert oracle_affine_perm_group(L, S, stabilizers=stabs) == stabs
+    assert list(oracle_affine_perm_group(L, S, stabilizers=stabs)) == list(stabs)
     assert two_route_agreement(L, S, stabs) == (True, [])
 
 
@@ -370,3 +370,21 @@ def test_verify_characterization_accepts_stabilizers():
     given = verify_characterization(fam, S, stabilizers=oracle_stabilizers(S))
     assert given.to_json() == scanned.to_json()
     assert given.relation == "equal"
+
+
+def test_containment_equal_needs_every_group_member():
+    # the 72-map group of closure{x1 x2} on GF(3)^2, its last member
+    # replaced by a second copy of its first: as many maps, one missing
+    F = GF(3)
+    S = full_square(3)
+    L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
+    group = list(oracle_affine_perm_group(L, S))
+    assert len(group) == 72
+    rep = verify_containment(group[:-1] + group[:1], L, S)
+    assert (rep.relation, rep.oracle_count, rep.family_count) == ("family-subset", 72, 72)
+    assert verify_containment(group + group[:1], L, S).relation == "equal"
+    assert verify_containment(group[::-1], L, S).relation == "equal"
+    outside = AffineTransformation(F, [[1, 1], [0, 1]])
+    rep = verify_containment(group + [outside], L, S)
+    assert rep.relation == "violation"
+    assert rep.counterexamples == [{"T": outside.to_json(), "reason": "not-in-oracle-group"}]
