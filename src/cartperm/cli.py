@@ -60,6 +60,12 @@ def _int(value, path, bound=None):
     return value
 
 
+def _budget(value):
+    if value is not None and (type(value) is not int or value < 0):
+        raise ConfigError(f"budget: expected a nonnegative integer, got {value!r}")
+    return value
+
+
 def _list(value, path):
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list, got {value!r}")
@@ -526,9 +532,7 @@ def run_config(cfg, out_dir, budget=None, seed=0):
         S = load_set(F, cfg.get("set", {}))
         if "monomials" in cfg:
             L = load_monomials(cfg["monomials"], S)
-    budget = cfg.get("budget", budget)
-    if budget is not None:
-        _int(budget, "budget")
+    budget = _budget(cfg.get("budget", budget))
     out_dir = pathlib.Path(out_dir)
     all_ok = True
     lines = []
@@ -576,7 +580,7 @@ def main(argv=None) -> int:
             return code
 
         if args.command == "examples":
-            report, ok = task_examples(None, None, None, args.budget, args.seed)
+            report, ok = task_examples(None, None, None, _budget(args.budget), args.seed)
             _dump(pathlib.Path(args.out) / "examples.json", report)
             for ex in report["examples"]:
                 for a in ex["assertions"]:

@@ -10,17 +10,20 @@ witnesses and counterexamples a report names.  Object lists from callers
 are packed once (_as_array).
 
 The scan is row-factored: T(S) = S for a Cartesian S forces each row of T to
-map S onto its component, so the q^(m+1) candidate rows are filtered once; a
-product of surviving rows maps S onto S exactly when A is invertible, which
-one batched Gauss-Jordan elimination of [A | I | b] (_invert) tests.  The
-group-axioms check inverts with it too, and looks each inverse and product
-up among the members' sorted byte keys, pairs in the order of the reference
-in tests/test_axioms.py.  The span route is one batched kernel (_span_ok):
-reduced pullbacks as coefficient arrays over the box basis of F[x]/I(S),
-built by shift-and-reduce along the divisor closure of L; affine.SpanChecker
-is its scalar reference and the witness finder of membership_report.  The
-code route stays independent of it: a permuted generator matrix must have a
-zero residue against the row-reduced one.
+map S onto its component, so the q^(m+1) candidate rows are filtered once,
+without walking the points: a row x -> a.x + c maps S onto the sumset
+c + a_1 A_1 + ... + a_m A_m, built for every linear part a as a q-cell mask,
+and one base point s_0 of it leaves the candidates c = t - s_0, t in A_i
+(_surviving_rows).  A product of surviving rows maps S onto S exactly when A
+is invertible, which one batched Gauss-Jordan elimination of [A | I | b]
+(_invert) tests.  The group-axioms check inverts with it too, and looks each
+inverse and product up among the members' sorted byte keys, pairs in the
+order of the reference in tests/test_axioms.py.  The span route is one
+batched kernel (_span_ok): reduced pullbacks as coefficient arrays over the
+box basis of F[x]/I(S), built by shift-and-reduce along the divisor closure
+of L; affine.SpanChecker is its scalar reference and the witness finder of
+membership_report.  The code route stays independent of it: a permuted
+generator matrix must have a zero residue against the row-reduced one.
 """
 
 from __future__ import annotations
@@ -304,26 +307,50 @@ def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1) -> AffineMaps:
     return AffineMaps(F, ab[np.lexsort(keys)])
 
 
-def _surviving_rows(kern, S):
-    """Per coordinate i, the rows [a | c] (an (R_i, m + 1) index array) whose
-    image x -> a.x + c of S is exactly A_i."""
+def _surviving_rows(kern, S, limit=_CHUNK_CELLS):
+    """Per coordinate i, the rows [a | c] (an (R_i, m + 1) uint16 array) whose
+    image x -> a.x + c of S is exactly A_i.
+
+    That image is the sumset c + I_a, I_a = a_1 A_1 + ... + a_m A_m, so no
+    step walks the n points.  The sumsets are q-cell masks built prefix by
+    prefix: I + a_j A_j is the union of I translated by each a_j x, x in A_j,
+    and a translation by y is a gather through z -> z - y.  Row i keeps the
+    translations c = t - s_0 (s_0 the first point of I_a, t in A_i) that carry
+    I_a onto A_i; only sumsets of size |A_i| are tried.  Each chunk of masks
+    and each gather holds about limit cells, or one mask when q > limit."""
     q, m = kern.q, S.m
-    pts = np.array(S.points_ix(), dtype=np.uint16)
+    comps = [np.array(sorted(c.element_set()), dtype=np.uint16) for c in S.components]
     want = np.zeros((m, q), dtype=bool)
-    for i, c in enumerate(S.components):
-        want[i, list(c.element_set())] = True
+    for i, A in enumerate(comps):
+        want[i, A] = True
+    sub = kern.add[:, kern.neg].T       # sub[y, z] = z - y
+    rows = [[] for _ in range(m)]
 
-    def keep(k):
-        ac = np.empty((len(k), m + 1), dtype=np.uint16)
-        for j in range(m + 1):
-            k, ac[:, j] = np.divmod(k, q)
-        img = _batch_images(kern, ac[:, None, :m], ac[:, m:], pts)[..., 0]
-        seen = np.zeros((len(ac), q), dtype=bool)
-        seen[np.arange(len(ac))[:, None], img] = True
-        return [ac[(seen == want[i]).all(axis=1)] for i in range(m)]
+    def match(lin, masks):
+        sizes, s0 = masks.sum(axis=1), masks.argmax(axis=1)
+        for i, A in enumerate(comps):
+            keep = np.flatnonzero(sizes == len(A))
+            for k in _chunks(len(keep) * len(A), q, limit):
+                r, t = np.divmod(k, len(A))
+                r = keep[r]
+                c = sub[s0[r], A[t]]
+                hit = (masks[r[:, None], sub[c]] == want[i]).all(axis=1)
+                rows[i].append(np.concatenate([lin[r[hit]], c[hit, None]], axis=1))
 
-    kept = [keep(k) for k in _chunks(q ** (m + 1), S.n * m)]
-    return [np.concatenate([f[i] for f in kept]) for i in range(m)]
+    def grow(lin, masks):
+        # lin[k] holds a_1 .. a_j and masks[k] the mask of its sumset
+        j = lin.shape[1]
+        if j == m:
+            return match(lin, masks)
+        for k in _chunks(len(lin) * q, q, limit):
+            p, a = np.divmod(k, q)
+            out = np.zeros((len(k), q), dtype=bool)
+            for x in comps[j]:
+                out |= masks[p[:, None], sub[kern.mul[a, x]]]
+            grow(np.concatenate([lin[p], a[:, None].astype(np.uint16)], axis=1), out)
+
+    grow(np.empty((1, 0), dtype=np.uint16), np.arange(q)[None] == 0)
+    return [np.concatenate(r + [np.empty((0, m + 1), dtype=np.uint16)]) for r in rows]
 
 
 def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,

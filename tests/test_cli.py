@@ -175,6 +175,17 @@ def test_budget_exceeded_exit(tmp_path):
     assert main(["verify", path]) == EXIT_BUDGET
 
 
+def test_negative_budget_flag_is_a_config_error(tmp_path, capsys):
+    path = write_json(tmp_path / "cfg.json", {**BASE_CONFIG, "tasks": ["oracle-verify"]})
+    for argv in (["verify", path], ["examples"], ["group", path]):
+        assert main(["--out", str(tmp_path / "r"), "--budget", "-1", *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: budget: expected a nonnegative integer, got -1\n"
+    # a budget of 0 is valid: the row pass is the first phase to exceed it
+    assert main(["--out", str(tmp_path / "r"), "--budget", "0", "verify", path]) == EXIT_BUDGET
+    assert "row pass of 27 candidates exceeds budget 0" in capsys.readouterr().err
+
+
 def test_jobs_flag_gives_same_reports(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", BASE_CONFIG)
     out1, out2 = tmp_path / "serial", tmp_path / "threads"
@@ -372,6 +383,7 @@ def test_oracle_verify_scans_once(tmp_path, monkeypatch, cfg, family):
      "field.irreducible[1]: expected an integer in 0..1, got 3"),
     (("field",), {"p": 2, "k": 3, "irreducible": [1, 2, 0, 1]},
      "field.irreducible[1]: expected an integer in 0..1, got 2"),
+    (("budget",), -1, "budget: expected a nonnegative integer, got -1"),
 ])
 def test_malformed_config_values(tmp_path, capsys, path, value, where):
     cfg = json.loads(json.dumps(BASE_CONFIG))

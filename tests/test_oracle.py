@@ -3,7 +3,9 @@ exact affine permutation groups, two-route agreement, verification reports."""
 
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,8 +25,8 @@ from cartperm.oracle import (
     two_route_agreement, verify_characterization, verify_containment,
 )
 from cartperm.points import (
-    CartesianSet, explicit_component, full_component, mult_component,
-    torus_component,
+    CartesianSet, additive_component, explicit_component, full_component,
+    mult_component, torus_component,
 )
 from test_poly import components
 
@@ -104,6 +106,74 @@ def test_budget_names_each_phase(monkeypatch):
 # GF(8) under x^3 + x^2 + 1, not the default x^3 + x + 1
 ORACLE_FIELDS = [GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9),
                  Field(2, 3, (1, 0, 1, 1))]
+
+
+def point_walk_rows(S):
+    """Test-only reference for the row pass: per coordinate i, the set of
+    rows (a_1, ..., a_m, c) whose image of the n points of S is exactly A_i."""
+    F, m = S.field, S.m
+    t = F.np_tables()
+    pts = np.array(S.points_ix(), dtype=np.int64)
+    wants = [c.element_set() for c in S.components]
+    rows = [set() for _ in range(m)]
+    for a in itertools.product(range(F.q), repeat=m):
+        img = np.zeros(len(pts), dtype=np.int64)
+        for j in range(m):
+            img = t["add"][img, t["mul"][a[j], pts[:, j]]]
+        walked = set(img.tolist())
+        for c in range(F.q):
+            image = {F.add_ix(s, c) for s in walked}
+            for i in range(m):
+                if image == wants[i]:
+                    rows[i].add(a + (c,))
+    return rows
+
+
+def gf16_additive_triple():
+    F = GF(16)
+    al = F.primitive_element()
+    return CartesianSet([additive_component(F, [F.one, al, al * al]),
+                         additive_component(F, [al ** 6, al ** 11]),
+                         additive_component(F, [F.one])])
+
+
+@st.composite
+def row_sets(draw):
+    F = draw(st.sampled_from(ORACLE_FIELDS + [GF(16)]))
+    return CartesianSet([draw(components(F)) for _ in range(draw(st.integers(1, 3)))])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(row_sets())
+@example(gf16_additive_triple())
+@example(CartesianSet([mult_component(GF(7), 1), explicit_component(GF(7), [3]),
+                       mult_component(GF(7), 3)]))
+def test_surviving_rows_match_point_walk(S):
+    want = point_walk_rows(S)
+    kern = oracle._Kernel(S.field)
+    for limit in (1, 200, oracle._CHUNK_CELLS):
+        rows = oracle._surviving_rows(kern, S, limit)
+        assert [r.shape[1] for r in rows] == [S.m + 1] * S.m
+        assert [set(map(tuple, r.tolist())) for r in rows] == want
+        assert [len(r) for r in rows] == [len(w) for w in want]
+
+
+def test_row_pass_time_guard():
+    # the point walk took 6.1 s for the row pass alone of GF(25) mu4 x mu6 x mu8
+    F = GF(25)
+    S = CartesianSet([mult_component(F, 4), mult_component(F, 6), mult_component(F, 8)])
+    start = time.perf_counter()
+    stabs = oracle_stabilizers(S)
+    assert time.perf_counter() - start < 2
+    assert len(stabs) == 192
+    # the product scan of this set peaks at 742 MiB: only its rows are timed
+    F = GF(16)
+    S = CartesianSet([full_component(F), mult_component(F, 5), mult_component(F, 3)])
+    kern = oracle._Kernel(F)
+    start = time.perf_counter()
+    rows = oracle._surviving_rows(kern, S)
+    assert time.perf_counter() - start < 2
+    assert [len(r) for r in rows] == [61440, 5, 3]
 
 
 @st.composite
