@@ -21,9 +21,17 @@ inverse and product up among the members' sorted byte keys, pairs in the
 order of the reference in tests/test_axioms.py.  The span route is one
 batched kernel (_span_ok): reduced pullbacks as coefficient arrays over the
 box basis of F[x]/I(S), built by shift-and-reduce along the divisor closure
-of L; affine.SpanChecker is its scalar reference and the witness finder of
-membership_report.  The code route stays independent of it: a permuted
-generator matrix must have a zero residue against the row-reduced one.
+of L (_Forms, shared with reduced_pullbacks); affine.SpanChecker is its
+scalar reference and the witness finder of membership_report.
+
+The code group never needs the stabilizer list: the pullback of x^u reads
+only the rows i with u_i > 0, so a row-prefix search (_group_search) filters
+each coordinate's surviving rows by the members in that variable alone, then
+grows products of rows one coordinate at a time and checks each mixed
+member as soon as its last row is chosen; a failing prefix is never
+extended.  A stabilizer list supplied by the caller is filtered by _span_ok
+instead.  The code route stays independent of both: a permuted generator
+matrix must have a zero residue against the row-reduced one.
 """
 
 from __future__ import annotations
@@ -201,62 +209,109 @@ def _invert(kern, ab):
     return np.concatenate([aug[:, :, m:2 * m], kern.neg[aug[:, :, 2 * m:]]], axis=2), ok
 
 
-def _span_ok(kern, L, S, ab, limit=_PAIR_CELLS):
-    """Whether each map x -> Ax + b of an (N, m, m + 1) array [A | b] keeps
-    the span of L: the reduced pullback modulo I(S) of every member of L is
-    supported on L.
-
-    The pullbacks of a chunk of maps are (N, n_1, ..., n_m) coefficient
-    arrays over the box basis of F[x]/I(S).  The divisor closure of L is
-    walked in (degree, exponent) order, so that p_v = p_(v - e_i) * l_i for
-    the linear form l_i = sum_j A_ij x_j + b_i: x_j shifts along axis j and
-    folds the top slice back through x_j^n_j = -sum_d g_d x_j^d, g the
-    vanishing polynomial of the j-th component.  A map leaves its chunk at
-    the first member of L with a coefficient outside L."""
-    m, sizes = S.m, S.sizes
-    members = frozenset(getattr(L, "monomials", L))
-    closure = sorted({d for u in members for d in divisors_of(u)},
+def _walk(monomials):
+    """The divisor closure of the monomials in (degree, exponent) order, each
+    v with its parent v - e_i and the first coordinate i of v with a nonzero
+    exponent (None and None for v = 1)."""
+    closure = sorted({d for u in monomials for d in divisors_of(u)},
                      key=lambda e: (sum(e), e))
-    inside = np.zeros(sizes, dtype=bool)
-    for u in members:
-        if all(e < n for e, n in zip(u, sizes)):
-            inside[u] = True
-    outside = np.flatnonzero(~inside)
-    # x_j^n_j = sum of c x_j^d over the pairs (d, c) of folds[j]
-    folds = [[(d, kern.neg[g]) for d, g in enumerate(S.vanishing_coeffs(j)[:-1]) if g]
-             for j in range(m)]
-    views = [(math.prod(sizes[:j]), n, math.prod(sizes[j + 1:])) for j, n in enumerate(sizes)]
+    for v in closure:
+        i = next((i for i, e in enumerate(v) if e), None)
+        yield v, (None if i is None else v[:i] + (v[i] - 1,) + v[i + 1:]), i
 
-    def scale(c, P):
+
+class _Forms:
+    """Reduced pullbacks modulo I(S) as (N, n) coefficient arrays over the
+    box basis of F[x]/I(S), one row per map of an (N, m, m + 1) array
+    [A | b], multiplied by the maps' linear forms l_i = sum_j A_ij x_j + b_i:
+    x_j shifts along axis j and folds the top slice back through
+    x_j^n_j = -sum_d g_d x_j^d, g the vanishing polynomial of the j-th
+    component."""
+
+    def __init__(self, kern, S):
+        self.kern, self.n = kern, S.n
+        # x_j^n_j = sum of c x_j^d over the pairs (d, c) of folds[j]
+        self.folds = [[(d, kern.neg[g]) for d, g in enumerate(S.vanishing_coeffs(j)[:-1]) if g]
+                      for j in range(S.m)]
+        self.views = [(math.prod(S.sizes[:j]), n, math.prod(S.sizes[j + 1:]))
+                      for j, n in enumerate(S.sizes)]
+
+    def one(self, count):
+        P = np.zeros((count, self.n), dtype=np.uint16)
+        P[:, 0] = 1
+        return P
+
+    def _scale(self, c, P):
         # c[t] * P[t], one element index c[t] per map, by flat index: the
         # chunks keep the index array small
-        return kern.mul.take(c.astype(np.int64)[:, None] * kern.q + P)
+        return self.kern.mul.take(c.astype(np.int64)[:, None] * self.kern.q + P)
 
-    def times_x(P, j):
-        before, n, after = views[j]
+    def _times_x(self, P, j):
+        before, n, after = self.views[j]
         P = P.reshape(len(P), before, n, after)
         out = np.zeros_like(P)
         out[:, :, 1:] = P[:, :, :-1]
-        for d, c in folds[j]:
-            out[:, :, d] = kern.vadd(out[:, :, d], kern.mul[c][P[:, :, -1]])
-        return out.reshape(len(P), S.n)
+        for d, c in self.folds[j]:
+            out[:, :, d] = self.kern.vadd(out[:, :, d], self.kern.mul[c][P[:, :, -1]])
+        return out.reshape(len(P), self.n)
+
+    def times_form(self, P, ab, i):
+        """P[t] times l_i of map t, reduced; a term whose coefficient is zero
+        for every map is skipped."""
+        m = ab.shape[1]
+        out = self._scale(ab[:, i, m], P) if ab[:, i, m].any() else np.zeros_like(P)
+        for j in range(m):
+            if ab[:, i, j].any():
+                out = self.kern.vadd(out, self._scale(ab[:, i, j], self._times_x(P, j)))
+        return out
+
+
+def reduced_pullbacks(S: CartesianSet, maps, monomials):
+    """The reduced pullbacks modulo I(S) of the monomials under each map, as
+    one (N, len(monomials), n_1, ..., n_m) array of coefficients (element
+    indices) over the box basis: entry [t, k, e] is the coefficient of x^e in
+    the pullback of monomials[k] under map t.  One batch, for few maps."""
+    ab = _as_array(maps, S.m)
+    forms = _Forms(_Kernel(S.field), S)
+    pulled = {}
+    for v, parent, i in _walk(monomials):
+        pulled[v] = forms.one(len(ab)) if i is None else forms.times_form(pulled[parent], ab, i)
+    return np.stack([pulled[u] for u in monomials], axis=1).reshape(
+        len(ab), len(monomials), *S.sizes)
+
+
+def keeps_span(L, S: CartesianSet, maps):
+    """Whether each map keeps the span of L, by the batched span route."""
+    return _span_ok(_Kernel(S.field), L, S, _as_array(maps, S.m))
+
+
+def _span_ok(kern, L, S, ab, limit=_PAIR_CELLS, check=None):
+    """Whether each map x -> Ax + b of an (N, m, m + 1) array [A | b] keeps
+    the span of L: the reduced pullback modulo I(S) of every member of L, or
+    of every member of the subset check, is supported on L.
+
+    The pullbacks of a chunk of maps are coefficient arrays (_Forms).  The
+    divisor closure of the checked members is walked in (degree, exponent)
+    order, so that p_v = p_(v - e_i) * l_i.  A map leaves its chunk at the
+    first checked member with a coefficient outside L."""
+    members = frozenset(getattr(L, "monomials", L))
+    check = members if check is None else frozenset(check)
+    walk = list(_walk(check))
+    inside = np.zeros(S.sizes, dtype=bool)
+    for u in members:
+        if all(e < n for e, n in zip(u, S.sizes)):
+            inside[u] = True
+    outside = np.flatnonzero(~inside)
+    forms = _Forms(kern, S)
 
     def scan(sub):
         # the indices of the maps of the chunk that keep the span
         live = np.arange(len(sub))
         pulled = {}
-        for v in closure:
-            if not any(v):
-                P = np.zeros((len(sub), S.n), dtype=np.uint16)
-                P[:, 0] = 1
-            else:
-                i = next(i for i, e in enumerate(v) if e)
-                base = pulled[v[:i] + (v[i] - 1,) + v[i + 1:]]
-                P = scale(sub[:, i, m], base)
-                for j in range(m):
-                    P = kern.vadd(P, scale(sub[:, i, j], times_x(base, j)))
+        for v, parent, i in walk:
+            P = forms.one(len(sub)) if i is None else forms.times_form(pulled[parent], sub, i)
             pulled[v] = P
-            if v in members:
+            if v in check:
                 keep = ~(P[:, outside] != 0).any(axis=1)
                 if not keep.all():
                     live, sub = live[keep], sub[keep]
@@ -266,7 +321,7 @@ def _span_ok(kern, L, S, ab, limit=_PAIR_CELLS):
         return live
 
     ok = np.zeros(len(ab), dtype=bool)
-    for k in _chunks(len(ab), S.n * max(1, len(closure)), limit):
+    for k in _chunks(len(ab), S.n * max(1, len(walk)), limit):
         ok[k[scan(ab[k])]] = True
     return ok
 
@@ -302,9 +357,7 @@ def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1) -> AffineMaps:
 
     ab = np.concatenate([scan(k) for k in _chunks(total, m * (2 * m + 1), _PAIR_CELLS)]
                         + [np.empty((0, m, m + 1), dtype=np.uint16)])
-    # counter digits, least significant first: [A | b] in column-major order
-    keys = [ab[:, i, j] for j in range(m + 1) for i in range(m)]
-    return AffineMaps(F, ab[np.lexsort(keys)])
+    return AffineMaps(F, _counter_order(ab))
 
 
 def _surviving_rows(kern, S, limit=_CHUNK_CELLS):
@@ -353,11 +406,79 @@ def _surviving_rows(kern, S, limit=_CHUNK_CELLS):
     return [np.concatenate(r + [np.empty((0, m + 1), dtype=np.uint16)]) for r in rows]
 
 
+def _counter_order(ab):
+    """The maps of an (N, m, m + 1) array sorted into base-q counter order:
+    the counter digits, least significant first, are [A | b] in column-major
+    order."""
+    m = ab.shape[1]
+    return ab[np.lexsort([ab[:, i, j] for j in range(m + 1) for i in range(m)])]
+
+
+def _group_search(L, S, budget=None, limit=_PAIR_CELLS):
+    """The stabilizers that keep the span of L, in counter order, found by a
+    row-prefix search that never lists the stabilizers.
+
+    The pullback of x^u reads only the rows i with u_i > 0.  So each
+    coordinate's surviving rows are first filtered by the members in x_j
+    alone (identity rows elsewhere).  Before that batched check, a row drops
+    when it uses a variable x_k whose power x_k^e is not in L for a member
+    x_j^e, e < n_k: the reduced pullback (a.x + c)^e has the coefficient
+    a_k^e at x_k^e, since every other term of degree e that reduces keeps a
+    variable besides x_k.  Prefixes of rows then grow one coordinate at a
+    time; at coordinate j the mixed members whose last coordinate is j are
+    checked, and the full products are tested for invertibility before the
+    last coordinate's check.  The budget caps the row pass and then the
+    candidates of each step, each before it is built; limit bounds every
+    chunk, as in _span_ok."""
+    F, m, q = S.field, S.m, S.field.q
+    _check_budget(q ** (m + 1), budget, "stabilizer row pass")
+    kern = _Kernel(F)
+    rows = _surviving_rows(kern, S)
+    members = frozenset(getattr(L, "monomials", L))
+    alone, mixed = [[] for _ in range(m)], [[] for _ in range(m)]
+    for u in members:
+        support = [j for j, e in enumerate(u) if e]
+        if support:
+            (alone if len(support) == 1 else mixed)[support[-1]].append(u)
+    eye = np.eye(m, m + 1, dtype=np.uint16)
+    prefix = eye[None]
+    for j, r in enumerate(rows):
+        if alone[j]:
+            banned = [k for k, n in enumerate(S.sizes) if any(
+                u[j] < n and tuple(u[j] * (i == k) for i in range(m)) not in members
+                for u in alone[j])]
+            r = r[(r[:, banned] == 0).all(axis=1)]
+            ab = np.repeat(eye[None], len(r), axis=0)
+            ab[:, j] = r
+            r = r[_span_ok(kern, L, S, ab, limit, check=alone[j])]
+        total = len(prefix) * len(r)
+        _check_budget(total, budget, f"group search step {j + 1} (coordinate x{j + 1})")
+
+        def extend(k, prefix=prefix, r=r, j=j):
+            # a function call, so each chunk's temporaries are freed before
+            # the next chunk is built
+            p, t = np.divmod(k, len(r))
+            ab = prefix[p]
+            ab[:, j] = r[t]
+            if j == m - 1:
+                ab = ab[_invert(kern, ab)[1]]
+            return ab[_span_ok(kern, L, S, ab, limit, check=mixed[j])] if mixed[j] else ab
+
+        prefix = np.concatenate([extend(k) for k in _chunks(total, m * (2 * m + 1), limit)]
+                                + [np.empty((0, m, m + 1), dtype=np.uint16)])
+    return _counter_order(prefix)
+
+
 def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
                              stabilizers=None) -> AffineMaps:
-    """Exact affine permutation group of the code of L on S, in stabilizer
-    order: the point-set stabilizers that keep the reduced span inside L."""
-    ab = _as_array(oracle_stabilizers(S, budget) if stabilizers is None else stabilizers, S.m)
+    """Exact affine permutation group of the code of L on S: the point-set
+    stabilizers that keep the reduced span inside L.  Without stabilizers it
+    is found by the row-prefix search (_group_search), in counter order; a
+    supplied list of stabilizers is filtered by the span route, in its own
+    order."""
+    if stabilizers is None:
+        return AffineMaps(S.field, _group_search(L, S, budget))
+    ab = _as_array(stabilizers, S.m)
     return AffineMaps(S.field, ab[_span_ok(_Kernel(S.field), L, S, ab)])
 
 

@@ -8,13 +8,17 @@ import tempfile
 import time
 import traceback
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartperm.cli import (
     EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, ConfigError,
-    load_field, load_monomials, load_set, main, run_config,
+    gf9_lower_triangular, load_field, load_monomials, load_set, main, run_config,
 )
+from cartperm.oracle import reduced_pullbacks
+from cartperm.points import CartesianSet, full_component
+from cartperm.poly import Polynomial, substitute_affine
 
 
 def write_json(path, obj):
@@ -84,6 +88,27 @@ def test_examples_command(tmp_path, capsys):
     assert len(triple["discrepancies"]) == 2
     assert "192" in triple["discrepancies"][1]
     assert "note:" in printed
+
+
+def test_gf9_example_pullbacks_match_scalar_substitution():
+    # the batched pullbacks behind the gf9-quartic-pullbacks example, for
+    # all 576 maps, against the scalar engine
+    maps = gf9_lower_triangular()
+    F = maps.field
+    assert [T.A for T in maps] == [((a, 0), (b, c)) for a in range(1, 9)
+                                   for b in range(9) for c in range(1, 9)]
+    assert all(T.b == (0, 0) for T in maps)
+    S = CartesianSet([full_component(F)] * 2)
+    quartics = [(0, 4), (1, 3), (3, 1), (4, 0)]
+    got = reduced_pullbacks(S, maps, quartics)
+    assert got.shape == (576, 4, 9, 9)
+    for t, T in enumerate(maps):
+        for k, u in enumerate(quartics):
+            f = substitute_affine(Polynomial.monomial(F, u), T.A, T.b)
+            want = np.zeros((9, 9), dtype=np.uint16)
+            for e in f.support():
+                want[e] = f.coeff(e).ix
+            assert np.array_equal(got[t, k], want), (T, u)
 
 
 def test_graph_command(tmp_path):

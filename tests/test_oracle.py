@@ -2,12 +2,13 @@
 exact affine permutation groups, two-route agreement, verification reports."""
 
 import itertools
+import math
 import random
 import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cartperm import oracle
 from cartperm.affine import AffineTransformation, SpanChecker, stabilizes_set
@@ -278,6 +279,100 @@ def test_batched_span_matches_span_checker(batch):
     got = oracle._span_ok(oracle._Kernel(S.field), L, S, oracle._as_array(ts), limit)
     checker = SpanChecker(L, S)
     assert got.tolist() == [checker.check(T) for T in ts]
+
+
+# the stabilizer lists of the drawn sets stay small enough to filter and to
+# search one candidate per chunk
+SEARCH_STABILIZERS = 2000
+
+
+@st.composite
+def search_cases(draw):
+    """A point set with m <= 3 and at most SEARCH_STABILIZERS candidate
+    products, and a monomial set L on it: empty, {1}, an arbitrary subset of
+    the box, its divisor closure, mixed-support members only, or the closure
+    of a set closed under permuting the variables (where it fits the box),
+    whose group may swap coordinates."""
+    F = draw(st.sampled_from(ORACLE_FIELDS))
+    S = CartesianSet([draw(components(F)) for _ in range(draw(st.sampled_from([1, 2, 3, 3])))])
+    rows = oracle._surviving_rows(oracle._Kernel(F), S)
+    assume(math.prod(len(r) for r in rows) <= SEARCH_STABILIZERS)
+    box = list(itertools.product(*[range(n) for n in S.sizes]))
+    kind = draw(st.sampled_from(["empty", "one", "any", "closure", "mixed", "symmetric"]))
+    if kind in ("empty", "one"):
+        monos = [] if kind == "empty" else [(0,) * S.m]
+    else:
+        pool = box if kind != "mixed" else [u for u in box if sum(map(bool, u)) > 1]
+        assume(pool)
+        monos = draw(st.lists(st.sampled_from(pool), max_size=6))
+    if kind == "symmetric":
+        moved = {tuple(u[i] for i in perm) for u in monos
+                 for perm in itertools.permutations(range(S.m))}
+        monos = sorted(moved & set(box))
+    L = MonomialSet(S.m, monos, bound=S.sizes)
+    return S, divisibility_closure(L) if kind in ("closure", "symmetric") else L
+
+
+def gf4_square_config():
+    """The GF(4)^2 config of the verify-group benchmark workload: L is
+    closure{x1^2 x2, x1^3}, a 576-map group among 2,880 stabilizers."""
+    S = full_square(4)
+    return S, divisibility_closure(MonomialSet(2, [(2, 1), (3, 0)], bound=S.sizes))
+
+
+def gf16_triple_config():
+    S = gf16_additive_triple()
+    return S, divisibility_closure(MonomialSet(3, [(2, 0, 0), (1, 1, 0)], bound=S.sizes))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(search_cases())
+@example(gf4_square_config())
+@example(gf16_triple_config())
+# the coordinate swap is in this group: x1 (x1 + ...) leaves L, so a row
+# filter by x1 x2 under identity rows elsewhere would drop it
+@example((full_square(3), divisibility_closure(MonomialSet(2, [(1, 1)], bound=(3, 3)))))
+@example((CartesianSet([full_component(GF(2)), torus_component(GF(2)), full_component(GF(2))]),
+          MonomialSet(3, [(1, 0, 1), (0, 0, 1)], bound=(2, 1, 2))))
+@example((CartesianSet([explicit_component(GF(5), [1, 3]), explicit_component(GF(5), [4]),
+                        mult_component(GF(5), 2)]),
+          MonomialSet(3, [(1, 0, 1)], bound=(2, 1, 2))))
+def test_group_search_matches_stabilizer_filter(case):
+    # the search gives the filtered stabilizer list, array and order alike
+    S, L = case
+    stabs = oracle_stabilizers(S).ab
+    want = stabs[oracle._span_ok(oracle._Kernel(S.field), L, S, stabs)]
+    for limit in (1, 60):
+        got = oracle._group_search(L, S, limit=limit)
+        assert got.dtype == want.dtype and np.array_equal(got, want), limit
+    assert np.array_equal(oracle_affine_perm_group(L, S).ab, want)
+
+
+def test_group_search_budget(monkeypatch):
+    # GF(3)^2 with L = closure{x1 x2}: 27 candidate rows, 24 of them per
+    # coordinate kept by the linear members, 576 products at step 2
+    S = full_square(3)
+    L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
+    with pytest.raises(BudgetExceeded, match="row pass of 27 candidates"):
+        oracle_affine_perm_group(L, S, budget=26)
+    with pytest.raises(BudgetExceeded, match=r"step 2 \(coordinate x2\) of 576 candidates"):
+        oracle_affine_perm_group(L, S, budget=575)
+    assert len(oracle_affine_perm_group(L, S, budget=576)) == 72
+    # the 921,600 stabilizers of GF(16) full x mu5 x mu3 are never listed:
+    # 240 first rows, then 1,200 and at most 3,600 candidates
+    F = GF(16)
+    S = CartesianSet([full_component(F), mult_component(F, 5), mult_component(F, 3)])
+    L = divisibility_closure(MonomialSet(3, [(3, 1, 1)], bound=S.sizes))
+    with pytest.raises(BudgetExceeded, match="product scan of 921600 candidates"):
+        oracle_stabilizers(S, budget=100_000)
+    start = time.perf_counter()
+    group = oracle_affine_perm_group(L, S, budget=100_000)
+    assert time.perf_counter() - start < 5
+    assert len(group) == 3600
+    # the row budget trips before any field table is built
+    monkeypatch.setattr(oracle, "_Kernel", None)
+    with pytest.raises(BudgetExceeded, match="row pass"):
+        oracle_affine_perm_group(L, full_square(4), budget=63)
 
 
 def test_perm_group_whole_box_is_stabilizers():
