@@ -555,7 +555,9 @@ def main(argv=None) -> int:
                          "exceeded); the built-in examples ignore it")
     ap.add_argument("--out", default="cartperm-reports", help="report directory")
     ap.add_argument("--seed", type=int, default=0,
-                    help="seed for sampled checks")
+                    help="seed of the pairs drawn when a checked set has more "
+                         "than 2,000,000 ordered pairs; it changes no verdict, "
+                         "only which failing pair a non-group's report names")
     ap.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; ignored")
     sub = ap.add_subparsers(dest="command", required=True)

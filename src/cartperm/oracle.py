@@ -17,12 +17,17 @@ and one base point s_0 of it leaves the candidates c = t - s_0, t in A_i
 (_surviving_rows).  A product of surviving rows maps S onto S exactly when A
 is invertible, which one batched Gauss-Jordan elimination of [A | I | b]
 (_invert) tests.  The group-axioms check inverts with it too, and looks each
-inverse and product up among the members' sorted byte keys, pairs in the
-order of the reference in tests/test_axioms.py.  The span route is one
-batched kernel (_span_ok): reduced pullbacks as coefficient arrays over the
-box basis of F[x]/I(S), built by shift-and-reduce along the divisor closure
-of L (_Forms, shared with reduced_pullbacks); affine.SpanChecker is its
-scalar reference and the witness finder of membership_report.
+inverse and product up among the members' sorted byte keys.  It decides
+closure under composition by a certificate by generators
+(_closure_certificate): about g * |X| compositions, |X| <= log2 g, exact for
+every g.  Pairs are composed, in the order of the reference in
+tests/test_axioms.py, only to name a non-group's first failing pair.
+
+The span route is one batched kernel (_span_ok): reduced pullbacks as
+coefficient arrays over the box basis of F[x]/I(S), built by shift-and-reduce
+along the divisor closure of L (_Forms, shared with reduced_pullbacks);
+affine.SpanChecker is its scalar reference and the witness finder of
+membership_report.
 
 The code group never needs the stabilizer list: the pullback of x^u reads
 only the rows i with u_i > 0, so a row-prefix search (_group_search) filters
@@ -168,12 +173,18 @@ def _key_set(ab):
     return keys[np.r_[True, keys[1:] != keys[:-1]][:len(keys)]]
 
 
+def _lookup(sorted_keys, keys):
+    """The position of each key in the sorted key array, and whether it
+    occurs there at all."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
+
+
 def _contains(sorted_keys, keys):
     """Whether each key occurs in the sorted key array."""
-    if len(sorted_keys) == 0:
-        return np.zeros(len(keys), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[pos] == keys
+    return _lookup(sorted_keys, keys)[1]
 
 
 def _compose(kern, left, right):
@@ -482,12 +493,79 @@ def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
     return AffineMaps(S.field, ab[_span_ok(_Kernel(S.field), L, S, ab)])
 
 
+def _closure_certificate(kern, ab, keys):
+    """Whether the members of an (N, m, m + 1) array [A | b] are closed under
+    composition, decided by generators in about N * |X| compositions.  The
+    identity must be a member and every member invertible; keys are the
+    sorted distinct member keys (_key_set).
+
+    The reached set starts as the identity and is a mask over keys.  The
+    members are walked in input order, and each one not yet reached becomes
+    a generator s: every reached element is multiplied by s, then each newly
+    reached batch by every generator, until nothing new appears.  Every
+    product must be a member.  When the walk ends, the reached set is all of
+    the members and is closed under right multiplication by the generators,
+    so it is the finite group they generate (Seress 2003; Butler 1991).
+
+    Returns (closed, generators, witness): the indices of the generators
+    picked, and None or the first failing pair (x, s), a reached [A | b]
+    array x and the index s of a generator with x after s no member."""
+    m = ab.shape[1]
+    reached = np.zeros(len(keys), dtype=bool)
+    where = _lookup(keys, _row_keys(ab))[0]
+    identity = np.eye(m, m + 1, dtype=np.uint16)[None]
+    reached[_lookup(keys, _row_keys(identity))[0]] = True
+    elements, gens = [identity], []
+
+    def step(xs, ss):
+        # the new products x after s, x in xs and s in ss (pairs x-major),
+        # each at its first occurrence and in pair order; or None and the
+        # first pair whose product is no member
+        new = [np.empty((0, m, m + 1), dtype=np.uint16)]
+        for k in _chunks(len(xs) * len(ss), m * m * (m + 1), _PAIR_CELLS):
+            i, j = np.divmod(k, len(ss))
+            prods = _compose(kern, xs[i], ab[ss[j]])
+            pos, hit = _lookup(keys, _row_keys(prods))
+            if not hit.all():
+                t = np.flatnonzero(~hit)[0]
+                return None, (xs[i[t]], int(ss[j[t]]))
+            fresh = np.flatnonzero(~reached[pos])
+            fresh = fresh[np.argsort(pos[fresh], kind="stable")]
+            fresh = np.sort(fresh[np.r_[True, pos[fresh[1:]] != pos[fresh[:-1]]][:len(fresh)]])
+            reached[pos[fresh]] = True
+            new.append(prods[fresh])
+        return np.concatenate(new), None
+
+    s = 0
+    while True:
+        left = np.flatnonzero(~reached[where[s:]])
+        if not len(left):
+            return True, gens, None
+        s += int(left[0])
+        gens.append(s)
+        frontier, witness = step(np.concatenate(elements), np.array([s]))
+        while witness is None and len(frontier):
+            elements.append(frontier)
+            frontier, witness = step(frontier, np.array(gens))
+        if witness is not None:
+            return False, gens, witness
+
+
 def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
     """Identity membership, closure under inverse, and closure under
-    composition (exhaustive when the pair count is within the sample limit,
-    deterministic sampling beyond), batched on the field tables.  The witness
-    is the first member whose inverse is missing, overwritten by the first
-    product outside the set (pairs in itertools.product or sampled order)."""
+    composition, batched on the field tables.
+
+    When the identity is a member and the set is closed under inverse, the
+    closure certificate by generators (_closure_certificate) decides closure
+    under composition exactly.  A certified set is a group, so every ordered
+    pair closes: composition_pairs_checked is then g * g (exhaustive, when
+    that is within the sample limit) or sample_limit (sampled), and no pair
+    is drawn.  Otherwise the pair scan, in itertools.product order or in the
+    order of deterministic draws, names the first failing pair; when the
+    draws miss every failing pair of a set the certificate rejected, the
+    certificate's pair is the witness.  So the seed only chooses which
+    failing pair a non-group's report names.  The witness is the first
+    member whose inverse is missing, overwritten by the failing pair."""
     ab = _as_array(transforms)
     maps = AffineMaps(F, ab)
     g, m = ab.shape[:2]
@@ -511,9 +589,15 @@ def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
             report["closed_under_inverse"] = False
             report["witness"] = maps[k[bad[0]]].to_json()
             break
+    total = g * g if report["exhaustive"] else sample_limit
+    failing = None
+    if report["has_identity"] and report["closed_under_inverse"]:
+        closed, _, failing = _closure_certificate(kern, ab, members)
+        if closed:
+            report["composition_pairs_checked"] = total
+            return report
     # chunked draws equal one draw of sample_limit pairs: rng keeps its state
     rng = None if report["exhaustive"] else np.random.default_rng(seed)
-    total = g * g if rng is None else sample_limit
     for k in _chunks(total, m * m * (m + 1), _PAIR_CELLS):
         i, j = np.divmod(k, g) if rng is None else rng.integers(0, g, size=(len(k), 2)).T
         miss = np.flatnonzero(~_contains(members, _row_keys(_compose(kern, ab[i], ab[j]))))
@@ -524,6 +608,12 @@ def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
             report["witness"] = {"left": maps[i[t]].to_json(), "right": maps[j[t]].to_json()}
             return report
     report["composition_pairs_checked"] = total
+    if failing is not None:
+        # the draws missed every failing pair; the certificate's is one
+        x, s = failing
+        report["closed_under_composition"] = False
+        report["witness"] = {"left": AffineMaps(F, x[None])[0].to_json(),
+                             "right": maps[s].to_json()}
     return report
 
 

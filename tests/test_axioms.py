@@ -1,25 +1,29 @@
-"""The batched group-axioms check against the scalar pairwise reference, the
-verify-group report against its golden digest, and the two-route check's
-disagreement records."""
+"""The batched group-axioms check and its closure certificate by generators
+against the scalar pairwise reference, the verify-group report against its
+golden digest, and the two-route check's disagreement records."""
 
 import hashlib
 import itertools
 import json
 import pathlib
+import time
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings, strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from cartperm import cli, oracle
-from cartperm.affine import AffineTransformation
+from cartperm.affine import AffineTransformation, induced_permutation
 from cartperm.field import GF, FieldError
 from cartperm.monomials import MonomialSet, divisibility_closure
 from cartperm.oracle import (
     group_axioms_report, oracle_affine_perm_group, oracle_stabilizers,
     two_route_agreement,
 )
-from cartperm.points import CartesianSet, full_component, torus_component
-from test_oracle import small_sets
+from cartperm.points import (
+    CartesianSet, full_component, mult_component, torus_component,
+)
+from test_oracle import search_cases, small_sets
 
 VERIFY_GROUP = pathlib.Path(__file__).resolve().parents[1] / "bench" / "configs" / "verify-group"
 
@@ -174,6 +178,180 @@ def test_gf16_four_dimensional_keys():
     assert not rep["closed_under_composition"]
     rep = assert_same_report(F, group[:5] + group[6:])
     assert not rep["closed_under_composition"]
+
+
+def cyclic_subgroup(T):
+    """The powers of T, the identity first."""
+    powers = [AffineTransformation.identity(T.field, T.m)]
+    while (U := powers[-1].compose(T)) != powers[0]:
+        powers.append(U)
+    return powers
+
+
+@st.composite
+def certificate_cases(draw):
+    """A group (the stabilizers of a small set, or the code group of an
+    oracle search case) and one list of maps built from it: the group, the
+    group minus one member, minus an involution, plus one foreign invertible
+    map, with duplicate rows, or the union of two cyclic subgroups (a group
+    only when one holds the other).  Returns the field, the list, and
+    whether the list is a group by construction."""
+    if draw(st.booleans()):
+        S = draw(small_sets())
+        group = list(oracle_stabilizers(S))
+    else:
+        S, L = draw(search_cases())
+        group = list(oracle_affine_perm_group(L, S))
+    F, m, g = S.field, S.m, len(group)
+    index = st.integers(0, g - 1)
+    kind = draw(st.sampled_from(["group", "minus", "involution", "foreign",
+                                 "duplicates", "union"]))
+    if kind == "group":
+        return F, group, True
+    if kind == "minus":
+        k = draw(index)
+        return F, group[:k] + group[k + 1:], False
+    if kind == "involution":
+        one = AffineTransformation.identity(F, m)
+        involutions = [T for T in group if T != one and T.compose(T) == one]
+        assume(involutions)
+        T = draw(st.sampled_from(involutions))
+        return F, [U for U in group if U != T], False
+    if kind == "foreign":
+        entry = st.integers(0, F.q - 1)
+        T = AffineTransformation(F, [[draw(entry) for _ in range(m)] for _ in range(m)],
+                                 [draw(entry) for _ in range(m)])
+        assume(T.is_invertible() and T not in group)
+        at = draw(st.integers(0, g))
+        return F, group[:at] + [T] + group[at:], False
+    if kind == "duplicates":
+        extra = draw(st.lists(index, min_size=1, max_size=5))
+        return F, group + [group[k] for k in extra], True
+    first, second = (cyclic_subgroup(group[draw(index)]) for _ in range(2))
+    return F, first + [T for T in second if T not in first], False
+
+
+def certificate_reference(ts):
+    """Scalar reference of the closure certificate: one
+    AffineTransformation.compose per product, in the order of the batched
+    walk.  Each new generator multiplies every reached element, then every
+    new batch is multiplied by all generators, pairs x-major; new products
+    join the reached list at their first occurrence."""
+    members = set(ts)
+    reached = [AffineTransformation.identity(ts[0].field, ts[0].m)]
+    seen, gens = set(reached), []
+    for g, T in enumerate(ts):
+        if T in seen:
+            continue
+        gens.append(g)
+        frontier, using = list(reached), [g]
+        while frontier:
+            new = []
+            for x in frontier:
+                for s in using:
+                    p = x.compose(ts[s])
+                    if p not in members:
+                        return False, gens, (x, s)
+                    if p not in seen:
+                        seen.add(p)
+                        new.append(p)
+            reached += new
+            frontier, using = new, list(gens)
+    return True, gens, None
+
+
+def affine_space_permutations(F, ts):
+    """The permutations of the q^m points of F^m induced by the maps: a
+    faithful action, unlike that on a set with a one-point component."""
+    space = CartesianSet([full_component(F)] * ts[0].m)
+    return [Permutation(induced_permutation(T, space)) for T in ts]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(certificate_cases())
+@example((GF(3), [AffineTransformation.identity(GF(3), 2)], True))
+def test_closure_certificate_matches_pairwise_reference(case):
+    F, ts, is_group = case
+    # groups are sampled past LIMIT pairs, as before; the non-groups are
+    # scanned exhaustively, so that the reference finds a failing pair
+    limit = LIMIT if is_group else 10 ** 12
+    rep = assert_same_report(F, ts, sample_limit=limit)
+    if is_group:
+        assert rep["closed_under_composition"]
+    # the certificate needs the identity and invertible members only, so it
+    # is also exact on the sets that lack an inverse (a group minus a member
+    # of order > 2), where the report does not run it
+    if not (rep["has_identity"] and all(T.is_invertible() for T in ts)):
+        return
+    ab = oracle._as_array(ts)
+    keys = oracle._key_set(ab)
+    closed, gens, witness = oracle._closure_certificate(oracle._Kernel(F), ab, keys)
+    assert closed == rep["closed_under_composition"]
+    if witness is not None:
+        witness = (oracle.AffineMaps(F, witness[0][None])[0], witness[1])
+    assert (closed, gens, witness) == certificate_reference(ts)
+    members = set(ts)
+    if closed:
+        # each generator at least doubles the reached subgroup
+        assert len(gens) <= len(keys).bit_length() - 1
+        order = PermutationGroup(affine_space_permutations(F, ts[:1] + [ts[s] for s in gens])).order()
+        assert order == len(members)
+    else:
+        left, s = witness
+        assert s in gens and left in members
+        assert left.compose(ts[s]) not in members
+
+
+def test_certificate_closes_the_sampling_gap():
+    # GF(4)^2 minus the involution x -> (a x2, a^2 x1): a set with the
+    # identity and every inverse, not closed, whose failing pairs the 1,000
+    # pairs drawn under seeds 1, 2 and 4 all miss.  The pairwise reference
+    # calls it closed; the certificate finds a failing pair of members.
+    # This is the one case where the report differs from the reference.
+    F = GF(4)
+    S = CartesianSet([full_component(F), full_component(F)])
+    swap = AffineTransformation(F, [[0, 2], [3, 0]])
+    assert swap.compose(swap) == AffineTransformation.identity(F, 2)
+    ts = [T for T in oracle_stabilizers(S) if T != swap]
+    assert len(ts) == 2879
+    members = set(ts)
+    for seed in (1, 2, 4):
+        want = pairwise_axioms_report(F, ts, sample_limit=1000, seed=seed)
+        assert want["closed_under_composition"]
+        got = group_axioms_report(F, ts, sample_limit=1000, seed=seed)
+        assert not got["closed_under_composition"]
+        # every other entry is the reference's: all 1,000 drawn pairs are
+        # counted, and the witness is the certificate's pair
+        assert {**got, "closed_under_composition": True, "witness": None} == want
+        left = AffineTransformation.from_json(F, got["witness"]["left"])
+        right = AffineTransformation.from_json(F, got["witness"]["right"])
+        assert left in members and right in members
+        assert left.compose(right) not in members
+
+
+def test_gf16_code_group_is_certified():
+    # the 3,600-map code group of GF(16) full x mu5 x mu3 with L =
+    # closure{x1^3 x2 x3}: about 1.3e7 ordered pairs, so the report is sampled
+    start = time.perf_counter()
+    F = GF(16)
+    S = CartesianSet([full_component(F), mult_component(F, 5), mult_component(F, 3)])
+    L = divisibility_closure(MonomialSet(3, [(3, 1, 1)], bound=S.sizes))
+    group = oracle._group_search(L, S)
+    assert len(group) == 3600
+    kern = oracle._Kernel(F)
+    closed, gens, _ = oracle._closure_certificate(kern, group, oracle._key_set(group))
+    assert closed and len(gens) <= 11
+    rep = group_axioms_report(F, oracle.AffineMaps(F, group))
+    assert rep == {"size": 3600, "has_identity": True, "closed_under_inverse": True,
+                   "closed_under_composition": True, "composition_pairs_checked": 2_000_000,
+                   "exhaustive": False, "witness": None}
+    one = np.eye(3, 4, dtype=np.uint16)
+    square = oracle._compose(kern, group, group)
+    t = np.flatnonzero((square == one).all(axis=(1, 2)) & ~(group == one).all(axis=(1, 2)))[0]
+    rep = group_axioms_report(F, oracle.AffineMaps(F, np.delete(group, t, axis=0)))
+    assert rep["has_identity"] and rep["closed_under_inverse"]
+    assert not rep["closed_under_composition"]
+    assert time.perf_counter() - start < 3
 
 
 def test_verify_group_report_is_unchanged(tmp_path):

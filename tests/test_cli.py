@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import time
 import traceback
@@ -88,6 +91,27 @@ def test_examples_command(tmp_path, capsys):
     assert len(triple["discrepancies"]) == 2
     assert "192" in triple["discrepancies"][1]
     assert "note:" in printed
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_verify_and_examples_leave_numpy_ma_unimported(tmp_path):
+    """np.unique, among other numpy helpers, imports numpy.ma, which adds to
+    the set-up time and the peak memory of every run; verify on the GF(4)^2
+    config and examples, in one fresh process, never import it."""
+    cfg = ROOT / "bench" / "configs" / "verify-group" / "gf4-full-full.json"
+    code = ("import sys\n"
+            "from cartperm.cli import main\n"
+            f"assert main(['--out', {str(tmp_path)!r}, 'verify', {str(cfg)!r}]) == 0\n"
+            f"assert main(['--out', {str(tmp_path)!r}, 'examples']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_gf9_example_pullbacks_match_scalar_substitution():
