@@ -96,6 +96,9 @@ def load_field(obj) -> Field:
         raise ConfigError("field: expected an object")
     try:
         if "q" in obj:
+            extra = [key for key in ("p", "k", "irreducible") if key in obj]
+            if extra:
+                raise ConfigError(f"field: q cannot be given with {', '.join(extra)}")
             return GF(_int(obj["q"], "field.q"))
         p = _int(obj["p"], "field.p")
         irreducible = obj.get("irreducible")
@@ -130,7 +133,9 @@ def load_set(F: Field, obj) -> CartesianSet:
                     F, _elements(F, c["elements"], f"{path}.elements")))
             else:
                 raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-        except (KeyError, FieldError) as e:
+        except KeyError as e:
+            raise ConfigError(f"{path}: missing key {e}") from e
+        except FieldError as e:
             raise ConfigError(f"{path}: {e}") from e
     if not comps:
         raise ConfigError("set.components: empty")

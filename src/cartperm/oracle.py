@@ -7,7 +7,10 @@ sequence over one (N, m, m + 1) uint16 array of augmented matrices [A | b]
 in the scan's base-q counter order.  Every kernel and report reads the
 array; AffineTransformation objects are built on demand, for the members,
 witnesses and counterexamples a report names.  Object lists from callers
-are packed once (_as_array).
+are packed once (_as_array).  The batched layers share one kernel of field
+arithmetic on element indices (_Kernel): in characteristic 2 an index holds
+the GF(2) coordinates as bits and a sum is their XOR; elsewhere a sum is a
+table lookup on a uint16 flat index (uint32 past q = 256).
 
 The scan is row-factored: T(S) = S for a Cartesian S forces each row of T to
 map S onto its component, so the q^(m+1) candidate rows are filtered once,
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -54,9 +58,12 @@ from .monomials import MonomialSet, divisors_of
 from .points import CartesianSet
 
 _CHUNK_CELLS = 4_000_000
-# the elimination and composition batches stay small: their int64 index
-# temporaries would otherwise raise the peak memory of a run
+# the elimination and composition batches stay small: the broadcast int64
+# indices of their products would otherwise raise the peak memory of a run
 _PAIR_CELLS = 1 << 16
+# the span route's chunks: its sums and scalings index the tables in uint16
+# (uint32 above q = 256), so a larger chunk costs little memory
+_SPAN_CELLS = 1 << 20
 
 
 def affine_space_size(F: Field, m: int) -> int:
@@ -83,7 +90,8 @@ def enumerate_all_affine(F: Field, m: int, budget=None, invertible_only=False):
 
 
 class _Kernel:
-    """Vectorized arithmetic over one field's lookup tables."""
+    """Vectorized arithmetic over one field's lookup tables; sums are XOR in
+    characteristic 2."""
 
     def __init__(self, F: Field):
         t = F.np_tables()
@@ -92,10 +100,19 @@ class _Kernel:
         self.add = t["add"]
         self.neg = t["neg"]
         self.inv = t["inv"]
+        # flat indices x * q + y < q * q fit the uint16 of the elements up
+        # to q = 256
+        self.ix = np.uint16 if F.q <= 256 else np.uint32
+        if F.p == 2:
+            self.vadd = np.bitwise_xor
+
+    def flat(self, x, y):
+        """The flat table index x * q + y."""
+        return x.astype(self.ix, copy=False) * self.q + y
 
     def vadd(self, x, y):
         # one flat index array: every sum has an operand of its full shape
-        return self.add.take(x.astype(np.int64) * self.q + y)
+        return self.add.take(self.flat(x, y))
 
     def vmul(self, x, y):
         # two broadcast index arrays: a product of a few maps by many points
@@ -155,9 +172,9 @@ def _as_array(maps, m=0):
         return maps.ab
     ts = list(maps)
     m = ts[0].m if ts else m
-    return np.concatenate([np.array([T.A for T in ts], dtype=np.uint16).reshape(len(ts), m, m),
-                           np.array([T.b for T in ts], dtype=np.uint16).reshape(len(ts), m, 1)],
-                          axis=2)
+    A = np.fromiter(chain.from_iterable(chain.from_iterable(T.A for T in ts)), np.uint16)
+    b = np.fromiter(chain.from_iterable(T.b for T in ts), np.uint16)
+    return np.concatenate([A.reshape(len(ts), m, m), b.reshape(len(ts), m, 1)], axis=2)
 
 
 def _row_keys(ab):
@@ -255,7 +272,7 @@ class _Forms:
     def _scale(self, c, P):
         # c[t] * P[t], one element index c[t] per map, by flat index: the
         # chunks keep the index array small
-        return self.kern.mul.take(c.astype(np.int64)[:, None] * self.kern.q + P)
+        return self.kern.mul.take(self.kern.flat(c[:, None], P))
 
     def _times_x(self, P, j):
         before, n, after = self.views[j]
@@ -296,7 +313,7 @@ def keeps_span(L, S: CartesianSet, maps):
     return _span_ok(_Kernel(S.field), L, S, _as_array(maps, S.m))
 
 
-def _span_ok(kern, L, S, ab, limit=_PAIR_CELLS, check=None):
+def _span_ok(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
     """Whether each map x -> Ax + b of an (N, m, m + 1) array [A | b] keeps
     the span of L: the reduced pullback modulo I(S) of every member of L, or
     of every member of the subset check, is supported on L.

@@ -433,6 +433,14 @@ def test_oracle_verify_scans_once(tmp_path, monkeypatch, cfg, family):
     (("field",), {"p": 2, "k": 3, "irreducible": [1, 2, 0, 1]},
      "field.irreducible[1]: expected an integer in 0..1, got 2"),
     (("budget",), -1, "budget: expected a nonnegative integer, got -1"),
+    (("field",), {"q": 16, "irreducible": [1, 1, 0, 0, 1]},
+     "field: q cannot be given with irreducible"),
+    (("field",), {"q": 9, "p": 3, "k": 2}, "field: q cannot be given with p, k"),
+    (("field",), {"q": 3, "k": 1}, "field: q cannot be given with k"),
+    (("set", "components", 0), {"kind": "add"}, "set.components[0]: missing key 'basis'"),
+    (("set", "components", 0), {"kind": "mult"}, "set.components[0]: missing key 'order'"),
+    (("set", "components", 0), {"kind": "explicit"},
+     "set.components[0]: missing key 'elements'"),
 ])
 def test_malformed_config_values(tmp_path, capsys, path, value, where):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -40,6 +40,9 @@ def test_sequence_protocol():
         stabs[432]
     assert T in stabs and stabs.index(T) == 5
     assert stabs.holds([T, AffineTransformation(F, [[1, 0], [0, 0]])]).tolist() == [True, False]
+    packed = oracle._as_array(list(stabs))
+    assert packed.dtype == np.uint16 and np.array_equal(packed, stabs.ab)
+    assert oracle._as_array([], 3).shape == (0, 3, 4)
 
 
 def test_scan_builds_no_objects(monkeypatch):

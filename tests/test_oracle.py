@@ -269,7 +269,7 @@ def span_batches(draw):
             b = [0] * m
         ts.append(AffineTransformation(F, A, b))
     ts.append(AffineTransformation.identity(F, m))
-    return S, L, ts, draw(st.sampled_from([1, 40, 400, oracle._PAIR_CELLS]))
+    return S, L, ts, draw(st.sampled_from([1, 40, 400, oracle._PAIR_CELLS, oracle._SPAN_CELLS]))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -279,6 +279,24 @@ def test_batched_span_matches_span_checker(batch):
     got = oracle._span_ok(oracle._Kernel(S.field), L, S, oracle._as_array(ts), limit)
     checker = SpanChecker(L, S)
     assert got.tolist() == [checker.check(T) for T in ts]
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(4), GF(16), GF(256), Field(2, 3, (1, 0, 1, 1)),
+                               GF(3), GF(9), GF(251), GF(257)], ids=repr)
+def test_kernel_matches_field_on_every_pair(F):
+    """Sums (XOR in characteristic 2, else a table lookup on a uint16 flat
+    index, uint32 past q = 256) and the scaling of the span route equal the
+    field's scalar arithmetic on all q^2 pairs."""
+    x, y = np.divmod(np.arange(F.q * F.q), F.q)
+    x, y = x.astype(np.uint16), y.astype(np.uint16)
+    kern = oracle._Kernel(F)
+    got = kern.vadd(x, y)
+    assert got.dtype == np.uint16
+    assert got.tolist() == [F.add_ix(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    S = CartesianSet([full_component(F)])
+    got = oracle._Forms(kern, S)._scale(x, y[:, None])
+    assert got.dtype == np.uint16
+    assert got.ravel().tolist() == [F.mul_ix(a, b) for a, b in zip(x.tolist(), y.tolist())]
 
 
 # the stabilizer lists of the drawn sets stay small enough to filter and to
