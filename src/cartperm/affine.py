@@ -37,6 +37,14 @@ class AffineTransformation:
         return cls(field, [[1 if i == j else 0 for j in range(m)] for i in range(m)])
 
     @classmethod
+    def of_ix(cls, field, A, b):
+        """The map of a tuple of row tuples A and a tuple b of element
+        indices, taken as they are: no entry is reduced or checked."""
+        T = object.__new__(cls)
+        T.field, T.m, T.A, T.b = field, len(A), A, b
+        return T
+
+    @classmethod
     def translation(cls, field, b):
         b = list(b)
         m = len(b)

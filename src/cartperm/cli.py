@@ -150,7 +150,7 @@ def load_monomials(obj, S: CartesianSet) -> MonomialSet:
         bound = _exponents(obj["bound"], "monomials.bound", [n + 1 for n in S.sizes])
     key = "generators" if "generators" in obj else "monomials"
     if key not in obj:
-        raise ConfigError("monomials: missing key 'monomials'")
+        raise ConfigError("monomials: missing key 'generators' or 'monomials'")
     monos = [_exponents(u, f"monomials.{key}[{i}]", bound)
              for i, u in enumerate(_list(obj[key], f"monomials.{key}"))]
     L = MonomialSet(S.m, monos, bound)

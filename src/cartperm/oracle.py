@@ -20,7 +20,8 @@ and one base point s_0 of it leaves the candidates c = t - s_0, t in A_i
 (_surviving_rows).  A product of surviving rows maps S onto S exactly when A
 is invertible, which one batched Gauss-Jordan elimination of [A | I | b]
 (_invert) tests.  The group-axioms check inverts with it too, and looks each
-inverse and product up among the members' sorted byte keys.  It decides
+inverse and product up among the members' sorted keys: [A | b] packed into
+a uint64 where it fits, its bytes otherwise (_row_keys).  It decides
 closure under composition by a certificate by generators
 (_closure_certificate): about g * |X| compositions, |X| <= log2 g, exact for
 every g.  Pairs are composed, in the order of the reference in
@@ -40,6 +41,13 @@ member as soon as its last row is chosen; a failing prefix is never
 extended.  A stabilizer list supplied by the caller is filtered by _span_ok
 instead.  The code route stays independent of both: a permuted generator
 matrix must have a zero residue against the row-reduced one.
+
+The two routes are compared on generators and coset representatives
+(two_route_agreement): point images come from per-coordinate position
+tables (_Images), the maps are joined into cosets of the span route's group
+by right multiplication with its generators (_cosets), and the code route
+runs on the generators and one map per coset.  Only when that does not
+certify agreement does it run on every map, to name the disagreements.
 """
 
 from __future__ import annotations
@@ -120,22 +128,6 @@ class _Kernel:
         return self.mul[x.astype(np.int64), y.astype(np.int64)]
 
 
-def _batch_images(kern, A, b, pts):
-    """img[t, pt, i] for a chunk of maps: row i of A[t] applied to each point
-    plus b[t, i]."""
-    prods = kern.vmul(A[:, None, :, :], pts[None, :, None, :])
-    acc = prods[..., 0]
-    for j in range(1, pts.shape[1]):
-        acc = kern.vadd(acc, prods[..., j])
-    return kern.vadd(acc, b[:, None, :])
-
-
-def _encode(codes, q):
-    m = codes.shape[-1]
-    weights = (q ** np.arange(m)).astype(np.int64)
-    return (codes.astype(np.int64) * weights).sum(axis=-1)
-
-
 def _chunks(total, cells, limit=_CHUNK_CELLS):
     """Index ranges covering range(total), each about limit / cells long."""
     step = max(1, limit // max(1, cells))
@@ -160,9 +152,18 @@ class AffineMaps(Sequence):
         M = self.ab[i].tolist()
         return AffineTransformation(self.field, [r[:-1] for r in M], [r[-1] for r in M])
 
+    def __iter__(self):
+        # one tolist for the whole array, whose entries are field indices
+        # already: no entry is normalised again
+        F = self.field
+        for M in self.ab.tolist():
+            yield AffineTransformation.of_ix(F, tuple(tuple(r[:-1]) for r in M),
+                                             tuple(r[-1] for r in M))
+
     def holds(self, transforms):
         """Whether each of the given maps is one of these maps."""
-        return _contains(_key_set(self.ab), _row_keys(_as_array(transforms, self.ab.shape[1])))
+        q, m = self.field.q, self.ab.shape[1]
+        return _contains(_key_set(self.ab, q), _row_keys(_as_array(transforms, m), q))
 
 
 def _as_array(maps, m=0):
@@ -177,17 +178,43 @@ def _as_array(maps, m=0):
     return np.concatenate([A.reshape(len(ts), m, m), b.reshape(len(ts), m, 1)], axis=2)
 
 
-def _row_keys(ab):
-    """One byte key per map of an (N, m, m + 1) array: its flattened entries
-    viewed as np.void, so that no integer key can overflow."""
-    flat = np.ascontiguousarray(ab).reshape(len(ab), ab.shape[1] * ab.shape[2])
-    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+def _row_keys(ab, q):
+    """One key per map of an (N, r, c) array of element indices of GF(q):
+    its r * c entries packed into a uint64, bit_length(q - 1) bits each, when
+    they fit (m = 3 up to q = 32); otherwise its flattened entries viewed as
+    np.void, whose generic compare is slower but never overflows."""
+    cells, bits = ab.shape[1] * ab.shape[2], max(1, (q - 1).bit_length())
+    flat = np.ascontiguousarray(ab).reshape(len(ab), cells)
+    if cells * bits <= 64:
+        weights = np.uint64(1) << np.arange(0, cells * bits, bits, dtype=np.uint64)
+        step = _PAIR_CELLS // cells + 1     # bounds the uint64 copy of the entries
+        return np.concatenate([flat[lo:lo + step].astype(np.uint64) @ weights
+                               for lo in range(0, len(flat), step)] + [np.empty(0, np.uint64)])
+    return flat.view(np.dtype((np.void, flat.itemsize * cells))).ravel()
 
 
-def _key_set(ab):
+def _starts(ordered):
+    """Whether each entry of a sorted array differs from the one before."""
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return new
+
+
+def _key_set(ab, q):
     """The distinct row keys, sorted (np.unique would import numpy.ma)."""
-    keys = np.sort(_row_keys(ab))
-    return keys[np.r_[True, keys[1:] != keys[:-1]][:len(keys)]]
+    keys = np.sort(_row_keys(ab, q))
+    return keys[_starts(keys)]
+
+
+def _distinct(keys):
+    """The index of the first occurrence of each distinct key, in key order,
+    and for each key the position of its own among them."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = _starts(ordered)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _lookup(sorted_keys, keys):
@@ -195,7 +222,10 @@ def _lookup(sorted_keys, keys):
     occurs there at all."""
     if len(sorted_keys) == 0:
         return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    # searchsorted walks sorted queries about twice as fast
+    order = np.argsort(keys)
+    pos = np.empty(len(keys), dtype=np.int64)
+    pos[order] = np.minimum(np.searchsorted(sorted_keys, keys[order]), len(sorted_keys) - 1)
     return pos, sorted_keys[pos] == keys
 
 
@@ -214,6 +244,18 @@ def _compose(kern, left, right):
         out = kern.vadd(out, prods[:, :, t])
     out[:, :, m] = kern.vadd(out[:, :, m], left[:, :, m])
     return out
+
+
+def _right_products(kern, xs, ss):
+    """x after s for every x of xs and every s of ss, (N, m, m + 1) arrays
+    [A | b], x-major: entry (i, j) of [A_x A_s | A_x b_s + b_x] sums over t
+    the columns s[t, j] of the multiplication table read at A_x[i, t]."""
+    m = xs.shape[1]
+    out = kern.mul[:, ss[:, 0]].take(xs[:, :, 0], axis=0)     # [x, row, s, col]
+    for t in range(1, m):
+        out = kern.vadd(out, kern.mul[:, ss[:, t]].take(xs[:, :, t], axis=0))
+    out[..., m] = kern.vadd(out[..., m], xs[:, :, m, None])
+    return out.transpose(0, 2, 1, 3).reshape(-1, m, m + 1)
 
 
 def _invert(kern, ab):
@@ -529,9 +571,9 @@ def _closure_certificate(kern, ab, keys):
     array x and the index s of a generator with x after s no member."""
     m = ab.shape[1]
     reached = np.zeros(len(keys), dtype=bool)
-    where = _lookup(keys, _row_keys(ab))[0]
+    where = _lookup(keys, _row_keys(ab, kern.q))[0]
     identity = np.eye(m, m + 1, dtype=np.uint16)[None]
-    reached[_lookup(keys, _row_keys(identity))[0]] = True
+    reached[_lookup(keys, _row_keys(identity, kern.q))[0]] = True
     elements, gens = [identity], []
 
     def step(xs, ss):
@@ -539,16 +581,15 @@ def _closure_certificate(kern, ab, keys):
         # each at its first occurrence and in pair order; or None and the
         # first pair whose product is no member
         new = [np.empty((0, m, m + 1), dtype=np.uint16)]
-        for k in _chunks(len(xs) * len(ss), m * m * (m + 1), _PAIR_CELLS):
-            i, j = np.divmod(k, len(ss))
-            prods = _compose(kern, xs[i], ab[ss[j]])
-            pos, hit = _lookup(keys, _row_keys(prods))
+        for k in _chunks(len(xs), m * m * (m + 1) * len(ss), _PAIR_CELLS):
+            prods = _right_products(kern, xs[k], ab[ss])
+            pos, hit = _lookup(keys, _row_keys(prods, kern.q))
             if not hit.all():
-                t = np.flatnonzero(~hit)[0]
-                return None, (xs[i[t]], int(ss[j[t]]))
+                i, j = np.divmod(np.flatnonzero(~hit)[0], len(ss))
+                return None, (xs[k[i]], int(ss[j]))
             fresh = np.flatnonzero(~reached[pos])
             fresh = fresh[np.argsort(pos[fresh], kind="stable")]
-            fresh = np.sort(fresh[np.r_[True, pos[fresh[1:]] != pos[fresh[:-1]]][:len(fresh)]])
+            fresh = np.sort(fresh[_starts(pos[fresh])])
             reached[pos[fresh]] = True
             new.append(prods[fresh])
         return np.concatenate(new), None
@@ -598,10 +639,10 @@ def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
     if g == 0:
         return report
     kern = _Kernel(F)
-    members = _key_set(ab)
+    members = _key_set(ab, F.q)
     for k in _chunks(g, m * (2 * m + 1), _PAIR_CELLS):
         inv, ok = _invert(kern, ab[k])
-        bad = np.flatnonzero(~(ok & _contains(members, _row_keys(inv))))
+        bad = np.flatnonzero(~(ok & _contains(members, _row_keys(inv, F.q))))
         if len(bad):
             report["closed_under_inverse"] = False
             report["witness"] = maps[k[bad[0]]].to_json()
@@ -617,7 +658,7 @@ def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
     rng = None if report["exhaustive"] else np.random.default_rng(seed)
     for k in _chunks(total, m * m * (m + 1), _PAIR_CELLS):
         i, j = np.divmod(k, g) if rng is None else rng.integers(0, g, size=(len(k), 2)).T
-        miss = np.flatnonzero(~_contains(members, _row_keys(_compose(kern, ab[i], ab[j]))))
+        miss = np.flatnonzero(~_contains(members, _row_keys(_compose(kern, ab[i], ab[j]), F.q)))
         if len(miss):
             t = miss[0]
             report["composition_pairs_checked"] = int(k[t]) + 1
@@ -648,48 +689,209 @@ def code_permutation_check(T: AffineTransformation, L, S, code=None) -> bool:
     return codes_equal(code, code.permute_columns(pi))
 
 
+class _Images:
+    """The point images of the maps of an (N, m, m + 1) array [A | b] on S,
+    by per-coordinate position tables.  Row i of a map sends the point x to
+    a_i.x + b_i; its position in the element order of the i-th component is
+    -1 when it lies outside.  The image of x is then the point index
+    sum_i pos_i * stride_i, in the itertools.product order of S.points_ix().
+    Each distinct row of a coordinate is evaluated once, over the box."""
+
+    def __init__(self, kern, S, ab):
+        self.rows, self.tables = [], []
+        for i, comp in enumerate(S.components):
+            first, inverse = _distinct(_row_keys(ab[:, i:i + 1], kern.q))
+            pos = np.full(kern.q, -1, dtype=np.int16 if kern.q <= 1 << 15 else np.int32)
+            pos[[x.ix for x in comp.elements]] = np.arange(comp.n)
+            table = np.concatenate(
+                [pos[self._values(kern, S, ab[first[k], i])] for k in _chunks(len(first), S.n)]
+                + [np.empty((0, S.n), dtype=pos.dtype)])
+            self.rows.append(inverse)
+            self.tables.append((table, math.prod(S.sizes[i + 1:])))
+
+    @staticmethod
+    def _values(kern, S, rows):
+        # a.x + c at every point x of S, for (R, m + 1) rows [a | c]: one
+        # broadcast axis per coordinate, flattened into point order
+        m, cells = S.m, (len(rows),) + (1,) * S.m
+        acc = rows[:, m].reshape(cells)
+        for j, comp in enumerate(S.components):
+            axis = np.array([x.ix for x in comp.elements], dtype=np.uint16).reshape(
+                (1,) + tuple(comp.n if k == j else 1 for k in range(m)))
+            acc = kern.vadd(acc, kern.vmul(rows[:, j].reshape(cells), axis))
+        return acc.reshape(len(rows), S.n)
+
+    def inside(self):
+        """Whether each map sends S into S: every row stays in its component."""
+        ok = True
+        for inverse, (table, _) in zip(self.rows, self.tables):
+            ok = ok & (table >= 0).all(axis=1)[inverse]
+        return ok
+
+    def __call__(self, t):
+        """The (len(t), n) image indices of the maps t, which send S into S."""
+        return sum(table[inverse[t]].astype(np.int64) * stride
+                   for inverse, (table, stride) in zip(self.rows, self.tables))
+
+
+def _stabilizer_images(kern, S, ab):
+    """The _Images of the maps of ab; a map that does not permute S raises
+    ValueError.  A map that sends S into S permutes it when A is invertible;
+    a singular one (possible only on a one-point component) must have
+    distinct image indices."""
+    images = _Images(kern, S, ab)
+    # one elimination per distinct linear part
+    first, inverse = _distinct(_row_keys(ab[:, :, :S.m], kern.q))
+    invertible = np.concatenate([_invert(kern, ab[first[k]])[1]
+                                 for k in _chunks(len(first), S.m * (2 * S.m + 1), _PAIR_CELLS)]
+                                + [np.zeros(0, dtype=bool)])[inverse]
+    ok = images.inside()
+    singular = np.flatnonzero(ok & ~invertible)
+    for k in _chunks(len(singular), S.n):
+        pi = np.sort(images(singular[k]), axis=1)
+        ok[singular[k]] = (pi == np.arange(S.n)).all(axis=1)
+    if not ok.all():
+        raise ValueError("transform stream contains a non-stabilizer")
+    return images
+
+
+class _CodeRoute:
+    """The code-level check: a map's induced permutation pi keeps the code of
+    L exactly when every permuted generator row G[:, pi] has a zero residue
+    against the row-reduced generator matrix."""
+
+    def __init__(self, kern, L, S):
+        self.kern = kern
+        code = build_code(L, S)
+        self.G = np.array([list(r) for r in code.rows], dtype=np.uint16).reshape(-1, S.n)
+        rref_rows, _, self.pivots = code.rref()
+        R = np.array([list(r) for r in rref_rows], dtype=np.uint16).reshape(-1, S.n)
+        # a word w lies in the code exactly when w = sum_r w[c_r] R[r] over the
+        # pivot columns c_r, i.e. when its residue w - sum_r w[c_r] R[r] is zero;
+        # that residue vanishes at the pivot columns, so only the free ones are
+        # kept.  minus[r, c] = -c R[r] on the free columns.
+        self.free = [c for c in range(S.n) if c not in self.pivots]
+        self.minus = kern.vmul(kern.neg[:, None], R[:, None, self.free])
+        self.cells = max(1, len(self.G)) * S.n
+
+    def accepts(self, images, t):
+        """Whether the code route accepts each of the maps t of images."""
+        ok = np.ones(len(t), dtype=bool)
+        for k in _chunks(len(t), self.cells):
+            pi = images(t[k])
+            # only the permuted columns the residue reads: (rows, maps, free)
+            residue = self.G[:, pi[:, self.free]]
+            for r, c in enumerate(self.pivots):
+                residue = self.kern.vadd(residue, self.minus[r][self.G[:, pi[:, c]]])
+            ok[k] = ~residue.any(axis=(0, 2))
+        return ok
+
+
+def _components(label, u, v):
+    """The least node of each node's connected component, in the graph on
+    range(len(label)) with the edges (u[k], v[k]) added to the components
+    that label already gives by their least nodes (np.arange for none).
+    Each pass hooks every root under the least root it meets across an edge,
+    then compresses the paths fully, so the labels are roots again; no pass
+    loops over components."""
+    while True:
+        ru, rv = label[u], label[v]
+        if (ru == rv).all():
+            return label
+        low = np.minimum(ru, rv)
+        np.minimum.at(label, ru, low)
+        np.minimum.at(label, rv, low)
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+
+
+def _cosets(kern, ab, span_ok):
+    """Generators of the maps the span route accepts, and a component label
+    per map: the components of the graph on the maps of ab that joins each
+    map x to x after s for every generator s, and equal maps to each other;
+    a label is the first map of its component, in input order.  None when
+    the identity is not a map the span route accepts.
+
+    The generators are picked in rounds, with no loop per coset: the first
+    accepted map outside the identity's component becomes one, every map is
+    multiplied by it, and the components are updated, until that component
+    holds every accepted map.  When the accepted maps H form a group and ab
+    is a union of left cosets gH, the components are those cosets; otherwise
+    a coset may split into several components, and never two cosets share
+    one.  Returns (generators, labels, the identity's index)."""
+    q, m, n = kern.q, ab.shape[1], len(ab)
+    identity = np.flatnonzero((ab == np.eye(m, m + 1, dtype=np.uint16)).all(axis=(1, 2)))
+    if not (len(identity) and span_ok[identity[0]]):
+        return None
+    anchor = identity[0]
+    keys = _row_keys(ab, q)
+    first, inverse = _distinct(keys)
+    keys = keys[first]
+    # the labels of the components so far are a valid start for the next
+    # round, which then needs only the new generator's edges
+    label = _components(np.arange(n), np.arange(n), first[inverse])
+    gens = []
+    while True:
+        left = np.flatnonzero(span_ok & (label != label[anchor]))
+        if not len(left):
+            return np.array(gens, dtype=np.int64), label, anchor
+        gens.append(left[0])
+        u, v = [], []
+        for k in _chunks(n, m * m * (m + 1), _PAIR_CELLS):
+            pos, hit = _lookup(keys, _row_keys(_right_products(kern, ab[k], ab[left[:1]]), q))
+            u.append(k[hit])
+            v.append(first[pos[hit]])
+        label = _components(label, np.concatenate(u), np.concatenate(v))
+
+
+def _routes_certified(kern, code, images, ab, span_ok):
+    """Whether the code route accepts exactly the maps the span route
+    accepts, decided on generators and coset representatives (_cosets).
+
+    The induced permutations compose as the maps do, and the code route
+    accepts a group of permutations.  So when it accepts the generators, it
+    accepts every map of the identity's component, whose permutation is a
+    product of theirs and their inverses: there must be no rejected map in
+    that component, and then every accepted map is there.  Any other
+    component is r times such products, r its first map, so the code route
+    rejects all of it when it rejects r (Seress 2003; Butler 1991)."""
+    found = _cosets(kern, ab, span_ok)
+    if found is None:
+        return False
+    gens, label, anchor = found
+    inner = label == label[anchor]
+    if (inner & ~span_ok).any():
+        return False
+    reps = np.flatnonzero((label == np.arange(len(ab))) & ~inner)
+    code_ok = code.accepts(images, np.concatenate([gens, reps]))
+    return bool(code_ok[:len(gens)].all() and not code_ok[len(gens):].any())
+
+
 def two_route_agreement(L, S, transforms=None, budget=None):
     """Compare the monomial-span condition with the code-level permutation
-    check on every stabilizing map; returns (agree, disagreements)."""
-    F, m = S.field, S.m
-    all_ab = _as_array(oracle_stabilizers(S, budget) if transforms is None else transforms, m)
-    kern = _Kernel(F)
-    pts = np.array(S.points_ix(), dtype=np.uint16)
-    pt_codes = _encode(pts, F.q)
-    order = np.argsort(pt_codes)
-    sorted_codes = pt_codes[order]
-    code = build_code(L, S)
-    G = np.array([list(r) for r in code.rows], dtype=np.uint16).reshape(-1, S.n)
-    rref_rows, _, pivots = code.rref()
-    R = np.array([list(r) for r in rref_rows], dtype=np.uint16).reshape(-1, S.n)
-    # a word w lies in the code exactly when w = sum_r w[c_r] R[r] over the
-    # pivot columns c_r, i.e. when its residue w - sum_r w[c_r] R[r] is zero;
-    # that residue vanishes at the pivot columns, so only the free ones are
-    # kept.  minus[r, c] = -c R[r] on the free columns.
-    free = [c for c in range(S.n) if c not in pivots]
-    minus = kern.vmul(kern.neg[:, None], R[:, None, free])
+    check on every stabilizing map; returns (agree, disagreements), the maps
+    on which the routes differ, in input order.
 
-    span_ok = _span_ok(kern, L, S, all_ab)
-    disagreements = []
-    for k in _chunks(len(all_ab), S.n * m * m):
-        A, b = all_ab[k, :, :m], all_ab[k, :, m]
-        img_codes = _encode(_batch_images(kern, A, b, pts), F.q)
-        # the images permute S exactly when their sorted codes are S's
-        if (np.sort(img_codes, axis=1) != sorted_codes).any():
-            raise ValueError("transform stream contains a non-stabilizer")
-        pos = np.searchsorted(sorted_codes, img_codes)
-        pi = order[pos]                       # pi[t, idx] = index of image of point idx
-        Gp = np.transpose(G[:, pi], (1, 0, 2))  # (N, k, n) permuted generators
-        residue = Gp[:, :, free]
-        for r, c in enumerate(pivots):
-            residue = kern.vadd(residue, minus[r][Gp[:, :, c]])
-        code_ok = ~residue.any(axis=(1, 2))
-        for t in np.flatnonzero(span_ok[k] != code_ok):
-            disagreements.append({
-                "T": AffineMaps(F, all_ab)[k[t]].to_json(),
-                "span_route": bool(span_ok[k[t]]),
-                "code_route": bool(code_ok[t]),
-            })
+    Both routes decide membership in a group, so the code route runs only
+    on the generators of the span route's group and on one representative
+    of each of its other cosets (_routes_certified: Seress 2003; Butler
+    1991).  Only when that fails to certify does it run on every map, to
+    name the disagreements."""
+    F = S.field
+    ab = _as_array(oracle_stabilizers(S, budget) if transforms is None else transforms, S.m)
+    kern = _Kernel(F)
+    code = _CodeRoute(kern, L, S)
+    span_ok = _span_ok(kern, L, S, ab)
+    images = _stabilizer_images(kern, S, ab)
+    if _routes_certified(kern, code, images, ab, span_ok):
+        return True, []
+    code_ok = code.accepts(images, np.arange(len(ab)))
+    disagreements = [{"T": AffineMaps(F, ab)[t].to_json(), "span_route": bool(span_ok[t]),
+                      "code_route": bool(code_ok[t])}
+                     for t in np.flatnonzero(span_ok != code_ok)]
     return (not disagreements, disagreements)
 
 
@@ -734,11 +936,12 @@ def verify_characterization(family, S, budget=None, label="",
     oracle = AffineMaps(S.field, _as_array(
         oracle_stabilizers(S, budget) if stabilizers is None else stabilizers, S.m))
     fam = AffineMaps(S.field, _as_array(family.members(budget), S.m))
-    okeys, fkeys = _key_set(oracle.ab), _key_set(fam.ab)
+    q = S.field.q
+    okeys, fkeys = _key_set(oracle.ab, q), _key_set(fam.ab, q)
     counterexamples = []
     for maps, others, reason in ((oracle, fkeys, "oracle-only"), (fam, okeys, "family-only")):
         # the first map, in its own order, that the other side lacks
-        miss = np.flatnonzero(~_contains(others, _row_keys(maps.ab)))
+        miss = np.flatnonzero(~_contains(others, _row_keys(maps.ab, q)))
         if len(miss):
             counterexamples.append({"T": maps[miss[0]].to_json(), "reason": reason})
     relation = "equal" if not counterexamples else "violation"
@@ -751,11 +954,12 @@ def verify_containment(members, L, S, budget=None, label="",
     """Every emitted transformation must lie in the oracle's affine
     permutation group of the code of L on S."""
     group = oracle_affine_perm_group(L, S, budget, stabilizers=stabilizers)
-    gkeys = _key_set(group.ab)
+    q = S.field.q
+    gkeys = _key_set(group.ab, q)
     emitted = AffineMaps(S.field, _as_array(members, S.m))
     counterexamples = [{"T": emitted[t].to_json(), "reason": "not-in-oracle-group"}
-                       for t in np.flatnonzero(~_contains(gkeys, _row_keys(emitted.ab)))]
+                       for t in np.flatnonzero(~_contains(gkeys, _row_keys(emitted.ab, q)))]
     # equal when the distinct members (all in the group) are as many as it
     relation = "violation" if counterexamples else (
-        "equal" if len(_key_set(emitted.ab)) == len(gkeys) else "family-subset")
+        "equal" if len(_key_set(emitted.ab, q)) == len(gkeys) else "family-subset")
     return VerificationReport(label, relation, len(gkeys), len(emitted), counterexamples)

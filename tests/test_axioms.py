@@ -284,7 +284,7 @@ def test_closure_certificate_matches_pairwise_reference(case):
     if not (rep["has_identity"] and all(T.is_invertible() for T in ts)):
         return
     ab = oracle._as_array(ts)
-    keys = oracle._key_set(ab)
+    keys = oracle._key_set(ab, F.q)
     closed, gens, witness = oracle._closure_certificate(oracle._Kernel(F), ab, keys)
     assert closed == rep["closed_under_composition"]
     if witness is not None:
@@ -339,7 +339,7 @@ def test_gf16_code_group_is_certified():
     group = oracle._group_search(L, S)
     assert len(group) == 3600
     kern = oracle._Kernel(F)
-    closed, gens, _ = oracle._closure_certificate(kern, group, oracle._key_set(group))
+    closed, gens, _ = oracle._closure_certificate(kern, group, oracle._key_set(group, F.q))
     assert closed and len(gens) <= 11
     rep = group_axioms_report(F, oracle.AffineMaps(F, group))
     assert rep == {"size": 3600, "has_identity": True, "closed_under_inverse": True,

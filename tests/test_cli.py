@@ -441,6 +441,8 @@ def test_oracle_verify_scans_once(tmp_path, monkeypatch, cfg, family):
     (("set", "components", 0), {"kind": "mult"}, "set.components[0]: missing key 'order'"),
     (("set", "components", 0), {"kind": "explicit"},
      "set.components[0]: missing key 'elements'"),
+    (("monomials",), {"closure": [[1, 0]]},
+     "monomials: missing key 'generators' or 'monomials'"),
 ])
 def test_malformed_config_values(tmp_path, capsys, path, value, where):
     cfg = json.loads(json.dumps(BASE_CONFIG))
