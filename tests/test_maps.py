@@ -48,21 +48,30 @@ def test_sequence_protocol():
 def test_scan_builds_no_objects(monkeypatch):
     """The scan and the group of the GF(16) additive triple stay arrays:
     no AffineTransformation is built for the 24,576 stabilizers or the
-    192 group members until one is read."""
+    192 group members until one is read, by __init__ or by of_ix (which
+    iteration uses)."""
     built = []
     init = AffineTransformation.__init__
+    of_ix = AffineTransformation.of_ix.__func__
 
     def counted(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
+    def counted_of_ix(cls, *args, **kwargs):
+        built.append(1)
+        return of_ix(cls, *args, **kwargs)
+
     monkeypatch.setattr(AffineTransformation, "__init__", counted)
+    monkeypatch.setattr(AffineTransformation, "of_ix", classmethod(counted_of_ix))
     F, S, L = gf16_triple()
     stabs = oracle_stabilizers(S)
     group = oracle_affine_perm_group(L, S, stabilizers=stabs)
     assert (len(stabs), len(group), len(built)) == (24576, 192, 0)
     group[0]
     assert len(built) == 1
+    next(iter(group))
+    assert len(built) == 2
 
 
 class ListFamily:

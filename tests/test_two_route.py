@@ -157,6 +157,38 @@ def test_broken_span_route_is_named_like_the_reference(name, monkeypatch):
         monkeypatch.undo()
 
 
+def test_coset_rounds_stop_when_they_do_not_double():
+    # translations of GF(7), all accepted: the rounds' components hold the
+    # subgroup generated so far, which a group at least doubles each round
+    F = GF(7)
+    kern = oracle._Kernel(F)
+
+    def rounds(shifts):
+        ab = oracle._as_array([AffineTransformation.translation(F, [c]) for c in shifts])
+        return oracle._cosets(kern, ab, np.ones(len(ab), dtype=bool))
+
+    # the group, its identity repeated: one generator, one component
+    gens, label, anchor = rounds([0, 0, 0, 1, 2, 3, 4, 5, 6])
+    assert (gens.tolist(), set(label.tolist()), anchor) == ([3], {0}, 0)
+    # {0, 1, 3} is no group: the second round joins 3 alone, 2 maps to 3
+    assert rounds([0, 1, 3]) is None
+    maps = [AffineTransformation.translation(F, [c]) for c in [0, 1, 3]]
+    S = CartesianSet([full_component(F)])
+    L = MonomialSet(1, [(0,)], bound=S.sizes)
+    assert two_route_agreement(L, S, maps) == per_map_reference(L, S, maps) == (True, [])
+
+
+@pytest.mark.parametrize("q, m", [(2, 3), (4, 2), (7, 1), (16, 3)])
+def test_right_products_match_compose(q, m):
+    kern = oracle._Kernel(GF(q))
+    rng = np.random.default_rng(q)
+    xs = rng.integers(0, q, (50, m, m + 1)).astype(np.uint16)
+    for ss in (xs[:1], xs[3:7]):
+        i, j = np.divmod(np.arange(len(xs) * len(ss)), len(ss))
+        want = oracle._compose(kern, xs[i], ss[j])
+        assert (oracle._right_products(kern, xs, ss) == want).all()
+
+
 def test_components_match_a_union_find():
     rng = np.random.default_rng(7)
     for n, e in [(1, 0), (10, 3), (50, 40), (300, 200), (300, 900)]:
