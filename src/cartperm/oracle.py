@@ -27,11 +27,18 @@ closure under composition by a certificate by generators
 every g.  Pairs are composed, in the order of the reference in
 tests/test_axioms.py, only to name a non-group's first failing pair.
 
-The span route is one batched kernel (_span_ok): reduced pullbacks as
+The span route is one batched kernel (_span_scan): reduced pullbacks as
 coefficient arrays over the box basis of F[x]/I(S), built by shift-and-reduce
 along the divisor closure of L (_Forms, shared with reduced_pullbacks);
 affine.SpanChecker is its scalar reference and the witness finder of
-membership_report.
+membership_report.  Every caller goes through _span_ok, which memoizes the
+verdicts of a check of all of L; the point images of the code route
+(_stabilizer_images) share that memo (_memo).  A record per map array, the
+few most recent ones, is keyed by the array's dtype, shape and exact bytes;
+it holds the images by the point set S, and the verdicts by S and the
+members of L, the few most recent of each.  So oracle_affine_perm_group and
+two_route_agreement over one stabilizer list run the span kernel once, and
+a caller that replaces _span_ok still sees its replacement.
 
 The code group never needs the stabilizer list: the pullback of x^u reads
 only the rows i with u_i > 0, so a row-prefix search (_group_search) filters
@@ -72,6 +79,10 @@ _PAIR_CELLS = 1 << 16
 # the span route's chunks: its sums and scalings index the tables in uint16
 # (uint32 above q = 256), so a larger chunk costs little memory
 _SPAN_CELLS = 1 << 20
+# the memo of span verdicts and point images: the most recent map arrays,
+# and for each the most recent point sets and monomial sets
+_MEMO_ARRAYS = 4
+_MEMO_ENTRIES = 8
 
 
 def affine_space_size(F: Field, m: int) -> int:
@@ -153,12 +164,11 @@ class AffineMaps(Sequence):
         return AffineTransformation(self.field, [r[:-1] for r in M], [r[-1] for r in M])
 
     def __iter__(self):
-        # one tolist for the whole array, whose entries are field indices
-        # already: no entry is normalised again
-        F = self.field
-        for M in self.ab.tolist():
-            yield AffineTransformation.of_ix(F, tuple(tuple(r[:-1]) for r in M),
-                                             tuple(r[-1] for r in M))
+        # one tolist for the A blocks and one for the b columns, whose entries
+        # are field indices already: no entry is normalised again
+        F, m = self.field, self.ab.shape[1]
+        for A, b in zip(self.ab[:, :, :m].tolist(), map(tuple, self.ab[:, :, m].tolist())):
+            yield AffineTransformation.of_ix(F, tuple(map(tuple, A)), b)
 
     def holds(self, transforms):
         """Whether each of the given maps is one of these maps."""
@@ -358,7 +368,47 @@ def keeps_span(L, S: CartesianSet, maps):
     return _span_ok(_Kernel(S.field), L, S, _as_array(maps, S.m))
 
 
+class _Recent:
+    """A map of at most bound entries that drops the least recently used."""
+
+    def __init__(self, bound):
+        self.bound, self.entries = bound, {}
+
+    def get(self, key, make):
+        """The entry of key, made by make() when absent; it becomes the most
+        recent."""
+        value = self.entries.pop(key) if key in self.entries else make()
+        self.entries[key] = value
+        if len(self.entries) > self.bound:
+            del self.entries[next(iter(self.entries))]
+        return value
+
+
+_MEMO = _Recent(_MEMO_ARRAYS)
+
+
+def _memo(ab):
+    """The memo record of a map array, keyed by its dtype, shape and exact
+    bytes (the one copy of them the memo keeps): the point images of its
+    maps by point set S, and their span verdicts by S and the members of L,
+    each a _Recent of _MEMO_ENTRIES."""
+    return _MEMO.get((ab.dtype.str, ab.shape, ab.tobytes()),
+                     lambda: (_Recent(_MEMO_ENTRIES), _Recent(_MEMO_ENTRIES)))
+
+
 def _span_ok(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
+    """Whether each map of an (N, m, m + 1) array [A | b] keeps the span of
+    L, by the batched kernel _span_scan.  A check of every member of L in
+    the default chunks is memoized (_memo) and returns a fresh mask, which
+    a caller may change; a subset check (check given, as in _group_search)
+    and other chunks run the kernel."""
+    if check is not None or limit != _SPAN_CELLS:
+        return _span_scan(kern, L, S, ab, limit, check)
+    members = frozenset(getattr(L, "monomials", L))
+    return _memo(ab)[1].get((S, members), lambda: _span_scan(kern, members, S, ab)).copy()
+
+
+def _span_scan(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
     """Whether each map x -> Ax + b of an (N, m, m + 1) array [A | b] keeps
     the span of L: the reduced pullback modulo I(S) of every member of L, or
     of every member of the subset check, is supported on L.
@@ -738,10 +788,16 @@ class _Images:
 
 
 def _stabilizer_images(kern, S, ab):
-    """The _Images of the maps of ab; a map that does not permute S raises
-    ValueError.  A map that sends S into S permutes it when A is invertible;
-    a singular one (possible only on a one-point component) must have
-    distinct image indices."""
+    """The _Images of the maps of ab, memoized by S (_memo); a map that does
+    not permute S raises ValueError (_checked_images)."""
+    return _memo(ab)[0].get(S, lambda: _checked_images(kern, S, ab))
+
+
+def _checked_images(kern, S, ab):
+    """The _Images of the maps of ab, each checked to permute S.  A map that
+    sends S into S permutes it when A is invertible; a singular one
+    (possible only on a one-point component) must have distinct image
+    indices."""
     images = _Images(kern, S, ab)
     # one elimination per distinct linear part
     first, inverse = _distinct(_row_keys(ab[:, :, :S.m], kern.q))
