@@ -33,12 +33,12 @@ along the divisor closure of L (_Forms, shared with reduced_pullbacks);
 affine.SpanChecker is its scalar reference and the witness finder of
 membership_report.  Every caller goes through _span_ok, which memoizes the
 verdicts of a check of all of L; the point images of the code route
-(_stabilizer_images) share that memo (_memo).  A record per map array, the
-few most recent ones, is keyed by the array's dtype, shape and exact bytes;
-it holds the images by the point set S, and the verdicts by S and the
-members of L, the few most recent of each.  So oracle_affine_perm_group and
-two_route_agreement over one stabilizer list run the span kernel once, and
-a caller that replaces _span_ok still sees its replacement.
+(_stabilizer_images) share that memo (_last).  It holds one map array,
+the last one seen, keyed by its dtype, shape and exact bytes: its images
+for the last point set S, and its verdicts for the last S and members of L.
+So oracle_affine_perm_group and two_route_agreement over one stabilizer
+list run the span kernel once, later draws of L on that list reuse its
+images, and a caller that replaces _span_ok still sees its replacement.
 
 The code group never needs the stabilizer list: the pullback of x^u reads
 only the rows i with u_i > 0, so a row-prefix search (_group_search) filters
@@ -79,10 +79,6 @@ _PAIR_CELLS = 1 << 16
 # the span route's chunks: its sums and scalings index the tables in uint16
 # (uint32 above q = 256), so a larger chunk costs little memory
 _SPAN_CELLS = 1 << 20
-# the memo of span verdicts and point images: the most recent map arrays,
-# and for each the most recent point sets and monomial sets
-_MEMO_ARRAYS = 4
-_MEMO_ENTRIES = 8
 
 
 def affine_space_size(F: Field, m: int) -> int:
@@ -368,44 +364,38 @@ def keeps_span(L, S: CartesianSet, maps):
     return _span_ok(_Kernel(S.field), L, S, _as_array(maps, S.m))
 
 
-class _Recent:
-    """A map of at most bound entries that drops the least recently used."""
+class _Last:
+    """The memo of the span route and the point images: the key of the last
+    map array, (dtype, shape, exact bytes), with its _Images for the last
+    point set and its span verdicts for the last point set and members of L."""
 
-    def __init__(self, bound):
-        self.bound, self.entries = bound, {}
-
-    def get(self, key, make):
-        """The entry of key, made by make() when absent; it becomes the most
-        recent."""
-        value = self.entries.pop(key) if key in self.entries else make()
-        self.entries[key] = value
-        if len(self.entries) > self.bound:
-            del self.entries[next(iter(self.entries))]
-        return value
+    key = images = span = None
 
 
-_MEMO = _Recent(_MEMO_ARRAYS)
+_LAST = _Last()
 
 
-def _memo(ab):
-    """The memo record of a map array, keyed by its dtype, shape and exact
-    bytes (the one copy of them the memo keeps): the point images of its
-    maps by point set S, and their span verdicts by S and the members of L,
-    each a _Recent of _MEMO_ENTRIES."""
-    return _MEMO.get((ab.dtype.str, ab.shape, ab.tobytes()),
-                     lambda: (_Recent(_MEMO_ENTRIES), _Recent(_MEMO_ENTRIES)))
+def _last(ab):
+    """The memo for ab, emptied first when ab is not the last map array."""
+    key = (ab.dtype.str, ab.shape, ab.tobytes())
+    if _LAST.key != key:
+        _LAST.key, _LAST.images, _LAST.span = key, None, None
+    return _LAST
 
 
 def _span_ok(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
     """Whether each map of an (N, m, m + 1) array [A | b] keeps the span of
     L, by the batched kernel _span_scan.  A check of every member of L in
-    the default chunks is memoized (_memo) and returns a fresh mask, which
+    the default chunks is memoized (_last) and returns a fresh mask, which
     a caller may change; a subset check (check given, as in _group_search)
     and other chunks run the kernel."""
     if check is not None or limit != _SPAN_CELLS:
         return _span_scan(kern, L, S, ab, limit, check)
     members = frozenset(getattr(L, "monomials", L))
-    return _memo(ab)[1].get((S, members), lambda: _span_scan(kern, members, S, ab)).copy()
+    last = _last(ab)
+    if last.span is None or last.span[0] != (S, members):
+        last.span = ((S, members), _span_scan(kern, members, S, ab))
+    return last.span[1].copy()
 
 
 def _span_scan(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
@@ -788,9 +778,12 @@ class _Images:
 
 
 def _stabilizer_images(kern, S, ab):
-    """The _Images of the maps of ab, memoized by S (_memo); a map that does
-    not permute S raises ValueError (_checked_images)."""
-    return _memo(ab)[0].get(S, lambda: _checked_images(kern, S, ab))
+    """The _Images of the maps of ab, memoized for the last S (_last); a map
+    that does not permute S raises ValueError (_checked_images)."""
+    last = _last(ab)
+    if last.images is None or last.images[0] != S:
+        last.images = (S, _checked_images(kern, S, ab))
+    return last.images[1]
 
 
 def _checked_images(kern, S, ab):

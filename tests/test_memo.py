@@ -1,8 +1,8 @@
-"""The memo of span verdicts and point images (oracle._memo): a hit equals
-a cold run of the kernels, every point set and monomial set has its own
-entry, returned masks are fresh, the memo stays within its bounds, and
-cartperm verify and the sweep's pair of calls run the span kernel once over
-the stabilizers."""
+"""The memo of span verdicts and point images (oracle._last): a hit equals
+a cold run of the kernels, every point set and monomial set gets its own
+verdict, returned masks are fresh, the memo holds the last map array only,
+and cartperm verify and the sweep's pair of calls run the span kernel once
+over the stabilizers."""
 
 import importlib.util
 import json
@@ -33,7 +33,7 @@ SWEEP_SETS = {
 @pytest.fixture(autouse=True)
 def fresh_memo(monkeypatch):
     """An empty memo for each test, put back afterwards."""
-    monkeypatch.setattr(oracle, "_MEMO", oracle._Recent(oracle._MEMO_ARRAYS))
+    monkeypatch.setattr(oracle, "_LAST", oracle._Last())
 
 
 def kernel_calls(monkeypatch):
@@ -46,6 +46,19 @@ def kernel_calls(monkeypatch):
         return scan(kern, L, S, ab, limit, check)
 
     monkeypatch.setattr(oracle, "_span_scan", counted)
+    return calls
+
+
+def image_builds(monkeypatch):
+    """The len(ab) of every call of the unmemoized images builder."""
+    calls = []
+    build = oracle._checked_images
+
+    def counted(kern, S, ab):
+        calls.append(len(ab))
+        return build(kern, S, ab)
+
+    monkeypatch.setattr(oracle, "_checked_images", counted)
     return calls
 
 
@@ -77,6 +90,7 @@ def test_hit_equals_cold_call(name, monkeypatch):
     stabs = oracle_stabilizers(S)
     listed = list(stabs)
     calls = kernel_calls(monkeypatch)
+    builds = image_builds(monkeypatch)
     for L in sweep_draws(S, count, name):
         want = cold_span(S, L, stabs.ab)
         del calls[:]
@@ -88,6 +102,9 @@ def test_hit_equals_cold_call(name, monkeypatch):
             == list(oracle_affine_perm_group(L, S, stabilizers=stabs)) \
             == list(AffineMaps(S.field, stabs.ab[want]))
         assert calls == [(len(stabs), None)]
+        assert two_route_agreement(L, S, listed) == (True, [])
+    # the draws on one list share its images
+    assert builds == [len(stabs)]
     cold = oracle._checked_images(kern, S, stabs.ab)
     for maps in (stabs, listed):
         images = oracle._stabilizer_images(kern, S, oracle._as_array(maps, S.m))
@@ -109,14 +126,20 @@ def test_each_point_set_and_monomial_set_has_its_own_entry():
     # 36 of the 144 maps keep L1 on GF(4)^2, all of them on GF(4) x mu3,
     # and 36 keep L2 there
     assert [int(w.sum()) for w in wants.values()] == [36, 36, 144, 36]
+    # one array under each point set and each monomial set in turn: the same
+    # members under another S, and another L under the same S
     for _ in range(2):
-        for (S, L), want in wants.items():
-            assert np.array_equal(oracle._span_ok(kern, L, S, ab), want)
-    images = {S: oracle._stabilizer_images(kern, S, ab) for S in (full, torus)}
-    assert images[full] is not images[torus]
-    for S in (full, torus):
-        assert oracle._stabilizer_images(kern, S, ab) is images[S]
-        assert same_images(images[S], oracle._checked_images(kern, S, ab), len(ab))
+        for L in (L1, L2):
+            for S in (full, torus):
+                assert np.array_equal(oracle._span_ok(kern, L, S, ab), wants[S, L])
+        for S in (full, torus):
+            for L in (L1, L2):
+                assert np.array_equal(oracle._span_ok(kern, L, S, ab), wants[S, L])
+    images = {}
+    for _ in range(2):
+        for S in (full, torus):
+            images[S] = oracle._stabilizer_images(kern, S, ab)
+            assert same_images(images[S], oracle._checked_images(kern, S, ab), len(ab))
     assert not np.array_equal(images[full](np.arange(len(ab))),
                               images[torus](np.arange(len(ab))))
 
@@ -137,33 +160,34 @@ def test_returned_masks_are_fresh():
         == int(want.sum()) == 72
 
 
-def test_memo_stays_within_its_bounds(monkeypatch):
+def test_memo_holds_the_last_array_only(monkeypatch):
     S = CartesianSet([full_component(GF(4))] * 2)
     stabs = oracle_stabilizers(S)
     kern = oracle._Kernel(S.field)
     draws = [divisibility_closure(MonomialSet(2, [u], bound=S.sizes))
              for u in np.ndindex(*S.sizes)]
-    assert len(set(draws)) > oracle._MEMO_ENTRIES
     calls = kernel_calls(monkeypatch)
-    # many monomial sets over one array
+    # many monomial sets over one array: the verdict of the last one is kept
     for L in draws:
         assert np.array_equal(oracle._span_ok(kern, L, S, stabs.ab), cold_span(S, L, stabs.ab))
-    images, spans = oracle._memo(stabs.ab)
-    assert len(oracle._MEMO.entries) == 1
-    assert len(spans.entries) == oracle._MEMO_ENTRIES
-    # many arrays: the oldest are dropped, and run the kernel again
+    assert oracle._LAST.span[0] == (S, frozenset(draws[-1].monomials))
+    del calls[:]
+    oracle._span_ok(kern, draws[-1], S, stabs.ab)
+    oracle._span_ok(kern, draws[0], S, stabs.ab)
+    assert calls == [(len(stabs), None)]
+    # many arrays: only the last one's bytes are kept, and an earlier one
+    # runs the kernel again
     L = draws[0]
-    for k in range(3 * oracle._MEMO_ARRAYS):
+    for k in range(12):
         sub = stabs.ab[k:k + 100]
         assert np.array_equal(oracle._span_ok(kern, L, S, sub), cold_span(S, L, sub))
         oracle._stabilizer_images(kern, S, sub)
-        assert len(oracle._MEMO.entries) <= oracle._MEMO_ARRAYS
-    assert all(len(images.entries) <= oracle._MEMO_ENTRIES and len(spans.entries) <= 1
-               for images, spans in oracle._MEMO.entries.values())
+        assert oracle._LAST.key == (sub.dtype.str, sub.shape, sub.tobytes())
     del calls[:]
+    oracle._span_ok(kern, L, S, stabs.ab[11:111])
     oracle._span_ok(kern, L, S, stabs.ab[:100])
-    oracle._span_ok(kern, L, S, stabs.ab[3 * oracle._MEMO_ARRAYS - 1:][:100])
     assert calls == [(100, None)]
+    assert oracle._LAST.images is None
 
 
 def test_subset_checks_and_other_chunks_bypass_the_memo(monkeypatch):
@@ -175,7 +199,7 @@ def test_subset_checks_and_other_chunks_bypass_the_memo(monkeypatch):
     for _ in range(2):
         oracle._span_ok(kern, L, S, ab, check=[(1, 1)])
         oracle._span_ok(kern, L, S, ab, 40)
-    assert len(calls) == 4 and not oracle._MEMO.entries
+    assert len(calls) == 4 and oracle._LAST.key is None
 
 
 def full_list_runs(calls, n):
