@@ -25,9 +25,9 @@ from .monomials import (
     has_borel_property, is_decreasing, p_borel_graph,
 )
 from .oracle import (
-    AffineMaps, group_axioms_report, keeps_span, oracle_affine_perm_group,
-    oracle_stabilizers, reduced_pullbacks, two_route_agreement,
-    verify_characterization,
+    AffineMaps, _as_array, group_axioms_report, keeps_span,
+    oracle_affine_perm_group, oracle_stabilizers, reduced_pullbacks,
+    two_route_agreement, verify_characterization,
 )
 from .points import (
     ADD, FULL, MULT, CartesianSet, additive_component, classify_subset,
@@ -285,7 +285,8 @@ def task_oracle_verify(F, S, L, budget, seed):
             except (FieldError, ValueError):
                 claimed = None
             if claimed is not None:
-                members = list(claimed.members(budget))
+                # packed, so indexing works on whatever iterable members() gives
+                members = AffineMaps(F, _as_array(claimed.members(budget), S.m))
                 inside = group.holds(members)
                 counterexamples = [membership_report(members[t], L, S)
                                    for t in np.flatnonzero(~inside)[:3]]
@@ -435,9 +436,9 @@ def example_scaled_line():
     stabs = oracle_stabilizers(S)
     fam = AdditivePowerFamily(S)
     _assert(asr, "twelve-maps", len(stabs) == 12 and fam.count() == 12)
-    members = set(fam.members())        # the scan lists each map once
+    members = AffineMaps(F, _as_array(fam.members(), S.m))
     _assert(asr, "family-equals-oracle",
-            len(members) == len(stabs) and stabs.holds(members).all())
+            stabs.holds(members).all() and members.holds(stabs).all())
     return out
 
 

@@ -3,9 +3,13 @@ and (for the claimed subgroup families) a monomial set: lower-triangular
 maps, stable-pattern maps, and the characterized stabilizer families for
 multiplicative and additive subgroup products.
 
-Every family exposes a deterministic lazy enumerator with an explicit budget
-(exceeding it raises, never truncates silently), a structural membership
-predicate, and a count formula where one exists.
+Every family builds its members as one AffineMaps, an (N, m, m + 1) uint16
+array of augmented matrices [A | b] in a fixed order: the candidate linear
+parts are listed (and, where the family needs it, kept by the scalar
+rank_ix), then the offsets and tail blocks are broadcast across them, with no
+object per member.  An explicit budget raises before the array is built,
+never truncates silently.  Every family also has a structural membership
+predicate and a count formula where one exists.
 """
 
 from __future__ import annotations
@@ -13,15 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from .affine import AffineTransformation
 from .codes import rank_ix
 from .field import Field, FieldError
 from .monomials import MonomialSet, has_borel_property, stable_pattern
+from .oracle import AffineMaps, BudgetExceeded
 from .points import ADD, FULL, MULT, CartesianSet, stabilizer_subfield, transporter_space
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 def gl_count(q: int, n: int) -> int:
@@ -39,15 +42,49 @@ def _lower_triangular_count(v: int, s: int) -> int:
     return (v - 1) ** s * v ** (s * (s - 1) // 2)
 
 
+def _grid(lists):
+    """The tuples of itertools.product(*lists), in its order, as the rows of
+    a uint16 array."""
+    out = np.zeros((1, 0), np.uint16)
+    for x in lists:
+        x = np.asarray(list(x), np.uint16)
+        out = np.column_stack([np.repeat(out, len(x), axis=0), np.tile(x, len(out))])
+    return out
+
+
 def _lower_triangular(values, s):
     """Invertible lower-triangular s x s matrices with entries from the
     ascending index list values (which holds 0), in row-major counting
-    order over the entries."""
+    order over the entries, as an (N, s, s) array."""
     diag = [x for x in values if x]
-    positions = [diag if i == j else values if j < i else [0]
-                 for i in range(s) for j in range(s)]
-    for ent in itertools.product(*positions):
-        yield [list(ent[i * s:(i + 1) * s]) for i in range(s)]
+    ent = _grid([diag if i == j else values if j < i else [0]
+                 for i in range(s) for j in range(s)])
+    return ent.reshape(len(ent), s, s)
+
+
+def _kept(F, lists, shape, k, per=1, budget=None):
+    """The tuples of itertools.product(*lists) as an (N, rows, width) array,
+    shape = (rows, width), kept where the first k columns of the rows have
+    rank k by the scalar rank_ix.  Each kept one stands for per maps; past
+    the budget it raises before an array is built."""
+    kept = []
+    rows, width = shape
+    for ent in itertools.product(*lists):
+        if rank_ix([ent[i * width:i * width + k] for i in range(rows)], F) == k:
+            kept.append(ent)
+            if budget is not None and len(kept) * per > budget:
+                raise BudgetExceeded(f"family exceeds budget {budget}")
+    return np.array(kept, np.uint16).reshape(len(kept), rows, width)
+
+
+def _maps(F, A, b):
+    """Every linear part of the (N, m, m) array A with every offset of the
+    (K, m) array b, A outermost, as one AffineMaps."""
+    n, m = A.shape[:2]
+    ab = np.empty((n, len(b), m, m + 1), np.uint16)
+    ab[..., :m] = A[:, None]
+    ab[..., m] = b
+    return AffineMaps(F, ab.reshape(-1, m, m + 1))
 
 
 def _guard(count, budget):
@@ -55,12 +92,11 @@ def _guard(count, budget):
         raise BudgetExceeded(f"family of size {count} exceeds budget {budget}")
 
 
-def enumerate_LTA(F: Field, m: int, budget=None):
-    """All T = Ax+b with A lower triangular and invertible."""
+def enumerate_LTA(F: Field, m: int, budget=None) -> AffineMaps:
+    """All T = Ax+b with A lower triangular and invertible, the offset
+    counting fastest."""
     _guard(lta_count(F, m), budget)
-    for A in _lower_triangular(range(F.q), m):
-        for b in itertools.product(range(F.q), repeat=m):
-            yield AffineTransformation(F, A, list(b))
+    return _maps(F, _lower_triangular(range(F.q), m), _grid([range(F.q)] * m))
 
 
 def is_lower_triangular_invertible(T: AffineTransformation) -> bool:
@@ -68,7 +104,7 @@ def is_lower_triangular_invertible(T: AffineTransformation) -> bool:
             and all(T.A[i][i] != 0 for i in range(T.m)))
 
 
-def enumerate_ML_invertible(L: MonomialSet, p: int, F: Field, budget=None):
+def enumerate_ML_invertible(L: MonomialSet, p: int, F: Field, budget=None) -> AffineMaps:
     """All T = Ax+b with A invertible and supported on the stable pattern of
     the monomial set."""
     if F.p != p:
@@ -77,17 +113,8 @@ def enumerate_ML_invertible(L: MonomialSet, p: int, F: Field, budget=None):
     m = L.m
     value_lists = [range(F.q) if pattern.allows(i, j) else range(1)
                    for i in range(m) for j in range(m)]
-    shifts = F.q ** m
-    yielded = 0
-    for ent in itertools.product(*value_lists):
-        A = [list(ent[i * m:(i + 1) * m]) for i in range(m)]
-        if rank_ix(A, F) < m:
-            continue
-        yielded += shifts
-        if budget is not None and yielded > budget:
-            raise BudgetExceeded(f"stable-pattern family exceeds budget {budget}")
-        for b in itertools.product(range(F.q), repeat=m):
-            yield AffineTransformation(F, A, list(b))
+    A = _kept(F, value_lists, (m, m), m, F.q ** m, budget)
+    return _maps(F, A, _grid([range(F.q)] * m))
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +159,18 @@ class MultProductFamily:
             sizes *= c.n
         return perms * sizes
 
-    def members(self, budget=None):
+    def members(self, budget=None) -> AffineMaps:
+        """Sigma outermost, then the entries of row i from component sigma[i]
+        in its element order, the last row fastest; b = 0."""
         _guard(self.count(), budget)
-        F, m = self.F, self.m
-        comps = self.S.components
+        m, comps = self.m, self.S.components
+        blocks = []
         for sigma in self._sigmas():
-            col_values = [[x.ix for x in comps[j].elements] for j in range(m)]
-            for diag in itertools.product(*[col_values[sigma[i]] for i in range(m)]):
-                A = [[diag[i] if j == sigma[i] else 0 for j in range(m)]
-                     for i in range(m)]
-                yield AffineTransformation(F, A)
+            diag = _grid([[x.ix for x in comps[j].elements] for j in sigma])
+            A = np.zeros((len(diag), m, m), np.uint16)
+            A[:, range(m), sigma] = diag
+            blocks.append(A)
+        return _maps(self.F, np.concatenate(blocks), np.zeros((1, m), np.uint16))
 
     def contains(self, T: AffineTransformation) -> bool:
         if any(T.b):
@@ -203,22 +232,19 @@ class MixedGeneralFamily:
             out *= math.factorial(w) * self.S.components[a].n ** w
         return out
 
-    def members(self, budget=None):
+    def members(self, budget=None) -> AffineMaps:
+        """The top rows (their full block invertible) outermost, then the
+        tail of the multiplicative sub-family, then the offset on the full
+        block."""
         _guard(self.count(), budget)
         F, m, m0 = self.F, self.m, self.m0
-        sub = MultProductFamily(CartesianSet(self.S.components[m0:])) if m0 < m else None
-        top_lists = [range(F.q)] * (m0 * m)
-        for ent in itertools.product(*top_lists) if m0 else [()]:
-            top = [list(ent[i * m:(i + 1) * m]) for i in range(m0)]
-            if m0 and rank_ix([row[:m0] for row in top], F) < m0:
-                continue
-            tails = sub.members() if sub else iter([None])
-            for tail in tails:
-                A = [row[:] for row in top]
-                for r in range(m - m0):
-                    A.append([0] * m0 + list(tail.A[r]))
-                for btop in itertools.product(range(F.q), repeat=m0):
-                    yield AffineTransformation(F, A, list(btop) + [0] * (m - m0))
+        top = _kept(F, [range(F.q)] * (m0 * m), (m0, m), m0)
+        tail = (MultProductFamily(CartesianSet(self.S.components[m0:])).members().ab[:, :, :-1]
+                if m0 < m else np.zeros((1, 0, 0), np.uint16))
+        A = np.zeros((len(top), len(tail), m, m), np.uint16)
+        A[:, :, :m0] = top[:, None]
+        A[:, :, m0:, m0:] = tail
+        return _maps(F, A.reshape(-1, m, m), _grid([range(F.q)] * m0 + [[0]] * (m - m0)))
 
     def contains(self, T: AffineTransformation) -> bool:
         F, m, m0 = self.F, self.m, self.m0
@@ -276,16 +302,12 @@ class AdditivePowerFamily:
         qp = self.F.p ** self.subfield_degree
         return gl_count(qp, self.m) * self.S.components[0].n ** self.m
 
-    def members(self, budget=None):
+    def members(self, budget=None) -> AffineMaps:
+        """The invertible A over the subfield outermost, then the offsets in
+        the components' element order."""
         _guard(self.count(), budget)
-        F, m = self.F, self.m
-        shifts = [[x.ix for x in c.elements] for c in self.S.components]
-        for ent in itertools.product(self.subfield, repeat=m * m):
-            A = [list(ent[i * m:(i + 1) * m]) for i in range(m)]
-            if rank_ix(A, F) < m:
-                continue
-            for b in itertools.product(*shifts):
-                yield AffineTransformation(F, A, list(b))
+        A = _kept(self.F, [self.subfield] * self.m ** 2, (self.m, self.m), self.m)
+        return _maps(self.F, A, _grid([[x.ix for x in c.elements] for c in self.S.components]))
 
     def contains(self, T: AffineTransformation) -> bool:
         d = self.subfield_degree
@@ -329,16 +351,12 @@ class AdditiveHeteroPattern:
             out *= c.n
         return out
 
-    def candidates(self, budget=None):
+    def candidates(self, budget=None) -> AffineMaps:
         _guard(self.candidate_count(), budget)
-        F, m = self.F, self.m
-        entry_lists = [sorted(x.ix for x in self.table[i][j])
-                       for i in range(m) for j in range(m)]
-        shifts = [[x.ix for x in c.elements] for c in self.S.components]
-        for ent in itertools.product(*entry_lists):
-            A = [list(ent[i * m:(i + 1) * m]) for i in range(m)]
-            for b in itertools.product(*shifts):
-                yield AffineTransformation(F, A, list(b))
+        m = self.m
+        A = _grid([sorted(x.ix for x in H) for row in self.table for H in row])
+        return _maps(self.F, A.reshape(-1, m, m),
+                     _grid([[x.ix for x in c.elements] for c in self.S.components]))
 
     def table_json(self):
         return [[sorted(list(x.coeffs) for x in H) for H in row] for row in self.table]
@@ -377,7 +395,7 @@ class BorelClaimedFamily:
         s = self.split
         return _lower_triangular_count(self.F.q, s) * self.F.q ** s
 
-    def members(self, budget=None):
+    def members(self, budget=None) -> AffineMaps:
         """Lower-triangular maps over the stabilizer subfield with offsets in
         the set, or lower-triangular on the full block, identity on the rest
         and offsets on the full block."""
@@ -391,11 +409,11 @@ class BorelClaimedFamily:
             values = range(F.q)
             s = self.split
             shifts = [range(F.q)] * s + [[0]] * (m - s)
-        for top in _lower_triangular(values, s):
-            A = [row + [0] * (m - s) for row in top]
-            A += [[int(i == j) for j in range(m)] for i in range(s, m)]
-            for b in itertools.product(*shifts):
-                yield AffineTransformation(F, A, list(b))
+        top = _lower_triangular(values, s)
+        A = np.zeros((len(top), m, m), np.uint16)
+        A[:, :s, :s] = top
+        A[:, range(s, m), range(s, m)] = 1
+        return _maps(F, A, _grid(shifts))
 
     def contains(self, T: AffineTransformation) -> bool:
         m = self.m

@@ -6,11 +6,13 @@ Maps have one representation from the scan to the report: AffineMaps, a
 sequence over one (N, m, m + 1) uint16 array of augmented matrices [A | b]
 in the scan's base-q counter order.  Every kernel and report reads the
 array; AffineTransformation objects are built on demand, for the members,
-witnesses and counterexamples a report names.  Object lists from callers
-are packed once (_as_array).  The batched layers share one kernel of field
-arithmetic on element indices (_Kernel): in characteristic 2 an index holds
-the GF(2) coordinates as bits and a sum is their XOR; elsewhere a sum is a
-table lookup on a uint16 flat index (uint32 past q = 256).
+witnesses and counterexamples a report names.  The families of
+cartperm.families build their members as AffineMaps too, so _as_array takes
+their array as it is; only object lists (or streams) from other callers are
+packed, once.  The batched layers share one kernel of field arithmetic on
+element indices (_Kernel): in characteristic 2 an index holds the GF(2)
+coordinates as bits and a sum is their XOR; elsewhere a sum is a table
+lookup on a uint16 flat index (uint32 past q = 256).
 
 The scan is row-factored: T(S) = S for a Cartesian S forces each row of T to
 map S onto its component, so the q^(m+1) candidate rows are filtered once,
@@ -67,7 +69,6 @@ import numpy as np
 
 from .affine import AffineTransformation, induced_permutation, stabilizes_set
 from .codes import build_code, codes_equal
-from .families import BudgetExceeded
 from .field import Field
 from .monomials import MonomialSet, divisors_of
 from .points import CartesianSet
@@ -79,6 +80,10 @@ _PAIR_CELLS = 1 << 16
 # the span route's chunks: its sums and scalings index the tables in uint16
 # (uint32 above q = 256), so a larger chunk costs little memory
 _SPAN_CELLS = 1 << 20
+
+
+class BudgetExceeded(RuntimeError):
+    """An enumeration or scan larger than its budget, raised before it runs."""
 
 
 def affine_space_size(F: Field, m: int) -> int:

@@ -3,8 +3,9 @@ bench/spans.py drive cartperm from outside src/: they scan with
 oracle_stabilizers(S, jobs=...), pass object lists to
 oracle_affine_perm_group and two_route_agreement, read T.A and T.b of what
 comes back, bind the parameter S and take len() of results, and wrap every
-entry point named in spans.LAYERS.  A change that breaks any of that fails
-here.  The bench files are loaded, never modified."""
+entry point named in spans.LAYERS, turning each family's members into a
+timed stream.  A change that breaks any of that, or makes a traced report
+differ from an untraced one, fails here.  The bench files are loaded, never modified."""
 
 import importlib.util
 import inspect
@@ -55,8 +56,9 @@ def test_sweep_draw_and_verdict(tmp_path):
     assert got[draw]["digests"] == want["digests"]
 
 
-def test_traced_sweep_draw(tmp_path, monkeypatch):
-    workloads, spans = load("workloads"), load("spans")
+def traced(spans, monkeypatch):
+    """A Tracer installed by spans.install, whose wrappers monkeypatch
+    removes after the test."""
     import cartperm.cli  # noqa: F401  (every module that install wraps)
     # install wraps in place; record every function it may replace, so that
     # monkeypatch puts each one back after the test
@@ -74,6 +76,12 @@ def test_traced_sweep_draw(tmp_path, monkeypatch):
                 monkeypatch.setattr(owner, attr, fn)
     tracer = spans.Tracer()
     spans.install(tracer)
+    return tracer
+
+
+def test_traced_sweep_draw(tmp_path, monkeypatch):
+    workloads, spans = load("workloads"), load("spans")
+    tracer = traced(spans, monkeypatch)
     S, L, _ = gf2_square()
     got = run_sweep(workloads, S, L, tmp_path)
     assert all("error" not in item for item in got.values()), got
@@ -84,3 +92,25 @@ def test_traced_sweep_draw(tmp_path, monkeypatch):
     assert {"oracle.oracle_stabilizers", "oracle.oracle_affine_perm_group",
             "oracle.two_route_agreement"} <= names
     assert set(spans.layer_self_s(tracer)) == set(spans.LAYERS)
+
+
+def test_traced_reports_are_byte_identical(tmp_path, monkeypatch):
+    """The verify-group config and the examples under spans.install write
+    the same report bytes as without it.  The tracer hands every family's
+    members on as a stream of objects rather than the family's AffineMaps,
+    so this guards the callers that pack them."""
+    from cartperm import cli
+    config = next((BENCH / "configs" / "verify-group").glob("*.json"))
+
+    def reports(out):
+        for argv in (["verify", str(config)], ["examples"]):
+            assert cli.main(["--out", str(out)] + argv) == cli.EXIT_OK
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.json"))}
+
+    plain = reports(tmp_path / "plain")
+    tracer = traced(load("spans"), monkeypatch)
+    assert reports(tmp_path / "traced") == plain
+    assert {"oracle-verify.json", "examples.json"} <= set(plain)
+    counts = tracer.counts
+    assert counts["families.BorelClaimedFamily.members.items"] == 576
+    assert counts["families.AdditivePowerFamily.members.items"] == 2880 + 12
