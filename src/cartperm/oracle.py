@@ -31,7 +31,11 @@ tests/test_axioms.py, only to name a non-group's first failing pair.
 
 The span route is one batched kernel (_span_scan): reduced pullbacks as
 coefficient arrays over the box basis of F[x]/I(S), built by shift-and-reduce
-along the divisor closure of L (_Forms, shared with reduced_pullbacks);
+(_Forms, shared with reduced_pullbacks) along the chains of parents of the
+members of L, top degree first (_walk), so a map leaves at the members a
+decreasing L most often fails before the low-degree pullbacks are built for
+it.  The pullback of x^v reads only the rows in the support of v, so it is
+held once per distinct tuple of those rows among the live maps.
 affine.SpanChecker is its scalar reference and the witness finder of
 membership_report.  Every caller goes through _span_ok, which memoizes the
 verdicts of a check of all of L; the point images of the code route
@@ -47,9 +51,11 @@ only the rows i with u_i > 0, so a row-prefix search (_group_search) filters
 each coordinate's surviving rows by the members in that variable alone, then
 grows products of rows one coordinate at a time and checks each mixed
 member as soon as its last row is chosen; a failing prefix is never
-extended.  A stabilizer list supplied by the caller is filtered by _span_ok
-instead.  The code route stays independent of both: a permuted generator
-matrix must have a zero residue against the row-reduced one.
+extended.  Its checks run in the span kernel's chunks, large enough for
+the candidates to share most of their rows.  A stabilizer list supplied by
+the caller is filtered by _span_ok instead.  The code route stays
+independent of both: a permuted generator matrix must have a zero residue
+against the row-reduced one.
 
 The two routes are compared on generators and coset representatives
 (two_route_agreement): point images come from per-coordinate position
@@ -70,7 +76,7 @@ import numpy as np
 from .affine import AffineTransformation, induced_permutation, stabilizes_set
 from .codes import build_code, codes_equal
 from .field import Field
-from .monomials import MonomialSet, divisors_of
+from .monomials import MonomialSet
 from .points import CartesianSet
 
 _CHUNK_CELLS = 4_000_000
@@ -294,14 +300,23 @@ def _invert(kern, ab):
 
 
 def _walk(monomials):
-    """The divisor closure of the monomials in (degree, exponent) order, each
-    v with its parent v - e_i and the first coordinate i of v with a nonzero
-    exponent (None and None for v = 1)."""
-    closure = sorted({d for u in monomials for d in divisors_of(u)},
-                     key=lambda e: (sum(e), e))
-    for v in closure:
-        i = next((i for i, e in enumerate(v) if e), None)
-        yield v, (None if i is None else v[:i] + (v[i] - 1,) + v[i + 1:]), i
+    """The nodes that build the pullbacks of the monomials, each v with its
+    parent v - e_i and the first coordinate i of v with a nonzero exponent
+    (None and None for v = 1).  The monomials are taken in decreasing
+    (degree, exponent) order, each after the chain of parents it still
+    needs, so a parent comes before its child and no other divisor of the
+    monomials is a node."""
+    built, walk = set(), []
+    for u in sorted(set(monomials), key=lambda e: (-sum(e), e)):
+        chain, v = [], u
+        while v is not None and v not in built:
+            built.add(v)
+            i = next((i for i, e in enumerate(v) if e), None)
+            parent = None if i is None else v[:i] + (v[i] - 1,) + v[i + 1:]
+            chain.append((v, parent, i))
+            v = parent
+        walk.extend(reversed(chain))
+    return walk
 
 
 class _Forms:
@@ -408,13 +423,26 @@ def _span_scan(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
     the span of L: the reduced pullback modulo I(S) of every member of L, or
     of every member of the subset check, is supported on L.
 
-    The pullbacks of a chunk of maps are coefficient arrays (_Forms).  The
-    divisor closure of the checked members is walked in (degree, exponent)
-    order, so that p_v = p_(v - e_i) * l_i.  A map leaves its chunk at the
-    first checked member with a coefficient outside L."""
+    The pullbacks of a chunk of maps are coefficient arrays (_Forms), built
+    along _walk, p_v = p_(v - e_i) * l_i: the checked members in decreasing
+    degree, each after the chain of parents it still needs.  A map leaves
+    its chunk at the first checked node with a coefficient outside L; a
+    decreasing L loses maps at its high-degree members, so they leave
+    before the pullbacks of the other chains are built for them.
+
+    The pullback of x^v reads only the rows of a map in the support of v,
+    and those rows repeat.  So the live maps are grouped by the tuple of
+    their rows in each support (_distinct of _row_keys), a node holds one
+    coefficient row per group of its support, and times_form runs on one
+    map of each group.  When maps leave, every grouping and every held
+    array is compacted to the groups that keep a map; a node's array is
+    freed once its last child is built."""
     members = frozenset(getattr(L, "monomials", L))
     check = members if check is None else frozenset(check)
-    walk = list(_walk(check))
+    walk = _walk(check)
+    # the support of each node, and the walk position of its last child
+    support = {v: tuple(j for j, e in enumerate(v) if e) for v, _, _ in walk}
+    last = {parent: k for k, (_, parent, _) in enumerate(walk)}
     inside = np.zeros(S.sizes, dtype=bool)
     for u in members:
         if all(e < n for e, n in zip(u, S.sizes)):
@@ -425,23 +453,65 @@ def _span_scan(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
     def scan(sub):
         # the indices of the maps of the chunk that keep the span
         live = np.arange(len(sub))
-        pulled = {}
-        for v, parent, i in walk:
-            P = forms.one(len(sub)) if i is None else forms.times_form(pulled[parent], sub, i)
-            pulled[v] = P
+        # support -> (the group of each live map, one live map of each
+        # group); node -> its coefficients, one row per group
+        groups, pulled = {}, {}
+        for k, (v, parent, i) in enumerate(walk):
+            s = support[v]
+            if s not in groups:
+                groups[s] = _groups(sub[:, list(s)], kern.q)
+            inverse, reps = groups[s]
+            if i is None:
+                P = forms.one(len(reps))
+            else:
+                P = pulled[parent]
+                if support[parent] != s:
+                    # the parent's row for the map that stands for each group
+                    P = P[groups[support[parent]][0][reps]]
+                P = forms.times_form(P, sub[reps], i)
+                if last[parent] == k:
+                    del pulled[parent]
+            if v in last:
+                pulled[v] = P
             if v in check:
-                keep = ~(P[:, outside] != 0).any(axis=1)
-                if not keep.all():
+                bad = (P[:, outside] != 0).any(axis=1)
+                if bad.any():
+                    keep = ~bad[inverse]
+                    if not keep.any():
+                        return live[:0]
                     live, sub = live[keep], sub[keep]
-                    if not len(live):
-                        break
-                    pulled = {w: Q[keep] for w, Q in pulled.items()}
+                    alive = {}
+                    for t, (of_map, one_map) in groups.items():
+                        alive[t], groups[t] = _regroup(of_map[keep], len(one_map))
+                    pulled = {w: Q[alive[support[w]]] for w, Q in pulled.items()}
         return live
 
     ok = np.zeros(len(ab), dtype=bool)
     for k in _chunks(len(ab), S.n * max(1, len(walk)), limit):
         ok[k[scan(ab[k])]] = True
     return ok
+
+
+def _groups(rows, q):
+    """The group of each map of an (N, r, m + 1) array of rows, numbered
+    among the distinct row tuples, and one map of each group."""
+    if not rows.shape[1]:
+        return np.zeros(len(rows), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    first, inverse = _distinct(_row_keys(rows, q))
+    return inverse, first
+
+
+def _regroup(inverse, count):
+    """The groups, of count, that keep a map of the group array inverse, and
+    that grouping renumbered to them: (the group of each map, one map of
+    each group)."""
+    alive = np.zeros(count, dtype=bool)
+    alive[inverse] = True
+    inverse = (np.cumsum(alive) - 1)[inverse]
+    reps = np.empty(np.count_nonzero(alive), dtype=np.int64)
+    # any map of a group will do
+    reps[inverse] = np.arange(len(inverse))
+    return alive, (inverse, reps)
 
 
 def _check_budget(size, budget, phase):
@@ -532,7 +602,7 @@ def _counter_order(ab):
     return ab[np.lexsort([ab[:, i, j] for j in range(m + 1) for i in range(m)])]
 
 
-def _group_search(L, S, budget=None, limit=_PAIR_CELLS):
+def _group_search(L, S, budget=None, limit=_SPAN_CELLS):
     """The stabilizers that keep the span of L, in counter order, found by a
     row-prefix search that never lists the stabilizers.
 
@@ -546,8 +616,13 @@ def _group_search(L, S, budget=None, limit=_PAIR_CELLS):
     time; at coordinate j the mixed members whose last coordinate is j are
     checked, and the full products are tested for invertibility before the
     last coordinate's check.  The budget caps the row pass and then the
-    candidates of each step, each before it is built; limit bounds every
-    chunk, as in _span_ok."""
+    candidates of each step, each before it is built.
+
+    The checks run in the span kernel's chunks, which limit bounds as in
+    _span_ok: its row groups pay off only on chunks that hold many maps
+    sharing a prefix.  The candidates are built, and the last coordinate's
+    eliminated, in batches of min(limit, _PAIR_CELLS) cells, so their int64
+    indices stay as small as in every other elimination."""
     F, m, q = S.field, S.m, S.field.q
     _check_budget(q ** (m + 1), budget, "stabilizer row pass")
     kern = _Kernel(F)
@@ -560,6 +635,8 @@ def _group_search(L, S, budget=None, limit=_PAIR_CELLS):
             (alone if len(support) == 1 else mixed)[support[-1]].append(u)
     eye = np.eye(m, m + 1, dtype=np.uint16)
     prefix = eye[None]
+    # the cells of one candidate in the elimination
+    cells, batch = m * (2 * m + 1), min(limit, _PAIR_CELLS)
     for j, r in enumerate(rows):
         if alone[j]:
             banned = [k for k, n in enumerate(S.sizes) if any(
@@ -573,16 +650,20 @@ def _group_search(L, S, budget=None, limit=_PAIR_CELLS):
         _check_budget(total, budget, f"group search step {j + 1} (coordinate x{j + 1})")
 
         def extend(k, prefix=prefix, r=r, j=j):
-            # a function call, so each chunk's temporaries are freed before
-            # the next chunk is built
+            # a function call, so each batch's temporaries are freed before
+            # the next batch is built
             p, t = np.divmod(k, len(r))
             ab = prefix[p]
             ab[:, j] = r[t]
-            if j == m - 1:
-                ab = ab[_invert(kern, ab)[1]]
+            return ab[_invert(kern, ab)[1]] if j == m - 1 else ab
+
+        def grow(k, j=j):
+            # the candidates of a span chunk, built in elimination batches
+            ab = np.concatenate([extend(k[b]) for b in _chunks(len(k), cells, batch)]
+                                + [np.empty((0, m, m + 1), dtype=np.uint16)])
             return ab[_span_ok(kern, L, S, ab, limit, check=mixed[j])] if mixed[j] else ab
 
-        prefix = np.concatenate([extend(k) for k in _chunks(total, m * (2 * m + 1), limit)]
+        prefix = np.concatenate([grow(k) for k in _chunks(total, cells, limit)]
                                 + [np.empty((0, m, m + 1), dtype=np.uint16)])
     return _counter_order(prefix)
 

@@ -244,7 +244,9 @@ def span_batches(draw):
     identity, and a chunk limit: down to one map per chunk.  The maps are
     arbitrary, singular, translations, or scaled permutations x -> PDx,
     which carry x_i^d onto a power of another variable that may overflow
-    its box; stabilizing or not."""
+    its box; stabilizing or not.  Or they are products of a few drawn rows
+    per coordinate, so that maps share the rows of a support, and a map
+    that leaves takes a shared group with it or only itself."""
     F = draw(st.sampled_from(ORACLE_FIELDS))
     m = draw(st.integers(1, 3 if F.q <= 5 else 2))
     S = CartesianSet([draw(components(F)) for _ in range(m)])
@@ -253,6 +255,13 @@ def span_batches(draw):
     if draw(st.booleans()):
         L = divisibility_closure(L)
     entry = st.integers(0, F.q - 1)
+    if draw(st.booleans()):
+        row = st.lists(entry, min_size=m + 1, max_size=m + 1)
+        pools = [draw(st.lists(row, min_size=1, max_size=3)) for _ in range(m)]
+        ts = [AffineTransformation(F, [r[:m] for r in rows], [r[m] for r in rows])
+              for rows in itertools.product(*pools)]
+        ts.append(AffineTransformation.identity(F, m))
+        return S, L, ts, draw(st.sampled_from([1, 40, 400, oracle._SPAN_CELLS]))
     ts = []
     for _ in range(draw(st.integers(0, 6))):
         A = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(m)]
@@ -272,13 +281,97 @@ def span_batches(draw):
     return S, L, ts, draw(st.sampled_from([1, 40, 400, oracle._PAIR_CELLS, oracle._SPAN_CELLS]))
 
 
+def sweep_class_batch():
+    """The sweep class closure{x1^3 x2, x1 x2^3} on every fourth GF(4)^2
+    stabilizer, in one chunk: 720 maps over 48 distinct second rows, of
+    which 192 keep the span."""
+    S = full_square(4)
+    L = divisibility_closure(MonomialSet(2, [(3, 1), (1, 3)], bound=S.sizes))
+    return S, L, list(oracle_stabilizers(S)[::4]), oracle._SPAN_CELLS
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(span_batches())
+@example(sweep_class_batch())
 def test_batched_span_matches_span_checker(batch):
     S, L, ts, limit = batch
     got = oracle._span_ok(oracle._Kernel(S.field), L, S, oracle._as_array(ts), limit)
     checker = SpanChecker(L, S)
     assert got.tolist() == [checker.check(T) for T in ts]
+
+
+def chain(v):
+    """v and its parents down to 1, each parent v - e_i for the first
+    coordinate i of v with a nonzero exponent."""
+    out = [v]
+    while any(v):
+        i = next(i for i, e in enumerate(v) if e)
+        v = v[:i] + (v[i] - 1,) + v[i + 1:]
+        out.append(v)
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.tuples(*[st.integers(0, 4)] * m), min_size=1, max_size=8)))
+def test_walk_takes_top_degree_chains_first(monomials):
+    walk = oracle._walk(monomials)
+    nodes = [v for v, _, _ in walk]
+    # each node once, after its parent, and only the nodes on some chain
+    assert len(nodes) == len(set(nodes))
+    assert set(nodes) == {w for u in monomials for w in chain(u)}
+    seen = set()
+    for v, parent, i in walk:
+        if any(v):
+            assert parent == chain(v)[1] and parent in seen and v[i] and not any(v[:i])
+        else:
+            assert parent is None and i is None
+        seen.add(v)
+    # the first chain ends at a member of top degree
+    top = max(map(sum, monomials))
+    assert nodes[top] in monomials and sum(nodes[top]) == top
+
+
+def test_walk_skips_divisors_on_no_chain():
+    # x1 divides x1 x2 but lies on no chain: x1 x2 is built from x2
+    assert [v for v, _, _ in oracle._walk([(1, 1)])] == [(0, 0), (0, 1), (1, 1)]
+    # x1 x2^2 first, through x2 and x2^2; then x1^2 x2 through x1 x2, from
+    # the stored x2
+    assert [v for v, _, _ in oracle._walk([(1, 1), (2, 1), (1, 2)])] == [
+        (0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (2, 1)]
+
+
+def test_span_scan_builds_on_distinct_row_tuples(monkeypatch):
+    """times_form runs on one map per distinct tuple of the rows a node
+    reads.  The second and third rows of the 3,456 stabilizers of GF(4)
+    full x mu3 x mu3 take 6 values each and 18 together, so the nodes
+    without x1 run on 6 or 18 maps.  L is the whole box: no map drops."""
+    F = GF(4)
+    S = CartesianSet([full_component(F), mult_component(F, 3), mult_component(F, 3)])
+    ab = oracle_stabilizers(S).ab
+    L = list(itertools.product(*[range(n) for n in S.sizes]))
+    calls = []
+    times_form = oracle._Forms.times_form
+
+    def counted(self, P, sub, i):
+        calls.append(sub)
+        return times_form(self, P, sub, i)
+
+    monkeypatch.setattr(oracle._Forms, "times_form", counted)
+    # one chunk for all maps
+    limit = len(ab) * S.n * len(L)
+    assert oracle._span_scan(oracle._Kernel(F), L, S, ab, limit).all()
+    walk = oracle._walk(L)
+    assert len(calls) == len(walk) - 1
+    sizes = {}
+    for (v, _, _), sub in zip(walk[1:], calls):
+        support = [k for k, e in enumerate(v) if e]
+        got = [tuple(r) for r in sub[:, support].reshape(len(sub), -1).tolist()]
+        want = {tuple(r) for r in ab[:, support].reshape(len(ab), -1).tolist()}
+        assert len(got) == len(set(got)) and set(got) == want
+        sizes[tuple(support)] = len(sub)
+    assert sizes == {(0,): 192, (1,): 6, (2,): 6, (0, 1): 1152, (0, 2): 1152,
+                     (1, 2): 18, (0, 1, 2): 3456}
 
 
 @pytest.mark.parametrize("F", [GF(2), GF(4), GF(16), GF(256), Field(2, 3, (1, 0, 1, 1)),
