@@ -54,7 +54,8 @@ class ConfigError(ValueError):
 
 def _int(value, path, bound=None):
     if type(value) is not int or not (bound is None or 0 <= value < bound):
-        want = "an integer" if bound is None else f"an integer in 0..{bound - 1}"
+        want = ("an integer" if bound is None else f"an integer in 0..{bound - 1}" if bound
+                else "an integer in an empty range (bound 0)")
         raise ConfigError(f"{path}: expected {want}, got {value!r}")
     return value
 
@@ -195,7 +196,7 @@ def detect_family(S: CartesianSet):
 # ---------------------------------------------------------------------------
 # tasks
 
-def task_classify(F, S, L, budget, seed):
+def task_classify(F, S, L, budget):
     comps = []
     for c in S.components:
         detected = classify_subset(F, c.elements)
@@ -209,7 +210,7 @@ def task_classify(F, S, L, budget, seed):
     return {"components": comps}, True
 
 
-def task_closures(F, S, L, budget, seed):
+def task_closures(F, S, L, budget):
     closure = divisibility_closure(L)
     witness = borel_property_witness(closure)
     report = {
@@ -225,11 +226,11 @@ def task_closures(F, S, L, budget, seed):
     return report, True
 
 
-def task_graph(F, S, L, budget, seed):
+def task_graph(F, S, L, budget):
     return p_borel_graph(L, F.p).to_json(), True
 
 
-def task_families(F, S, L, budget, seed):
+def task_families(F, S, L, budget):
     report = {}
     fam = detect_family(S)
     if fam is not None:
@@ -251,7 +252,7 @@ def task_families(F, S, L, budget, seed):
     return report, True
 
 
-def task_oracle_verify(F, S, L, budget, seed):
+def task_oracle_verify(F, S, L, budget):
     report = {}
     ok = True
     stabs = oracle_stabilizers(S, budget=budget)
@@ -266,7 +267,7 @@ def task_oracle_verify(F, S, L, budget, seed):
 
     if L is not None:
         group = oracle_affine_perm_group(L, S, stabilizers=stabs)
-        axioms = group_axioms_report(F, group, seed=seed)
+        axioms = group_axioms_report(F, group)
         agree, disagreements = two_route_agreement(L, S, stabs)
         report["affine_permutation_group"] = {
             "size": len(group),
@@ -301,7 +302,7 @@ def task_oracle_verify(F, S, L, budget, seed):
     return report, ok
 
 
-def task_examples(F, S, L, budget, seed):
+def task_examples(F, S, L, budget):
     results = [ex() for ex in (example_shear, example_gf9_quartics,
                                example_transporter_table, example_scaled_line,
                                example_additive_triple)]
@@ -518,7 +519,7 @@ def _dump(path: pathlib.Path, obj):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def run_config(cfg, out_dir, budget=None, seed=0):
+def run_config(cfg, out_dir, budget=None):
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
     tasks = cfg.get("tasks")
@@ -542,7 +543,7 @@ def run_config(cfg, out_dir, budget=None, seed=0):
     all_ok = True
     lines = []
     for t in tasks:
-        report, ok = TASK_FUNCS[t](F, S, L, budget, seed)
+        report, ok = TASK_FUNCS[t](F, S, L, budget)
         _dump(out_dir / f"{t}.json", report)
         all_ok = all_ok and ok
         lines.append(f"{t}: {'ok' if ok else 'FAIL'} -> {out_dir / (t + '.json')}")
@@ -555,15 +556,12 @@ def main(argv=None) -> int:
         description="Monomial Cartesian codes: affine permutation toolkit")
     ap.add_argument("--budget", type=int, default=None,
                     help="cap on enumerated candidates, each checked before its "
-                         "pass: the stabilizer scan's q^(m+1) rows and its "
-                         "product of surviving rows (verify and group list the "
-                         "stabilizers), and each family's members (exit 3 when "
-                         "exceeded); the built-in examples ignore it")
+                         "pass: the stabilizer search's q^(m+1) rows and the "
+                         "candidates of each of its row-prefix steps (verify "
+                         "and group list the stabilizers), and each family's "
+                         "members (exit 3 when exceeded); the built-in examples "
+                         "ignore it")
     ap.add_argument("--out", default="cartperm-reports", help="report directory")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed of the pairs drawn when a checked set has more "
-                         "than 2,000,000 ordered pairs; it changes no verdict, "
-                         "only which failing pair a non-group's report names")
     ap.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; ignored")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -584,12 +582,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             cfg = _read_json(args.config)
-            code, lines = run_config(cfg, args.out, args.budget, args.seed)
+            code, lines = run_config(cfg, args.out, args.budget)
             print("\n".join(lines))
             return code
 
         if args.command == "examples":
-            report, ok = task_examples(None, None, None, _budget(args.budget), args.seed)
+            report, ok = task_examples(None, None, None, _budget(args.budget))
             _dump(pathlib.Path(args.out) / "examples.json", report)
             for ex in report["examples"]:
                 for a in ex["assertions"]:
@@ -609,7 +607,7 @@ def main(argv=None) -> int:
             cfg = _read_json(args.config)
             if isinstance(cfg, dict):   # run_config rejects anything else
                 cfg = {**cfg, "tasks": ["oracle-verify"]}
-            code, lines = run_config(cfg, args.out, args.budget, args.seed)
+            code, lines = run_config(cfg, args.out, args.budget)
             print("\n".join(lines))
             return code
     except ConfigError as e:

@@ -26,8 +26,8 @@ inverse and product up among the members' sorted keys: [A | b] packed into
 a uint64 where it fits, its bytes otherwise (_row_keys).  It decides
 closure under composition by a certificate by generators
 (_closure_certificate): about g * |X| compositions, |X| <= log2 g, exact for
-every g.  Pairs are composed, in the order of the reference in
-tests/test_axioms.py, only to name a non-group's first failing pair.
+every g.  Pairs are composed, in itertools.product order and at most
+_PAIR_LIMIT of them, only to name a non-group's first failing pair.
 
 The span route is one batched kernel (_span_scan): reduced pullbacks as
 coefficient arrays over the box basis of F[x]/I(S), built by shift-and-reduce
@@ -37,8 +37,8 @@ decreasing L most often fails before the low-degree pullbacks are built for
 it.  The pullback of x^v reads only the rows in the support of v, so it is
 held once per distinct tuple of those rows among the live maps.
 affine.SpanChecker is its scalar reference and the witness finder of
-membership_report.  Every caller goes through _span_ok, which memoizes the
-verdicts of a check of all of L; the point images of the code route
+membership_report.  A check of all of L goes through _span_ok, which
+memoizes its verdicts; the point images of the code route
 (_stabilizer_images) share that memo (_last).  It holds one map array,
 the last one seen, keyed by its dtype, shape and exact bytes: its images
 for the last point set S, and its verdicts for the last S and members of L.
@@ -51,11 +51,12 @@ only the rows i with u_i > 0, so a row-prefix search (_group_search) filters
 each coordinate's surviving rows by the members in that variable alone, then
 grows products of rows one coordinate at a time and checks each mixed
 member as soon as its last row is chosen; a failing prefix is never
-extended.  Its checks run in the span kernel's chunks, large enough for
-the candidates to share most of their rows.  A stabilizer list supplied by
-the caller is filtered by _span_ok instead.  The code route stays
-independent of both: a permuted generator matrix must have a zero residue
-against the row-reduced one.
+extended.  Its checks of subsets of L call the span kernel directly, in
+chunks large enough for the candidates to share most of their rows.  With
+no member to check, the same search lists the stabilizers
+(oracle_stabilizers).  A stabilizer list supplied by the caller is filtered
+by _span_ok instead.  The code route stays independent of both: a permuted
+generator matrix must have a zero residue against the row-reduced one.
 
 The two routes are compared on generators and coset representatives
 (two_route_agreement): point images come from per-coordinate position
@@ -86,6 +87,8 @@ _PAIR_CELLS = 1 << 16
 # the span route's chunks: its sums and scalings index the tables in uint16
 # (uint32 above q = 256), so a larger chunk costs little memory
 _SPAN_CELLS = 1 << 20
+# the ordered pairs group_axioms_report counts and, for a non-group, composes
+_PAIR_LIMIT = 2_000_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -251,25 +254,13 @@ def _contains(sorted_keys, keys):
     return _lookup(sorted_keys, keys)[1]
 
 
-def _compose(kern, left, right):
-    """left after right, pair by pair, for (N, m, m + 1) arrays [A | b]:
-    [A_l A_r | A_l b_r + b_l] by table lookups."""
-    m = left.shape[1]
-    prods = kern.vmul(left[:, :, :m, None], right[:, None, :, :])   # [n, row, t, col]
-    out = prods[:, :, 0]
-    for t in range(1, m):
-        out = kern.vadd(out, prods[:, :, t])
-    out[:, :, m] = kern.vadd(out[:, :, m], left[:, :, m])
-    return out
-
-
 def _right_products(kern, xs, ss):
     """x after s for every x of xs and every s of ss, (N, m, m + 1) arrays
     [A | b], x-major: entry (i, j) of [A_x A_s | A_x b_s + b_x] sums over t
     the columns s[t, j] of the multiplication table read at A_x[i, t].
-    Reading whole table columns, not one cell per pair as _compose must for
-    arbitrary pairs, makes it about 7 times faster than _compose on repeated
-    indices; the generator walks (_closure_certificate, _cosets) use it."""
+    Whole table columns are read, not one cell per pair.  The generator
+    walks (_closure_certificate, _cosets) and the pair scan of
+    group_axioms_report use it."""
     m = xs.shape[1]
     out = kern.mul[:, ss[:, 0]].take(xs[:, :, 0], axis=0)     # [x, row, s, col]
     for t in range(1, m):
@@ -403,14 +394,10 @@ def _last(ab):
     return _LAST
 
 
-def _span_ok(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
+def _span_ok(kern, L, S, ab):
     """Whether each map of an (N, m, m + 1) array [A | b] keeps the span of
-    L, by the batched kernel _span_scan.  A check of every member of L in
-    the default chunks is memoized (_last) and returns a fresh mask, which
-    a caller may change; a subset check (check given, as in _group_search)
-    and other chunks run the kernel."""
-    if check is not None or limit != _SPAN_CELLS:
-        return _span_scan(kern, L, S, ab, limit, check)
+    L, by the batched kernel _span_scan, memoized (_last).  It returns a
+    fresh mask, which a caller may change."""
     members = frozenset(getattr(L, "monomials", L))
     last = _last(ab)
     if last.span is None or last.span[0] != (S, members):
@@ -521,31 +508,11 @@ def _check_budget(size, budget, phase):
 
 def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1) -> AffineMaps:
     """All invertible affine maps carrying the point set onto itself, in
-    base-q counter order; the budget caps the candidate rows and then the
-    product of the surviving rows.  jobs is accepted and ignored.
-
-    A product of surviving rows maps S into S, and onto S exactly when A is
-    invertible, so only invertibility is tested; a singular A is never a
-    stabilizer, even where it permutes S (a component with one point)."""
-    F, m, q = S.field, S.m, S.field.q
-    _check_budget(q ** (m + 1), budget, "stabilizer row pass")
-    kern = _Kernel(F)
-    rows = _surviving_rows(kern, S)
-    total = math.prod(len(r) for r in rows)
-    _check_budget(total, budget, "stabilizer product scan")
-
-    def scan(k):
-        # a function call, so each chunk's temporaries are freed before the
-        # next chunk is built; ab[t] is the augmented matrix [A | b]
-        ab = np.empty((len(k), m, m + 1), dtype=np.uint16)
-        for i, r in enumerate(rows):
-            k, pick = np.divmod(k, len(r))
-            ab[:, i] = r[pick]
-        return ab[_invert(kern, ab)[1]]
-
-    ab = np.concatenate([scan(k) for k in _chunks(total, m * (2 * m + 1), _PAIR_CELLS)]
-                        + [np.empty((0, m, m + 1), dtype=np.uint16)])
-    return AffineMaps(F, _counter_order(ab))
+    base-q counter order: the row-prefix search (_group_search) with no
+    member to check, whose budget caps the rows and then each step.  jobs
+    is accepted and ignored.  A singular A is never a stabilizer, even
+    where it permutes S (a component with one point)."""
+    return AffineMaps(S.field, _group_search((), S, budget))
 
 
 def _surviving_rows(kern, S, limit=_CHUNK_CELLS):
@@ -615,11 +582,12 @@ def _group_search(L, S, budget=None, limit=_SPAN_CELLS):
     variable besides x_k.  Prefixes of rows then grow one coordinate at a
     time; at coordinate j the mixed members whose last coordinate is j are
     checked, and the full products are tested for invertibility before the
-    last coordinate's check.  The budget caps the row pass and then the
-    candidates of each step, each before it is built.
+    last coordinate's check; with no members (oracle_stabilizers) the steps
+    build every invertible product of surviving rows.  The budget caps the
+    row pass and then each step's candidates, before they are built.
 
-    The checks run in the span kernel's chunks, which limit bounds as in
-    _span_ok: its row groups pay off only on chunks that hold many maps
+    The checks call _span_scan, not the memo of _span_ok, in chunks of
+    limit cells: its row groups pay off only on chunks that hold many maps
     sharing a prefix.  The candidates are built, and the last coordinate's
     eliminated, in batches of min(limit, _PAIR_CELLS) cells, so their int64
     indices stay as small as in every other elimination."""
@@ -645,9 +613,9 @@ def _group_search(L, S, budget=None, limit=_SPAN_CELLS):
             r = r[(r[:, banned] == 0).all(axis=1)]
             ab = np.repeat(eye[None], len(r), axis=0)
             ab[:, j] = r
-            r = r[_span_ok(kern, L, S, ab, limit, check=alone[j])]
+            r = r[_span_scan(kern, L, S, ab, limit, check=alone[j])]
         total = len(prefix) * len(r)
-        _check_budget(total, budget, f"group search step {j + 1} (coordinate x{j + 1})")
+        _check_budget(total, budget, f"row-prefix step {j + 1} (coordinate x{j + 1})")
 
         def extend(k, prefix=prefix, r=r, j=j):
             # a function call, so each batch's temporaries are freed before
@@ -661,7 +629,7 @@ def _group_search(L, S, budget=None, limit=_SPAN_CELLS):
             # the candidates of a span chunk, built in elimination batches
             ab = np.concatenate([extend(k[b]) for b in _chunks(len(k), cells, batch)]
                                 + [np.empty((0, m, m + 1), dtype=np.uint16)])
-            return ab[_span_ok(kern, L, S, ab, limit, check=mixed[j])] if mixed[j] else ab
+            return ab[_span_scan(kern, L, S, ab, limit, check=mixed[j])] if mixed[j] else ab
 
         prefix = np.concatenate([grow(k) for k in _chunks(total, cells, limit)]
                                 + [np.empty((0, m, m + 1), dtype=np.uint16)])
@@ -738,31 +706,30 @@ def _closure_certificate(kern, ab, keys):
             return False, gens, witness
 
 
-def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
+def group_axioms_report(F: Field, transforms):
     """Identity membership, closure under inverse, and closure under
     composition, batched on the field tables.
 
-    When the identity is a member and the set is closed under inverse, the
-    closure certificate by generators (_closure_certificate) decides closure
-    under composition exactly.  A certified set is a group, so every ordered
-    pair closes: composition_pairs_checked is then g * g (exhaustive, when
-    that is within the sample limit) or sample_limit (sampled), and no pair
-    is drawn.  Otherwise the pair scan, in itertools.product order or in the
-    order of deterministic draws, names the first failing pair; when the
-    draws miss every failing pair of a set the certificate rejected, the
-    certificate's pair is the witness.  So the seed only chooses which
-    failing pair a non-group's report names.  The witness is the first
-    member whose inverse is missing, overwritten by the failing pair."""
+    With the identity and every inverse present, the closure certificate by
+    generators (_closure_certificate) decides closure under composition
+    exactly.  A certified set is a group, so min(g * g, _PAIR_LIMIT) pairs
+    count as checked (exhaustive when that is all g * g) and none is
+    composed.  Otherwise that many ordered pairs are composed in
+    itertools.product order, pair i * g + j being member i after member j,
+    and the first failing one is named, or the certificate's pair when none
+    of them fails.  The witness is the first member whose inverse is
+    missing, overwritten by the failing pair."""
     ab = _as_array(transforms)
     maps = AffineMaps(F, ab)
     g, m = ab.shape[:2]
+    total = min(g * g, _PAIR_LIMIT)
     report = {
         "size": g,
         "has_identity": bool((ab == np.eye(m, m + 1, dtype=np.uint16)).all(axis=(1, 2)).any()),
         "closed_under_inverse": True,
         "closed_under_composition": True,
         "composition_pairs_checked": 0,
-        "exhaustive": g * g <= sample_limit,
+        "exhaustive": g * g <= _PAIR_LIMIT,
         "witness": None,
     }
     if g == 0:
@@ -776,27 +743,32 @@ def group_axioms_report(F: Field, transforms, sample_limit=2_000_000, seed=0):
             report["closed_under_inverse"] = False
             report["witness"] = maps[k[bad[0]]].to_json()
             break
-    total = g * g if report["exhaustive"] else sample_limit
     failing = None
     if report["has_identity"] and report["closed_under_inverse"]:
         closed, _, failing = _closure_certificate(kern, ab, members)
         if closed:
             report["composition_pairs_checked"] = total
             return report
-    # chunked draws equal one draw of sample_limit pairs: rng keeps its state
-    rng = None if report["exhaustive"] else np.random.default_rng(seed)
-    for k in _chunks(total, m * m * (m + 1), _PAIR_CELLS):
-        i, j = np.divmod(k, g) if rng is None else rng.integers(0, g, size=(len(k), 2)).T
-        miss = np.flatnonzero(~_contains(members, _row_keys(_compose(kern, ab[i], ab[j]), F.q)))
-        if len(miss):
-            t = miss[0]
-            report["composition_pairs_checked"] = int(k[t]) + 1
-            report["closed_under_composition"] = False
-            report["witness"] = {"left": maps[i[t]].to_json(), "right": maps[j[t]].to_json()}
-            return report
+    # whole rows of pairs per batch when a row fits in the batch, else one
+    # row in blocks of columns: either way the pairs come in product order
+    cells = m * m * (m + 1)
+    for rows in _chunks(-(-total // g), cells * g, _PAIR_CELLS):
+        for cols in _chunks(g, cells * len(rows), _PAIR_CELLS):
+            first = int(rows[0] * g + cols[0])
+            if first >= total:
+                break
+            prods = _right_products(kern, ab[rows], ab[cols])[:total - first]
+            miss = np.flatnonzero(~_contains(members, _row_keys(prods, F.q)))
+            if len(miss):
+                pair = first + int(miss[0])
+                report["composition_pairs_checked"] = pair + 1
+                report["closed_under_composition"] = False
+                report["witness"] = {"left": maps[pair // g].to_json(),
+                                     "right": maps[pair % g].to_json()}
+                return report
     report["composition_pairs_checked"] = total
     if failing is not None:
-        # the draws missed every failing pair; the certificate's is one
+        # no scanned pair fails; the certificate's pair does
         x, s = failing
         report["closed_under_composition"] = False
         report["witness"] = {"left": AffineMaps(F, x[None])[0].to_json(),

@@ -9,6 +9,7 @@ import pathlib
 import time
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -28,9 +29,10 @@ from test_oracle import search_cases, small_sets
 VERIFY_GROUP = pathlib.Path(__file__).resolve().parents[1] / "bench" / "configs" / "verify-group"
 
 
-def pairwise_axioms_report(F, transforms, sample_limit=2_000_000, seed=0):
+def pairwise_axioms_report(F, transforms):
     """Scalar reference: one AffineTransformation.compose per pair, the
-    pairs in itertools.product order or drawn like the batched check."""
+    first oracle._PAIR_LIMIT pairs in itertools.product order."""
+    limit = oracle._PAIR_LIMIT
     ts = list(transforms)
     keys = {(T.A, T.b) for T in ts}
     g = len(ts)
@@ -40,7 +42,7 @@ def pairwise_axioms_report(F, transforms, sample_limit=2_000_000, seed=0):
         "closed_under_inverse": True,
         "closed_under_composition": True,
         "composition_pairs_checked": 0,
-        "exhaustive": g * g <= sample_limit,
+        "exhaustive": g * g <= limit,
         "witness": None,
     }
     for T in ts:
@@ -52,14 +54,7 @@ def pairwise_axioms_report(F, transforms, sample_limit=2_000_000, seed=0):
             report["closed_under_inverse"] = False
             report["witness"] = T.to_json()
             break
-    if g == 0:
-        return report
-    if report["exhaustive"]:
-        pairs = itertools.product(range(g), repeat=2)
-    else:
-        rng = np.random.default_rng(seed)
-        pairs = map(tuple, rng.integers(0, g, size=(sample_limit, 2)))
-    for i, j in pairs:
+    for i, j in itertools.islice(itertools.product(range(g), repeat=2), limit):
         C = ts[i].compose(ts[j])
         report["composition_pairs_checked"] += 1
         if (C.A, C.b) not in keys:
@@ -69,14 +64,17 @@ def pairwise_axioms_report(F, transforms, sample_limit=2_000_000, seed=0):
     return report
 
 
-def assert_same_report(F, ts, **kw):
-    got = group_axioms_report(F, ts, **kw)
-    assert got == pairwise_axioms_report(F, ts, **kw)
+def assert_same_report(F, ts, limit=oracle._PAIR_LIMIT):
+    """The batched report equals the reference's, both under the pair limit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_PAIR_LIMIT", limit)
+        got = group_axioms_report(F, ts)
+        assert got == pairwise_axioms_report(F, ts)
     return got
 
 
-# pairs beyond this are sampled, which keeps the scalar reference fast on the
-# larger stabilizer groups (up to |AGL(2, 9)| = 466,560 members)
+# pairs beyond this are not scanned, which keeps the scalar reference fast on
+# the larger stabilizer groups (up to |AGL(2, 9)| = 466,560 members)
 LIMIT = 20_000
 
 
@@ -85,13 +83,13 @@ LIMIT = 20_000
 def test_batched_axioms_match_pairwise_reference(S):
     F = S.field
     stabs = oracle_stabilizers(S)
-    rep = assert_same_report(F, stabs, sample_limit=LIMIT)
+    rep = assert_same_report(F, stabs, limit=LIMIT)
     assert rep["closed_under_inverse"] and rep["closed_under_composition"]
     half = len(stabs) // 2
-    assert_same_report(F, list(stabs[:half]) + list(stabs[half + 1:]), sample_limit=LIMIT)
+    assert_same_report(F, list(stabs[:half]) + list(stabs[half + 1:]), limit=LIMIT)
     # the zero map is singular, so it is never a stabilizer
     zero = AffineTransformation(F, [[0] * S.m] * S.m)
-    assert_same_report(F, list(stabs) + [zero], sample_limit=LIMIT)
+    assert_same_report(F, list(stabs) + [zero], limit=LIMIT)
 
 
 def test_non_groups_and_the_empty_list():
@@ -118,44 +116,47 @@ def test_non_groups_and_the_empty_list():
     # whose inverse is missing, ahead of a singular map later in the list
     T = next(T for T in stabs if T.compose(T) != AffineTransformation.identity(F, 2))
     ts = [U for U in stabs if U != T.invert()] + [singular]
-    rep = assert_same_report(F, ts, sample_limit=0)
+    rep = assert_same_report(F, ts, limit=0)
     assert not rep["closed_under_inverse"] and rep["witness"] == T.to_json()
     rep = assert_same_report(F, ts)
     assert not rep["closed_under_inverse"] and not rep["closed_under_composition"]
 
 
-def test_sampled_branch():
+def test_pair_prefix_branch():
+    # GF(4)^2: 2,880 maps, so the first 1,000 pairs lie in row 0 and the
+    # first 7,000 reach into row 2
     F = GF(4)
     S = CartesianSet([full_component(F), full_component(F)])
     stabs = oracle_stabilizers(S)
-    for seed in (0, 7):
-        rep = assert_same_report(F, stabs[:500], sample_limit=1000, seed=seed)
+    for limit in (1000, 7000):
+        rep = assert_same_report(F, stabs[:500], limit=limit)
         assert not rep["exhaustive"] and not rep["closed_under_composition"]
-        rep = assert_same_report(F, stabs, sample_limit=1000, seed=seed)
-        assert not rep["exhaustive"] and rep["composition_pairs_checked"] == 1000
+        rep = assert_same_report(F, stabs, limit=limit)
+        assert not rep["exhaustive"] and rep["closed_under_composition"]
+        assert rep["composition_pairs_checked"] == limit
 
 
-def test_sampled_pairs_are_drawn_in_chunks():
-    # consecutive draws from one generator equal a single draw of them all
-    for g in (3, 2880, 24576, 70000, 2 ** 33):
-        rng = np.random.default_rng(0)
-        chunked = np.concatenate([rng.integers(0, g, size=(n, 2))
-                                  for n in (65_537, 65_537, 1000)])
-        assert np.array_equal(chunked,
-                              np.random.default_rng(0).integers(0, g, size=(132_074, 2)))
-    # GF(2)^3 minus one member: m = 3 composes 65536 // 36 = 1820 pairs a
-    # chunk, and under these seeds the first missing product is drawn in the
-    # second and the third chunk
-    F = GF(2)
-    S = CartesianSet([full_component(F)] * 3)
-    stabs = list(oracle_stabilizers(S))
-    ts = stabs[:600] + stabs[601:]
-    for seed, chunk in ((4, 1), (2, 2)):
-        rep = assert_same_report(F, ts, sample_limit=20_000, seed=seed)
-        assert not rep["exhaustive"] and not rep["closed_under_composition"]
-        assert rep["composition_pairs_checked"] // (65536 // 36) == chunk
-    rep = assert_same_report(F, stabs, sample_limit=20_000)
-    assert rep["closed_under_composition"] and rep["composition_pairs_checked"] == 20_000
+@pytest.mark.parametrize("q, m, rows", [(3, 2, 13), (2, 3, 2), (5, 2, 1)])
+def test_pair_prefix_spans_batches(q, m, rows):
+    """The first failing pair lies past the first batch of pairs: the 443
+    maps over GF(3)^2 are composed 12 rows a batch, the 1,344 over GF(2)^3
+    one row a batch, and the 11,999 over GF(5)^2 one row in three blocks of
+    columns.  The first rows are the identity, which fails no pair; the
+    next is a member Y, and the missing member is Y after the last map Z,
+    so the only failing pair of row Y is at the last column."""
+    F = GF(q)
+    stabs = list(oracle_stabilizers(CartesianSet([full_component(F)] * m)))
+    one = AffineTransformation.identity(F, m)
+    Y, Z = stabs[0], stabs[-1]
+    X = Y.compose(Z)
+    assert len({one, X, Y, Z}) == 4
+    ts = [one] * rows + [Y] + [T for T in stabs if T not in (one, X, Y, Z)] + [Z]
+    g = len(ts)
+    assert g == len(stabs) + rows - 2
+    rep = assert_same_report(F, ts)
+    assert not rep["closed_under_composition"]
+    assert rep["composition_pairs_checked"] == (rows + 1) * g
+    assert rep["witness"] == {"left": Y.to_json(), "right": Z.to_json()}
 
 
 def test_gf16_four_dimensional_keys():
@@ -272,10 +273,10 @@ def affine_space_permutations(F, ts):
 @example((GF(3), [AffineTransformation.identity(GF(3), 2)], True))
 def test_closure_certificate_matches_pairwise_reference(case):
     F, ts, is_group = case
-    # groups are sampled past LIMIT pairs, as before; the non-groups are
-    # scanned exhaustively, so that the reference finds a failing pair
+    # groups are scanned up to LIMIT pairs; the non-groups exhaustively, so
+    # that the reference finds a failing pair
     limit = LIMIT if is_group else 10 ** 12
-    rep = assert_same_report(F, ts, sample_limit=limit)
+    rep = assert_same_report(F, ts, limit=limit)
     if is_group:
         assert rep["closed_under_composition"]
     # the certificate needs the identity and invertible members only, so it
@@ -304,10 +305,11 @@ def test_closure_certificate_matches_pairwise_reference(case):
 
 def test_certificate_closes_the_sampling_gap():
     # GF(4)^2 minus the involution x -> (a x2, a^2 x1): a set with the
-    # identity and every inverse, not closed, whose failing pairs the 1,000
-    # pairs drawn under seeds 1, 2 and 4 all miss.  The pairwise reference
-    # calls it closed; the certificate finds a failing pair of members.
-    # This is the one case where the report differs from the reference.
+    # identity and every inverse, not closed, whose only failing pair in
+    # row 0 is at column j, so a prefix of j pairs misses every failing
+    # pair.  The pairwise reference calls it closed; the certificate finds
+    # a failing pair of members.  This is the one case where the report
+    # differs from the reference.
     F = GF(4)
     S = CartesianSet([full_component(F), full_component(F)])
     swap = AffineTransformation(F, [[0, 2], [3, 0]])
@@ -315,23 +317,30 @@ def test_certificate_closes_the_sampling_gap():
     ts = [T for T in oracle_stabilizers(S) if T != swap]
     assert len(ts) == 2879
     members = set(ts)
-    for seed in (1, 2, 4):
-        want = pairwise_axioms_report(F, ts, sample_limit=1000, seed=seed)
+    j = ts.index(ts[0].invert().compose(swap))
+    assert j > 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_PAIR_LIMIT", j)
+        want = pairwise_axioms_report(F, ts)
         assert want["closed_under_composition"]
-        got = group_axioms_report(F, ts, sample_limit=1000, seed=seed)
-        assert not got["closed_under_composition"]
-        # every other entry is the reference's: all 1,000 drawn pairs are
-        # counted, and the witness is the certificate's pair
-        assert {**got, "closed_under_composition": True, "witness": None} == want
-        left = AffineTransformation.from_json(F, got["witness"]["left"])
-        right = AffineTransformation.from_json(F, got["witness"]["right"])
-        assert left in members and right in members
-        assert left.compose(right) not in members
+        got = group_axioms_report(F, ts)
+    assert not got["closed_under_composition"]
+    # every other entry is the reference's: all j scanned pairs are
+    # counted, and the witness is the certificate's pair
+    assert {**got, "closed_under_composition": True, "witness": None} == want
+    left = AffineTransformation.from_json(F, got["witness"]["left"])
+    right = AffineTransformation.from_json(F, got["witness"]["right"])
+    assert left in members and right in members
+    assert left.compose(right) not in members
+    # one more pair reaches the failing pair of row 0
+    rep = assert_same_report(F, ts, limit=j + 1)
+    assert rep["composition_pairs_checked"] == j + 1
+    assert rep["witness"] == {"left": ts[0].to_json(), "right": ts[j].to_json()}
 
 
 def test_gf16_code_group_is_certified():
     # the 3,600-map code group of GF(16) full x mu5 x mu3 with L =
-    # closure{x1^3 x2 x3}: about 1.3e7 ordered pairs, so the report is sampled
+    # closure{x1^3 x2 x3}: about 1.3e7 ordered pairs, past the pair limit
     start = time.perf_counter()
     F = GF(16)
     S = CartesianSet([full_component(F), mult_component(F, 5), mult_component(F, 3)])
@@ -345,9 +354,9 @@ def test_gf16_code_group_is_certified():
     assert rep == {"size": 3600, "has_identity": True, "closed_under_inverse": True,
                    "closed_under_composition": True, "composition_pairs_checked": 2_000_000,
                    "exhaustive": False, "witness": None}
-    one = np.eye(3, 4, dtype=np.uint16)
-    square = oracle._compose(kern, group, group)
-    t = np.flatnonzero((square == one).all(axis=(1, 2)) & ~(group == one).all(axis=(1, 2)))[0]
+    one = AffineTransformation.identity(F, 3)
+    t = next(t for t, T in enumerate(oracle.AffineMaps(F, group))
+             if T != one and T.compose(T) == one)
     rep = group_axioms_report(F, oracle.AffineMaps(F, np.delete(group, t, axis=0)))
     assert rep["has_identity"] and rep["closed_under_inverse"]
     assert not rep["closed_under_composition"]

@@ -235,6 +235,16 @@ def test_negative_budget_flag_is_a_config_error(tmp_path, capsys):
     assert "row pass of 27 candidates exceeds budget 0" in capsys.readouterr().err
 
 
+def test_seed_flag_is_gone(capsys):
+    # argparse rejects it with exit 2 and a usage line
+    with pytest.raises(SystemExit) as exit_:
+        main(["--seed", "1", "examples"])
+    assert exit_.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cartperm ") and "--seed" not in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
 def test_jobs_flag_gives_same_reports(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", BASE_CONFIG)
     out1, out2 = tmp_path / "serial", tmp_path / "threads"
@@ -271,7 +281,7 @@ def test_failed_verification_exit(tmp_path):
     # emitters, so assert the exit-code plumbing directly instead.
     from cartperm import cli
 
-    def fake_task(F, S, L, budget, seed):
+    def fake_task(F, S, L, budget):
         return {"ok": False}, False
 
     old = dict(cli.TASK_FUNCS)
@@ -443,6 +453,8 @@ def test_oracle_verify_scans_once(tmp_path, monkeypatch, cfg, family):
      "set.components[0]: missing key 'elements'"),
     (("monomials",), {"closure": [[1, 0]]},
      "monomials: missing key 'generators' or 'monomials'"),
+    (("monomials",), {"bound": [2, 0], "monomials": [[1, 0]]},
+     "monomials.monomials[0][1]: expected an integer in an empty range (bound 0), got 0"),
 ])
 def test_malformed_config_values(tmp_path, capsys, path, value, where):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -190,16 +190,17 @@ def test_memo_holds_the_last_array_only(monkeypatch):
     assert oracle._LAST.images is None
 
 
-def test_subset_checks_and_other_chunks_bypass_the_memo(monkeypatch):
+def test_row_prefix_search_leaves_the_memo_empty(monkeypatch):
+    # closure{x1 x2} over GF(3)^2: x1 and x2 filter the rows, x1 x2 the
+    # products, each a subset check that runs the kernel directly
     S = CartesianSet([full_component(GF(3))] * 2)
     L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
-    ab = oracle_stabilizers(S).ab
-    kern = oracle._Kernel(S.field)
     calls = kernel_calls(monkeypatch)
     for _ in range(2):
-        oracle._span_ok(kern, L, S, ab, check=[(1, 1)])
-        oracle._span_ok(kern, L, S, ab, 40)
-    assert len(calls) == 4 and oracle._LAST.key is None
+        assert len(oracle_affine_perm_group(L, S)) == 72
+        assert len(oracle_stabilizers(S)) == 432
+    assert [sorted(check) for _, check in calls] == [[(1, 0)], [(0, 1)], [(1, 1)]] * 2
+    assert oracle._LAST.key is None
 
 
 def full_list_runs(calls, n):

@@ -95,7 +95,8 @@ def test_budget_names_each_phase(monkeypatch):
     S = full_square(3)          # 27 candidate rows, 24 of them per coordinate
     with pytest.raises(BudgetExceeded, match="row pass of 27 candidates"):
         oracle_stabilizers(S, budget=26)
-    with pytest.raises(BudgetExceeded, match="product scan of 576 candidates"):
+    with pytest.raises(BudgetExceeded,
+                       match=r"row-prefix step 2 \(coordinate x2\) of 576 candidates"):
         oracle_stabilizers(S, budget=575)
     assert len(oracle_stabilizers(S, budget=576)) == 432
     # the row budget trips before any field table is built
@@ -295,7 +296,7 @@ def sweep_class_batch():
 @example(sweep_class_batch())
 def test_batched_span_matches_span_checker(batch):
     S, L, ts, limit = batch
-    got = oracle._span_ok(oracle._Kernel(S.field), L, S, oracle._as_array(ts), limit)
+    got = oracle._span_scan(oracle._Kernel(S.field), L, S, oracle._as_array(ts), limit)
     checker = SpanChecker(L, S)
     assert got.tolist() == [checker.check(T) for T in ts]
 
@@ -466,15 +467,18 @@ def test_group_search_budget(monkeypatch):
     L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
     with pytest.raises(BudgetExceeded, match="row pass of 27 candidates"):
         oracle_affine_perm_group(L, S, budget=26)
-    with pytest.raises(BudgetExceeded, match=r"step 2 \(coordinate x2\) of 576 candidates"):
+    with pytest.raises(BudgetExceeded,
+                       match=r"row-prefix step 2 \(coordinate x2\) of 576 candidates"):
         oracle_affine_perm_group(L, S, budget=575)
     assert len(oracle_affine_perm_group(L, S, budget=576)) == 72
     # the 921,600 stabilizers of GF(16) full x mu5 x mu3 are never listed:
-    # 240 first rows, then 1,200 and at most 3,600 candidates
+    # 240 first rows, then 1,200 and at most 3,600 candidates.  Listing
+    # them builds 307,200 prefixes of two rows at step 2
     F = GF(16)
     S = CartesianSet([full_component(F), mult_component(F, 5), mult_component(F, 3)])
     L = divisibility_closure(MonomialSet(3, [(3, 1, 1)], bound=S.sizes))
-    with pytest.raises(BudgetExceeded, match="product scan of 921600 candidates"):
+    with pytest.raises(BudgetExceeded,
+                       match=r"row-prefix step 2 \(coordinate x2\) of 307200 candidates"):
         oracle_stabilizers(S, budget=100_000)
     start = time.perf_counter()
     group = oracle_affine_perm_group(L, S, budget=100_000)

@@ -1,0 +1,47 @@
+"""Source hygiene of src/cartperm, checked with the standard library's ast
+(no linter is needed): no module imports a name it never uses, and every
+module-private top-level function or class is used somewhere in the
+package, so a helper left behind by a removed caller shows up here."""
+
+import ast
+import pathlib
+from collections import Counter
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cartperm"
+MODULES = {path.name: ast.parse(path.read_text(), str(path))
+           for path in sorted(SRC.glob("*.py"))}
+
+
+def used_names(tree):
+    """How often a tree reads each name: each Name and the attribute of
+    each Attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def imported_names(tree):
+    """The names each import statement of a tree binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export
+    unused = [f"{name}: {imported}" for name, tree in MODULES.items() if name != "__init__.py"
+              for imported in imported_names(tree) if imported not in used_names(tree)]
+    assert unused == []
+
+
+def test_every_private_helper_has_a_caller():
+    # a use inside the helper's own definition is no caller
+    uses = sum((used_names(tree) for tree in MODULES.values()), Counter())
+    orphans = [f"{name}: {node.name}" for name, tree in MODULES.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and uses[node.name] == used_names(node)[node.name]]
+    assert orphans == []

@@ -180,13 +180,16 @@ def test_coset_rounds_stop_when_they_do_not_double():
 
 @pytest.mark.parametrize("q, m", [(2, 3), (4, 2), (7, 1), (16, 3)])
 def test_right_products_match_compose(q, m):
-    kern = oracle._Kernel(GF(q))
+    # against the scalar AffineTransformation.compose, pair by pair
+    F = GF(q)
+    kern = oracle._Kernel(F)
     rng = np.random.default_rng(q)
     xs = rng.integers(0, q, (50, m, m + 1)).astype(np.uint16)
-    for ss in (xs[:1], xs[3:7]):
-        i, j = np.divmod(np.arange(len(xs) * len(ss)), len(ss))
-        want = oracle._compose(kern, xs[i], ss[j])
-        assert (oracle._right_products(kern, xs, ss) == want).all()
+    maps = AffineMaps(F, xs)
+    for lo, hi in ((0, 1), (3, 7)):
+        got = AffineMaps(F, oracle._right_products(kern, xs, xs[lo:hi]))
+        want = [x.compose(s) for x in maps for s in maps[lo:hi]]
+        assert list(got) == want
 
 
 def test_components_match_a_union_find():
