@@ -25,7 +25,7 @@ from .monomials import (
     has_borel_property, is_decreasing, p_borel_graph,
 )
 from .oracle import (
-    AffineMaps, _as_array, group_axioms_report, keeps_span,
+    AffineMaps, group_axioms_report, keeps_span,
     oracle_affine_perm_group, oracle_stabilizers, reduced_pullbacks,
     two_route_agreement, verify_characterization,
 )
@@ -286,8 +286,8 @@ def task_oracle_verify(F, S, L, budget):
             except (FieldError, ValueError):
                 claimed = None
             if claimed is not None:
-                # packed, so indexing works on whatever iterable members() gives
-                members = AffineMaps(F, _as_array(claimed.members(budget), S.m))
+                # the tracer of bench/spans.py hands members() on as a stream
+                members = AffineMaps.packed(F, claimed.members(budget), S.m)
                 inside = group.holds(members)
                 counterexamples = [membership_report(members[t], L, S)
                                    for t in np.flatnonzero(~inside)[:3]]
@@ -437,7 +437,7 @@ def example_scaled_line():
     stabs = oracle_stabilizers(S)
     fam = AdditivePowerFamily(S)
     _assert(asr, "twelve-maps", len(stabs) == 12 and fam.count() == 12)
-    members = AffineMaps(F, _as_array(fam.members(), S.m))
+    members = AffineMaps.packed(F, fam.members(), S.m)
     _assert(asr, "family-equals-oracle",
             stabs.holds(members).all() and members.holds(stabs).all())
     return out
@@ -622,9 +622,10 @@ def main(argv=None) -> int:
 def _read_json(path: pathlib.Path):
     try:
         return json.loads(path.read_text())
-    except FileNotFoundError as e:
+    except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or UnicodeDecodeError for bytes that are no UTF-8
         raise ConfigError(f"{path}: invalid JSON ({e})") from e
 
 

@@ -24,10 +24,10 @@ is invertible, which one batched Gauss-Jordan elimination of [A | I | b]
 (_invert) tests.  The group-axioms check inverts with it too, and looks each
 inverse and product up among the members' sorted keys: [A | b] packed into
 a uint64 where it fits, its bytes otherwise (_row_keys).  It decides
-closure under composition by a certificate by generators
-(_closure_certificate): about g * |X| compositions, |X| <= log2 g, exact for
-every g.  Pairs are composed, in itertools.product order and at most
-_PAIR_LIMIT of them, only to name a non-group's first failing pair.
+closure under composition by the generator walk of the two-route check
+(_cosets, below): g compositions per generator, at most log2 g + 1 rounds,
+exact for every g.  Pairs are composed, in itertools.product order and at
+most _PAIR_LIMIT of them, only to name a non-group's first failing pair.
 
 The span route is one batched kernel (_span_scan): reduced pullbacks as
 coefficient arrays over the box basis of F[x]/I(S), built by shift-and-reduce
@@ -164,6 +164,11 @@ class AffineMaps(Sequence):
     def __init__(self, field: Field, ab):
         self.field, self.ab = field, ab
 
+    @classmethod
+    def packed(cls, field: Field, maps, m=0):
+        """maps as an AffineMaps, packed once (_as_array) unless it is one."""
+        return maps if isinstance(maps, AffineMaps) else cls(field, _as_array(maps, m))
+
     def __len__(self):
         return len(self.ab)
 
@@ -202,12 +207,13 @@ def _row_keys(ab, q):
     """One key per map of an (N, r, c) array of element indices of GF(q):
     its r * c entries packed into a uint64, bit_length(q - 1) bits each, when
     they fit (m = 3 up to q = 32); otherwise its flattened entries viewed as
-    np.void, whose generic compare is slower but never overflows."""
+    np.void, whose generic compare is slower but never overflows.  A map with
+    no entries (r or c zero) gets the key 0."""
     cells, bits = ab.shape[1] * ab.shape[2], max(1, (q - 1).bit_length())
     flat = np.ascontiguousarray(ab).reshape(len(ab), cells)
     if cells * bits <= 64:
         weights = np.uint64(1) << np.arange(0, cells * bits, bits, dtype=np.uint64)
-        step = _PAIR_CELLS // cells + 1     # bounds the uint64 copy of the entries
+        step = _PAIR_CELLS // max(1, cells) + 1     # bounds the uint64 copy of the entries
         return np.concatenate([flat[lo:lo + step].astype(np.uint64) @ weights
                                for lo in range(0, len(flat), step)] + [np.empty(0, np.uint64)])
     return flat.view(np.dtype((np.void, flat.itemsize * cells))).ravel()
@@ -259,8 +265,7 @@ def _right_products(kern, xs, ss):
     [A | b], x-major: entry (i, j) of [A_x A_s | A_x b_s + b_x] sums over t
     the columns s[t, j] of the multiplication table read at A_x[i, t].
     Whole table columns are read, not one cell per pair.  The generator
-    walks (_closure_certificate, _cosets) and the pair scan of
-    group_axioms_report use it."""
+    walk (_cosets) and the pair scan of group_axioms_report use it."""
     m = xs.shape[1]
     out = kern.mul[:, ss[:, 0]].take(xs[:, :, 0], axis=0)     # [x, row, s, col]
     for t in range(1, m):
@@ -440,21 +445,21 @@ def _span_scan(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
     def scan(sub):
         # the indices of the maps of the chunk that keep the span
         live = np.arange(len(sub))
-        # support -> (the group of each live map, one live map of each
-        # group); node -> its coefficients, one row per group
+        # support -> (one live map of each group, the group of each live
+        # map); node -> its coefficients, one row per group
         groups, pulled = {}, {}
         for k, (v, parent, i) in enumerate(walk):
             s = support[v]
             if s not in groups:
-                groups[s] = _groups(sub[:, list(s)], kern.q)
-            inverse, reps = groups[s]
+                groups[s] = _distinct(_row_keys(sub[:, list(s)], kern.q))
+            reps, inverse = groups[s]
             if i is None:
                 P = forms.one(len(reps))
             else:
                 P = pulled[parent]
                 if support[parent] != s:
                     # the parent's row for the map that stands for each group
-                    P = P[groups[support[parent]][0][reps]]
+                    P = P[groups[support[parent]][1][reps]]
                 P = forms.times_form(P, sub[reps], i)
                 if last[parent] == k:
                     del pulled[parent]
@@ -468,7 +473,7 @@ def _span_scan(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
                         return live[:0]
                     live, sub = live[keep], sub[keep]
                     alive = {}
-                    for t, (of_map, one_map) in groups.items():
+                    for t, (one_map, of_map) in groups.items():
                         alive[t], groups[t] = _regroup(of_map[keep], len(one_map))
                     pulled = {w: Q[alive[support[w]]] for w, Q in pulled.items()}
         return live
@@ -479,26 +484,17 @@ def _span_scan(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
     return ok
 
 
-def _groups(rows, q):
-    """The group of each map of an (N, r, m + 1) array of rows, numbered
-    among the distinct row tuples, and one map of each group."""
-    if not rows.shape[1]:
-        return np.zeros(len(rows), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    first, inverse = _distinct(_row_keys(rows, q))
-    return inverse, first
-
-
 def _regroup(inverse, count):
     """The groups, of count, that keep a map of the group array inverse, and
-    that grouping renumbered to them: (the group of each map, one map of
-    each group)."""
+    that grouping renumbered to them: (one map of each group, the group of
+    each map), as _distinct gives them."""
     alive = np.zeros(count, dtype=bool)
     alive[inverse] = True
     inverse = (np.cumsum(alive) - 1)[inverse]
     reps = np.empty(np.count_nonzero(alive), dtype=np.int64)
     # any map of a group will do
     reps[inverse] = np.arange(len(inverse))
-    return alive, (inverse, reps)
+    return alive, (reps, inverse)
 
 
 def _check_budget(size, budget, phase):
@@ -649,76 +645,20 @@ def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
     return AffineMaps(S.field, ab[_span_ok(_Kernel(S.field), L, S, ab)])
 
 
-def _closure_certificate(kern, ab, keys):
-    """Whether the members of an (N, m, m + 1) array [A | b] are closed under
-    composition, decided by generators in about N * |X| compositions.  The
-    identity must be a member and every member invertible; keys are the
-    sorted distinct member keys (_key_set).
-
-    The reached set starts as the identity and is a mask over keys.  The
-    members are walked in input order, and each one not yet reached becomes
-    a generator s: every reached element is multiplied by s, then each newly
-    reached batch by every generator, until nothing new appears.  Every
-    product must be a member.  When the walk ends, the reached set is all of
-    the members and is closed under right multiplication by the generators,
-    so it is the finite group they generate (Seress 2003; Butler 1991).
-
-    Returns (closed, generators, witness): the indices of the generators
-    picked, and None or the first failing pair (x, s), a reached [A | b]
-    array x and the index s of a generator with x after s no member."""
-    m = ab.shape[1]
-    reached = np.zeros(len(keys), dtype=bool)
-    where = _lookup(keys, _row_keys(ab, kern.q))[0]
-    identity = np.eye(m, m + 1, dtype=np.uint16)[None]
-    reached[_lookup(keys, _row_keys(identity, kern.q))[0]] = True
-    elements, gens = [identity], []
-
-    def step(xs, ss):
-        # the new products x after s, x in xs and s in ss (pairs x-major),
-        # each at its first occurrence and in pair order; or None and the
-        # first pair whose product is no member
-        new = [np.empty((0, m, m + 1), dtype=np.uint16)]
-        for k in _chunks(len(xs), m * m * (m + 1) * len(ss), _PAIR_CELLS):
-            prods = _right_products(kern, xs[k], ab[ss])
-            pos, hit = _lookup(keys, _row_keys(prods, kern.q))
-            if not hit.all():
-                i, j = np.divmod(np.flatnonzero(~hit)[0], len(ss))
-                return None, (xs[k[i]], int(ss[j]))
-            fresh = np.flatnonzero(~reached[pos])
-            fresh = fresh[np.argsort(pos[fresh], kind="stable")]
-            fresh = np.sort(fresh[_starts(pos[fresh])])
-            reached[pos[fresh]] = True
-            new.append(prods[fresh])
-        return np.concatenate(new), None
-
-    s = 0
-    while True:
-        left = np.flatnonzero(~reached[where[s:]])
-        if not len(left):
-            return True, gens, None
-        s += int(left[0])
-        gens.append(s)
-        frontier, witness = step(np.concatenate(elements), np.array([s]))
-        while witness is None and len(frontier):
-            elements.append(frontier)
-            frontier, witness = step(frontier, np.array(gens))
-        if witness is not None:
-            return False, gens, witness
-
-
 def group_axioms_report(F: Field, transforms):
     """Identity membership, closure under inverse, and closure under
     composition, batched on the field tables.
 
-    With the identity and every inverse present, the closure certificate by
-    generators (_closure_certificate) decides closure under composition
-    exactly.  A certified set is a group, so min(g * g, _PAIR_LIMIT) pairs
-    count as checked (exhaustive when that is all g * g) and none is
-    composed.  Otherwise that many ordered pairs are composed in
-    itertools.product order, pair i * g + j being member i after member j,
-    and the first failing one is named, or the certificate's pair when none
-    of them fails.  The witness is the first member whose inverse is
-    missing, overwritten by the failing pair."""
+    With the identity and every inverse present, the generator walk of the
+    two-route check (_cosets, every member accepted) decides closure under
+    composition exactly: the members are closed when it finds every
+    product, and then form a group.  So min(g * g, _PAIR_LIMIT) pairs count
+    as checked (exhaustive when that is all g * g) and none is composed.
+    Otherwise that many ordered pairs are composed in itertools.product
+    order, pair i * g + j being member i after member j, and the first
+    failing one is named, or the walk's first miss when none of them fails.
+    The witness is the first member whose inverse is missing, overwritten by
+    the failing pair."""
     ab = _as_array(transforms)
     maps = AffineMaps(F, ab)
     g, m = ab.shape[:2]
@@ -743,10 +683,10 @@ def group_axioms_report(F: Field, transforms):
             report["closed_under_inverse"] = False
             report["witness"] = maps[k[bad[0]]].to_json()
             break
-    failing = None
+    miss = None
     if report["has_identity"] and report["closed_under_inverse"]:
-        closed, _, failing = _closure_certificate(kern, ab, members)
-        if closed:
+        miss = _cosets(kern, ab, np.ones(g, dtype=bool))[1]
+        if miss is None:
             report["composition_pairs_checked"] = total
             return report
     # whole rows of pairs per batch when a row fits in the batch, else one
@@ -758,21 +698,19 @@ def group_axioms_report(F: Field, transforms):
             if first >= total:
                 break
             prods = _right_products(kern, ab[rows], ab[cols])[:total - first]
-            miss = np.flatnonzero(~_contains(members, _row_keys(prods, F.q)))
-            if len(miss):
-                pair = first + int(miss[0])
+            bad = np.flatnonzero(~_contains(members, _row_keys(prods, F.q)))
+            if len(bad):
+                pair = first + int(bad[0])
                 report["composition_pairs_checked"] = pair + 1
                 report["closed_under_composition"] = False
                 report["witness"] = {"left": maps[pair // g].to_json(),
                                      "right": maps[pair % g].to_json()}
                 return report
     report["composition_pairs_checked"] = total
-    if failing is not None:
-        # no scanned pair fails; the certificate's pair does
-        x, s = failing
+    if miss is not None:
+        # no scanned pair fails; the walk's miss does
         report["closed_under_composition"] = False
-        report["witness"] = {"left": AffineMaps(F, x[None])[0].to_json(),
-                             "right": maps[s].to_json()}
+        report["witness"] = {"left": maps[miss[0]].to_json(), "right": maps[miss[1]].to_json()}
     return report
 
 
@@ -919,11 +857,13 @@ def _components(label, u, v):
 
 
 def _cosets(kern, ab, span_ok):
-    """Generators of the maps the span route accepts, and a component label
-    per map: the components of the graph on the maps of ab that joins each
-    map x to x after s for every generator s, and equal maps to each other;
-    a label is the first map of its component, in input order.  None when
-    the identity is not a map the span route accepts.
+    """Generators of the maps the span route accepts, a component label per
+    map, and the first miss: the components of the graph on the maps of ab
+    that joins each map x to x after s for every generator s, and equal maps
+    to each other; a label is the first map of its component, in input
+    order.  A miss is a pair (x, s) of indices, a map and a generator, with
+    x after s not among the maps; the first is taken in generator order,
+    then in input order, and is None when every product is found.
 
     The generators are picked in rounds, with no loop per coset: the first
     accepted map outside the identity's component becomes one, every map is
@@ -931,16 +871,26 @@ def _cosets(kern, ab, span_ok):
     holds every accepted map.  When the accepted maps H form a group and ab
     is a union of left cosets gH, the components are those cosets; otherwise
     a coset may split into several components, and never two cosets share
-    one.  Returns (generators, labels, the identity's index).
+    one.  The identity's component is then the subgroup generated so far,
+    so each round at least doubles it; a round that does not ends the walk,
+    which on a set that is no group could otherwise take a round per map.
 
-    When H is a group, the identity's component is the subgroup generated
-    so far, so each round at least doubles its distinct maps and there are
-    at most log2 |H| rounds.  A round that does not is also None: a set that
-    is no group could otherwise take a round per map."""
+    With every map accepted and invertible, the identity among them, the
+    maps are closed under composition exactly when there is no miss
+    (group_axioms_report).  With none, right multiplication by a generator
+    maps the finite set into itself, so onto it, and the set is closed
+    under the generators' inverses too; every map is in the identity's
+    component, so in the group <X> of the generators X; and the set holds
+    the identity, so all of <X> (Seress 2003; Butler 1991).  So a round
+    without a miss doubles the component, and a walk ended early has one.
+
+    Returns ((generators, labels, the identity's index), miss), the first
+    None when a round does not double; (None, None) when the identity is not
+    an accepted map."""
     q, m, n = kern.q, ab.shape[1], len(ab)
     identity = np.flatnonzero((ab == np.eye(m, m + 1, dtype=np.uint16)).all(axis=(1, 2)))
     if not (len(identity) and span_ok[identity[0]]):
-        return None
+        return None, None
     anchor = identity[0]
     keys = _row_keys(ab, q)
     first, inverse = _distinct(keys)
@@ -950,21 +900,24 @@ def _cosets(kern, ab, span_ok):
     label = _components(np.arange(n), np.arange(n), first[inverse])
     # each accepted map at its first occurrence
     accepted = span_ok & (first[inverse] == np.arange(n))
-    gens, reached = [], 1
+    gens, reached, miss = [], 1, None
     while True:
         left = np.flatnonzero(span_ok & (label != label[anchor]))
         if not len(left):
-            return np.array(gens, dtype=np.int64), label, anchor
-        gens.append(left[0])
+            return (np.array(gens, dtype=np.int64), label, anchor), miss
+        s = int(left[0])
+        gens.append(s)
         u, v = [], []
         for k in _chunks(n, m * m * (m + 1), _PAIR_CELLS):
-            pos, hit = _lookup(keys, _row_keys(_right_products(kern, ab[k], ab[left[:1]]), q))
+            pos, hit = _lookup(keys, _row_keys(_right_products(kern, ab[k], ab[s:s + 1]), q))
+            if miss is None and not hit.all():
+                miss = (int(k[hit.argmin()]), s)
             u.append(k[hit])
             v.append(first[pos[hit]])
         label = _components(label, np.concatenate(u), np.concatenate(v))
         grown = np.count_nonzero(accepted & (label == label[anchor]))
         if grown < 2 * reached:
-            return None
+            return None, miss
         reached = grown
 
 
@@ -979,7 +932,7 @@ def _routes_certified(kern, code, images, ab, span_ok):
     that component, and then every accepted map is there.  Any other
     component is r times such products, r its first map, so the code route
     rejects all of it when it rejects r (Seress 2003; Butler 1991)."""
-    found = _cosets(kern, ab, span_ok)
+    found = _cosets(kern, ab, span_ok)[0]
     if found is None:
         return False
     gens, label, anchor = found
@@ -1054,9 +1007,9 @@ def verify_characterization(family, S, budget=None, label="",
                             stabilizers=None) -> VerificationReport:
     """Exact set equality between a characterized stabilizer family and the
     exhaustive point-set stabilizers (scanned here unless supplied)."""
-    oracle = AffineMaps(S.field, _as_array(
-        oracle_stabilizers(S, budget) if stabilizers is None else stabilizers, S.m))
-    fam = AffineMaps(S.field, _as_array(family.members(budget), S.m))
+    oracle = AffineMaps.packed(
+        S.field, oracle_stabilizers(S, budget) if stabilizers is None else stabilizers, S.m)
+    fam = AffineMaps.packed(S.field, family.members(budget), S.m)
     q = S.field.q
     okeys, fkeys = _key_set(oracle.ab, q), _key_set(fam.ab, q)
     counterexamples = []
@@ -1077,7 +1030,7 @@ def verify_containment(members, L, S, budget=None, label="",
     group = oracle_affine_perm_group(L, S, budget, stabilizers=stabilizers)
     q = S.field.q
     gkeys = _key_set(group.ab, q)
-    emitted = AffineMaps(S.field, _as_array(members, S.m))
+    emitted = AffineMaps.packed(S.field, members, S.m)
     counterexamples = [{"T": emitted[t].to_json(), "reason": "not-in-oracle-group"}
                        for t in np.flatnonzero(~_contains(gkeys, _row_keys(emitted.ab, q)))]
     # equal when the distinct members (all in the group) are as many as it

@@ -1,5 +1,5 @@
-"""The batched group-axioms check and its closure certificate by generators
-against the scalar pairwise reference, the verify-group report against its
+"""The batched group-axioms check and its closure check by the generator
+walk against the scalar pairwise and round references, the verify-group report against its
 golden digest, and the two-route check's disagreement records."""
 
 import hashlib
@@ -232,33 +232,43 @@ def certificate_cases(draw):
     return F, first + [T for T in second if T not in first], False
 
 
-def certificate_reference(ts):
-    """Scalar reference of the closure certificate: one
-    AffineTransformation.compose per product, in the order of the batched
-    walk.  Each new generator multiplies every reached element, then every
-    new batch is multiplied by all generators, pairs x-major; new products
-    join the reached list at their first occurrence."""
-    members = set(ts)
-    reached = [AffineTransformation.identity(ts[0].field, ts[0].m)]
-    seen, gens = set(reached), []
-    for g, T in enumerate(ts):
-        if T in seen:
-            continue
-        gens.append(g)
-        frontier, using = list(reached), [g]
-        while frontier:
-            new = []
-            for x in frontier:
-                for s in using:
-                    p = x.compose(ts[s])
-                    if p not in members:
-                        return False, gens, (x, s)
-                    if p not in seen:
-                        seen.add(p)
-                        new.append(p)
-            reached += new
-            frontier, using = new, list(gens)
-    return True, gens, None
+def rounds_reference(ts):
+    """Scalar reference of the generator walk of oracle._cosets with every
+    map accepted: one AffineTransformation.compose per product, in the order
+    of the batched rounds.  The components are a union-find on the indices,
+    equal maps joined from the start.  Each round's generator is the first
+    map outside the identity's component, and every map x is joined to x
+    after it.  Returns the generators, or None when a round does not double
+    the distinct maps of the identity's component, and the first miss: the
+    first (x, s) whose product is not among the maps."""
+    first = {}
+    for t, T in enumerate(ts):
+        first.setdefault(T, t)
+    parent = [first[T] for T in ts]
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        return t
+
+    anchor = first[AffineTransformation.identity(ts[0].field, ts[0].m)]
+    gens, reached, miss = [], 1, None
+    while True:
+        left = [t for t in range(len(ts)) if find(t) != find(anchor)]
+        if not left:
+            return gens, miss
+        s = left[0]
+        gens.append(s)
+        for x, T in enumerate(ts):
+            p = T.compose(ts[s])
+            if p in first:
+                parent[find(x)] = find(first[p])
+            elif miss is None:
+                miss = (x, s)
+        grown = sum(find(t) == find(anchor) for t in first.values())
+        if grown < 2 * reached:
+            return None, miss
+        reached = grown
 
 
 def affine_space_permutations(F, ts):
@@ -279,35 +289,34 @@ def test_closure_certificate_matches_pairwise_reference(case):
     rep = assert_same_report(F, ts, limit=limit)
     if is_group:
         assert rep["closed_under_composition"]
-    # the certificate needs the identity and invertible members only, so it
-    # is also exact on the sets that lack an inverse (a group minus a member
-    # of order > 2), where the report does not run it
+    # the walk's verdict needs the identity and invertible members only, so
+    # it is also exact on the sets that lack an inverse (a group minus a
+    # member of order > 2), where the report does not run it
     if not (rep["has_identity"] and all(T.is_invertible() for T in ts)):
         return
-    ab = oracle._as_array(ts)
-    keys = oracle._key_set(ab, F.q)
-    closed, gens, witness = oracle._closure_certificate(oracle._Kernel(F), ab, keys)
+    found, miss = oracle._cosets(oracle._Kernel(F), oracle._as_array(ts),
+                                 np.ones(len(ts), dtype=bool))
+    gens = None if found is None else found[0].tolist()
+    assert (gens, miss) == rounds_reference(ts)
+    closed = miss is None
     assert closed == rep["closed_under_composition"]
-    if witness is not None:
-        witness = (oracle.AffineMaps(F, witness[0][None])[0], witness[1])
-    assert (closed, gens, witness) == certificate_reference(ts)
     members = set(ts)
     if closed:
-        # each generator at least doubles the reached subgroup
-        assert len(gens) <= len(keys).bit_length() - 1
+        # each generator at least doubles the subgroup reached so far
+        assert len(gens) <= len(members).bit_length() - 1
         order = PermutationGroup(affine_space_permutations(F, ts[:1] + [ts[s] for s in gens])).order()
         assert order == len(members)
     else:
-        left, s = witness
-        assert s in gens and left in members
-        assert left.compose(ts[s]) not in members
+        x, s = miss
+        assert gens is None or s in gens
+        assert ts[x].compose(ts[s]) not in members
 
 
 def test_certificate_closes_the_sampling_gap():
     # GF(4)^2 minus the involution x -> (a x2, a^2 x1): a set with the
     # identity and every inverse, not closed, whose only failing pair in
     # row 0 is at column j, so a prefix of j pairs misses every failing
-    # pair.  The pairwise reference calls it closed; the certificate finds
+    # pair.  The pairwise reference calls it closed; the generator walk finds
     # a failing pair of members.  This is the one case where the report
     # differs from the reference.
     F = GF(4)
@@ -326,7 +335,7 @@ def test_certificate_closes_the_sampling_gap():
         got = group_axioms_report(F, ts)
     assert not got["closed_under_composition"]
     # every other entry is the reference's: all j scanned pairs are
-    # counted, and the witness is the certificate's pair
+    # counted, and the witness is the walk's first miss
     assert {**got, "closed_under_composition": True, "witness": None} == want
     left = AffineTransformation.from_json(F, got["witness"]["left"])
     right = AffineTransformation.from_json(F, got["witness"]["right"])
@@ -347,9 +356,8 @@ def test_gf16_code_group_is_certified():
     L = divisibility_closure(MonomialSet(3, [(3, 1, 1)], bound=S.sizes))
     group = oracle._group_search(L, S)
     assert len(group) == 3600
-    kern = oracle._Kernel(F)
-    closed, gens, _ = oracle._closure_certificate(kern, group, oracle._key_set(group, F.q))
-    assert closed and len(gens) <= 11
+    (gens, _, _), miss = oracle._cosets(oracle._Kernel(F), group, np.ones(len(group), dtype=bool))
+    assert miss is None and len(gens) <= 11
     rep = group_axioms_report(F, oracle.AffineMaps(F, group))
     assert rep == {"size": 3600, "has_identity": True, "closed_under_inverse": True,
                    "closed_under_composition": True, "composition_pairs_checked": 2_000_000,

@@ -158,10 +158,15 @@ def test_graph_command(tmp_path):
     ({"p": 4, "monomials": [[1, 0]]}, []),
     ({"monomials": [[1, 0]]}, ["--p", "1"]),
     ({"monomials": [[1, 0]]}, ["--p", "4"]),
+    (b'{"p": 2, "monomials": [[1, 0]], "note": "\xff"}', []),
 ], ids=["monomials-int", "not-object", "entry-str", "p-str", "bound-str",
-        "arity", "p-4", "cli-p-1", "cli-p-4"])
+        "arity", "p-4", "cli-p-1", "cli-p-4", "not-utf8"])
 def test_graph_rejects_malformed_files(tmp_path, obj, args):
-    path = write_json(tmp_path / "L.json", obj)
+    if isinstance(obj, bytes):
+        (tmp_path / "L.json").write_bytes(obj)
+        path = str(tmp_path / "L.json")
+    else:
+        path = write_json(tmp_path / "L.json", obj)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["--out", str(tmp_path / "r"), "graph", path, *args])
@@ -214,6 +219,15 @@ def test_config_errors(tmp_path, capsys):
     path4 = tmp_path / "broken.json"
     path4.write_text("{not json")
     assert main(["verify", str(path4)]) == EXIT_CONFIG
+    capsys.readouterr()
+    # a directory, and bytes that are no UTF-8: unreadable configs, not
+    # failed verifications
+    path5 = tmp_path / "latin1.json"
+    path5.write_bytes(b'{"field": {"q": 3}, "name": "\xe9"}')
+    for path in (tmp_path, path5):
+        assert main(["verify", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_budget_exceeded_exit(tmp_path):

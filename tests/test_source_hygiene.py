@@ -1,7 +1,8 @@
 """Source hygiene of src/cartperm, checked with the standard library's ast
-(no linter is needed): no module imports a name it never uses, and every
+(no linter is needed): no module imports a name it never uses, every
 module-private top-level function or class is used somewhere in the
-package, so a helper left behind by a removed caller shows up here."""
+package, so a helper left behind by a removed caller shows up here, and no
+module imports another module's private name."""
 
 import ast
 import pathlib
@@ -45,3 +46,15 @@ def test_every_private_helper_has_a_caller():
                and node.name.startswith("_") and not node.name.startswith("__")
                and uses[node.name] == used_names(node)[node.name]]
     assert orphans == []
+
+
+def test_no_private_names_cross_modules():
+    # a private name is private to its module: another module of the package
+    # that needs it should use a public entry point instead
+    private = [f"{name}: {alias.name}" for name, tree in MODULES.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "cartperm")
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert private == []

@@ -96,8 +96,9 @@ def test_code_route_checks_generators_and_one_map_per_coset(monkeypatch):
     L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
     stabs = oracle_stabilizers(S)
     group = oracle_affine_perm_group(L, S, stabilizers=stabs)
-    _, gens, _ = oracle._closure_certificate(
-        oracle._Kernel(F), group.ab, oracle._key_set(group.ab, F.q))
+    (gens, _, _), miss = oracle._cosets(oracle._Kernel(F), group.ab,
+                                        np.ones(len(group), dtype=bool))
+    assert miss is None
     sizes = code_route_sizes(monkeypatch)
     assert two_route_agreement(L, S, stabs) == (True, [])
     assert sizes == [len(gens) + len(stabs) // len(group) - 1] == [3 + 9]
@@ -168,10 +169,11 @@ def test_coset_rounds_stop_when_they_do_not_double():
         return oracle._cosets(kern, ab, np.ones(len(ab), dtype=bool))
 
     # the group, its identity repeated: one generator, one component
-    gens, label, anchor = rounds([0, 0, 0, 1, 2, 3, 4, 5, 6])
-    assert (gens.tolist(), set(label.tolist()), anchor) == ([3], {0}, 0)
-    # {0, 1, 3} is no group: the second round joins 3 alone, 2 maps to 3
-    assert rounds([0, 1, 3]) is None
+    (gens, label, anchor), miss = rounds([0, 0, 0, 1, 2, 3, 4, 5, 6])
+    assert (gens.tolist(), set(label.tolist()), anchor, miss) == ([3], {0}, 0, None)
+    # {0, 1, 3} is no group: the second round joins 3 alone, 2 maps to 3;
+    # the first round's first miss is 1 + 1 = 2, map 1 after generator 1
+    assert rounds([0, 1, 3]) == (None, (1, 1))
     maps = [AffineTransformation.translation(F, [c]) for c in [0, 1, 3]]
     S = CartesianSet([full_component(F)])
     L = MonomialSet(1, [(0,)], bound=S.sizes)
@@ -278,6 +280,17 @@ def test_both_key_kinds_agree(monkeypatch):
     monkeypatch.setattr(oracle, "_row_keys", lambda ab, q: row_keys(ab, 1 << 16))
     assert AffineMaps(F, members).holds(AffineMaps(F, queries)).tolist() == want.tolist()
     assert want[:40].tolist() == [t % 2 == 0 for t in range(40)]
+
+
+@pytest.mark.parametrize("q, m", [(3, 1), (16, 3), (1 << 16, 2)])
+def test_rows_of_an_empty_support_share_one_key(q, m):
+    # the node 1 of the span route reads no row: its (N, 0, m + 1) array
+    # gives N equal keys (0), so all maps fall into one group
+    ab = np.zeros((5, 0, m + 1), dtype=np.uint16)
+    keys = oracle._row_keys(ab, q)
+    assert keys.tolist() == [0] * 5
+    first, inverse = oracle._distinct(keys)
+    assert first.tolist() == [0] and inverse.tolist() == [0] * 5
 
 
 @pytest.mark.parametrize("S", [
