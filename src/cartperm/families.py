@@ -5,11 +5,11 @@ multiplicative and additive subgroup products.
 
 Every family builds its members as one AffineMaps, an (N, m, m + 1) uint16
 array of augmented matrices [A | b] in a fixed order: the candidate linear
-parts are listed (and, where the family needs it, kept by the scalar
-rank_ix), then the offsets and tail blocks are broadcast across them, with no
-object per member.  An explicit budget raises before the array is built,
-never truncates silently.  Every family also has a structural membership
-predicate and a count formula where one exists.
+parts are listed (and, where the family needs it, masked by the batched
+AffineMaps.invertible, for q <= 4096), then the offsets and tail blocks are
+broadcast across them, with no object per member.  An explicit budget raises
+before the array is built, never truncates silently.  Every family also has
+a structural membership predicate and a count formula where one exists.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from .affine import AffineTransformation
-from .codes import rank_ix
 from .field import Field, FieldError
 from .monomials import MonomialSet, has_borel_property, stable_pattern
 from .oracle import AffineMaps, BudgetExceeded
@@ -62,19 +61,13 @@ def _lower_triangular(values, s):
     return ent.reshape(len(ent), s, s)
 
 
-def _kept(F, lists, shape, k, per=1, budget=None):
-    """The tuples of itertools.product(*lists) as an (N, rows, width) array,
-    shape = (rows, width), kept where the first k columns of the rows have
-    rank k by the scalar rank_ix.  Each kept one stands for per maps; past
-    the budget it raises before an array is built."""
-    kept = []
-    rows, width = shape
-    for ent in itertools.product(*lists):
-        if rank_ix([ent[i * width:i * width + k] for i in range(rows)], F) == k:
-            kept.append(ent)
-            if budget is not None and len(kept) * per > budget:
-                raise BudgetExceeded(f"family exceeds budget {budget}")
-    return np.array(kept, np.uint16).reshape(len(kept), rows, width)
+def _kept(F, lists, k, width):
+    """The tuples of itertools.product(*lists), in its order, as an
+    (N, k, width) array, kept where the first k columns are invertible
+    (AffineMaps.invertible)."""
+    ent = _grid(lists)
+    ent = ent.reshape(len(ent), k, width)
+    return ent[_maps(F, ent[..., :k], np.zeros((1, k), np.uint16)).invertible()]
 
 
 def _maps(F, A, b):
@@ -84,12 +77,13 @@ def _maps(F, A, b):
     ab = np.empty((n, len(b), m, m + 1), np.uint16)
     ab[..., :m] = A[:, None]
     ab[..., m] = b
-    return AffineMaps(F, ab.reshape(-1, m, m + 1))
+    return AffineMaps(F, ab.reshape(n * len(b), m, m + 1))
 
 
-def _guard(count, budget):
+def _guard(count, budget, lower=False):
+    """Raise when a family's size, or a lower bound on it, exceeds the budget."""
     if budget is not None and count is not None and count > budget:
-        raise BudgetExceeded(f"family of size {count} exceeds budget {budget}")
+        raise BudgetExceeded(f"family of {'at least ' * lower}{count} maps exceeds budget {budget}")
 
 
 def enumerate_LTA(F: Field, m: int, budget=None) -> AffineMaps:
@@ -113,7 +107,13 @@ def enumerate_ML_invertible(L: MonomialSet, p: int, F: Field, budget=None) -> Af
     m = L.m
     value_lists = [range(F.q) if pattern.allows(i, j) else range(1)
                    for i in range(m) for j in range(m)]
-    A = _kept(F, value_lists, (m, m), m, F.q ** m, budget)
+    # The determinant on the pattern is a nonzero multilinear polynomial of
+    # degree m in its a free entries (the pattern holds the identity), so at
+    # least (q-1)^m q^(a-m) of the q^a candidates are invertible, each with
+    # q^m offsets: the family has at least as many maps as candidates.
+    _guard(math.prod(map(len, value_lists)), budget, lower=True)
+    A = _kept(F, value_lists, m, m)
+    _guard(len(A) * F.q ** m, budget)
     return _maps(F, A, _grid([range(F.q)] * m))
 
 
@@ -238,7 +238,7 @@ class MixedGeneralFamily:
         block."""
         _guard(self.count(), budget)
         F, m, m0 = self.F, self.m, self.m0
-        top = _kept(F, [range(F.q)] * (m0 * m), (m0, m), m0)
+        top = _kept(F, [range(F.q)] * (m0 * m), m0, m)
         tail = (MultProductFamily(CartesianSet(self.S.components[m0:])).members().ab[:, :, :-1]
                 if m0 < m else np.zeros((1, 0, 0), np.uint16))
         A = np.zeros((len(top), len(tail), m, m), np.uint16)
@@ -250,7 +250,7 @@ class MixedGeneralFamily:
         F, m, m0 = self.F, self.m, self.m0
         if any(T.b[m0:]):
             return False
-        if m0 and rank_ix([T.A[i][:m0] for i in range(m0)], F) < m0:
+        if m0 and not AffineTransformation(F, [r[:m0] for r in T.A[:m0]]).is_invertible():
             return False
         for i in range(m0, m):
             if any(T.A[i][j] for j in range(m0)):
@@ -306,7 +306,7 @@ class AdditivePowerFamily:
         """The invertible A over the subfield outermost, then the offsets in
         the components' element order."""
         _guard(self.count(), budget)
-        A = _kept(self.F, [self.subfield] * self.m ** 2, (self.m, self.m), self.m)
+        A = _kept(self.F, [self.subfield] * self.m ** 2, self.m, self.m)
         return _maps(self.F, A, _grid([[x.ix for x in c.elements] for c in self.S.components]))
 
     def contains(self, T: AffineTransformation) -> bool:

@@ -21,7 +21,9 @@ c + a_1 A_1 + ... + a_m A_m, built for every linear part a as a q-cell mask,
 and one base point s_0 of it leaves the candidates c = t - s_0, t in A_i
 (_surviving_rows).  A product of surviving rows maps S onto S exactly when A
 is invertible, which one batched Gauss-Jordan elimination of [A | I | b]
-(_invert) tests.  The group-axioms check inverts with it too, and looks each
+(_invert) tests.  AffineMaps.invertible, the invertibility test of every
+map array (the families' candidate linear parts too), runs it once per
+distinct A.  The group-axioms check inverts with it, and looks each
 inverse and product up among the members' sorted keys: [A | b] packed into
 a uint64 where it fits, its bytes otherwise (_row_keys).  It decides
 closure under composition by the generator walk of the two-route check
@@ -175,8 +177,7 @@ class AffineMaps(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return AffineMaps(self.field, self.ab[i])
-        M = self.ab[i].tolist()
-        return AffineTransformation(self.field, [r[:-1] for r in M], [r[-1] for r in M])
+        return next(iter(AffineMaps(self.field, self.ab[i, None])))
 
     def __iter__(self):
         # one tolist for the A blocks and one for the b columns, whose entries
@@ -184,6 +185,15 @@ class AffineMaps(Sequence):
         F, m = self.field, self.ab.shape[1]
         for A, b in zip(self.ab[:, :, :m].tolist(), map(tuple, self.ab[:, :, m].tolist())):
             yield AffineTransformation.of_ix(F, tuple(map(tuple, A)), b)
+
+    def invertible(self):
+        """Whether each map's linear part A is invertible: one batched
+        Gauss-Jordan elimination (_invert) per distinct A."""
+        kern, m = _Kernel(self.field), self.ab.shape[1]
+        first, inverse = _distinct(_row_keys(self.ab[:, :, :m], kern.q))
+        return np.concatenate([_invert(kern, self.ab[first[k]])[1]
+                               for k in _chunks(len(first), m * (2 * m + 1), _PAIR_CELLS)]
+                              + [np.zeros(0, dtype=bool)])[inverse]
 
     def holds(self, transforms):
         """Whether each of the given maps is one of these maps."""
@@ -788,13 +798,8 @@ def _checked_images(kern, S, ab):
     (possible only on a one-point component) must have distinct image
     indices."""
     images = _Images(kern, S, ab)
-    # one elimination per distinct linear part
-    first, inverse = _distinct(_row_keys(ab[:, :, :S.m], kern.q))
-    invertible = np.concatenate([_invert(kern, ab[first[k]])[1]
-                                 for k in _chunks(len(first), S.m * (2 * S.m + 1), _PAIR_CELLS)]
-                                + [np.zeros(0, dtype=bool)])[inverse]
     ok = images.inside()
-    singular = np.flatnonzero(ok & ~invertible)
+    singular = np.flatnonzero(ok & ~AffineMaps(S.field, ab).invertible())
     for k in _chunks(len(singular), S.n):
         pi = np.sort(images(singular[k]), axis=1)
         ok[singular[k]] = (pi == np.arange(S.n)).all(axis=1)

@@ -1,20 +1,22 @@
 """The array enumerators of cartperm.families against the scalar reference
 of tests/family_reference.py: the same maps in the same order, the budget
-raised one map short of the count and not at it, and no object built on the
-way to a verification report."""
+raised one map short of the count and not at it, invertible linear parts
+kept by the batched AffineMaps.invertible and never by the scalar reducer,
+and no object built on the way to a verification report."""
 
 import numpy as np
 import pytest
 
 import family_reference as ref
+from cartperm import codes, families
 from cartperm.affine import AffineTransformation
 from cartperm.families import (
     AdditiveHeteroPattern, AdditivePowerFamily, BorelClaimedFamily,
     BudgetExceeded, MixedFullTorusFamily, MixedGeneralFamily,
     MultProductFamily, enumerate_LTA, enumerate_ML_invertible,
 )
-from cartperm.field import GF, Field
-from cartperm.monomials import MonomialSet, divisibility_closure
+from cartperm.field import GF, TABLE_LIMIT, Field, FieldError
+from cartperm.monomials import MonomialSet, divisibility_closure, stable_pattern
 from cartperm.oracle import AffineMaps, _as_array, oracle_stabilizers, verify_characterization
 from cartperm.points import (
     CartesianSet, additive_component, full_component, mult_component,
@@ -135,6 +137,77 @@ def test_ml_matches_scalar_reference(F, gens):
     with pytest.raises(BudgetExceeded):
         list(ref.ml_invertible(L, F, budget=len(want) - 1))
     assert len(enumerate_ML_invertible(L, F.p, F, budget=len(want))) == len(want)
+
+
+@pytest.mark.parametrize("F, gens", [
+    (GF(4), [(2, 1)]),
+    (GF(5), [(1, 1)]),
+    (F8, [(3, 2)]),
+    (GF(2), [(1, 1, 0), (0, 0, 1)]),
+])
+def test_ml_budget_checks_candidates_before_listing(F, gens, monkeypatch):
+    L = divisibility_closure(MonomialSet(len(gens[0]), gens, bound=(F.q,) * len(gens[0])))
+    pattern = stable_pattern(L, F.p)
+    candidates = F.q ** sum(pattern.allows(i, j) for i in range(L.m) for j in range(L.m))
+    count = len(enumerate_ML_invertible(L, F.p, F))
+    assert count >= candidates      # the bound the pre-check rests on
+    if count > candidates:
+        with pytest.raises(BudgetExceeded, match=f"^family of {count} maps exceeds budget"):
+            enumerate_ML_invertible(L, F.p, F, budget=count - 1)
+
+    def listed(lists):
+        raise AssertionError("candidates listed past the budget")
+
+    monkeypatch.setattr(families, "_grid", listed)
+    with pytest.raises(BudgetExceeded, match=f"^family of at least {candidates} maps "
+                                             f"exceeds budget {candidates - 1}$"):
+        enumerate_ML_invertible(L, F.p, F, budget=candidates - 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(4), GF(5), F8], ids=str)
+def test_invertible_matches_scalar_reference(F, m):
+    rng = np.random.default_rng(10 * F.q + m)
+    pool = rng.integers(0, F.q, size=(8, m, m), dtype=np.uint16)
+    pool[0] = 0
+    pool[1] = np.eye(m, dtype=np.uint16)
+    pool[2, -1] = pool[2, 0]            # a repeated row: singular for m > 1
+    # linear parts drawn with repetition from the pool, under random offsets
+    A = pool[np.concatenate([[0, 1, 2], rng.integers(0, len(pool), size=60)])]
+    maps = AffineMaps(F, np.concatenate(
+        [A, rng.integers(0, F.q, size=(len(A), m, 1), dtype=np.uint16)], axis=2))
+    got = maps.invertible()
+    assert got.dtype == bool and got.tolist() == [T.is_invertible() for T in maps]
+    assert got[:2].tolist() == [False, True]
+    assert maps[:0].invertible().shape == (0,)
+
+
+def test_members_call_no_scalar_reducer(monkeypatch):
+    fams = [FAMILIES[name]() for name in sorted(FAMILIES)]
+    F = GF(4)
+    L = divisibility_closure(MonomialSet(2, [(2, 1)], bound=(4, 4)))
+    ml = enumerate_ML_invertible(L, F.p, F)
+
+    def scalar(rows, F):
+        raise RuntimeError("the scalar reducer ran on a map array")
+
+    monkeypatch.setattr(codes, "rref_ix", scalar)
+    with pytest.raises(RuntimeError):       # rank_ix goes through rref_ix
+        codes.rank_ix([[1]], F)
+    for fam in fams:
+        assert len(fam.members()) == fam.count()
+    assert np.array_equal(enumerate_ML_invertible(L, F.p, F).ab, ml.ab)
+
+
+@pytest.mark.parametrize("make", [
+    lambda F: AdditivePowerFamily(CartesianSet([additive_component(F, [F.one])])).members(),
+    lambda F: MixedGeneralFamily(CartesianSet([full_component(F)])).members(),
+    lambda F: enumerate_ML_invertible(MonomialSet(1, [(0,), (1,)]), F.p, F),
+], ids=["additive-power", "mixed-general", "ml"])
+def test_rank_filtered_members_need_tables(make):
+    F = GF(2 * TABLE_LIMIT)
+    with pytest.raises(FieldError, match=f"at most {TABLE_LIMIT} elements, not GF\\({F.q}\\)"):
+        make(F)
 
 
 def test_hetero_candidates_match_scalar_reference():

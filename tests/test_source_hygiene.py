@@ -1,8 +1,9 @@
 """Source hygiene of src/cartperm, checked with the standard library's ast
 (no linter is needed): no module imports a name it never uses, every
 module-private top-level function or class is used somewhere in the
-package, so a helper left behind by a removed caller shows up here, and no
-module imports another module's private name."""
+package, so a helper left behind by a removed caller shows up here; no
+module imports another module's private name, and only the scalar callers
+(codes, affine, points) import the scalar row reducer."""
 
 import ast
 import pathlib
@@ -58,3 +59,14 @@ def test_no_private_names_cross_modules():
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert private == []
+
+
+def test_only_scalar_callers_import_the_scalar_reducer():
+    # codes reduces generator matrices, affine one map, points one subfield
+    # basis; map arrays go through the batched elimination of
+    # AffineMaps.invertible.  __init__.py re-exports the reducer.
+    scalar = {"rank_ix", "rref_ix"}
+    allowed = {"codes.py", "affine.py", "points.py", "__init__.py"}
+    importers = [f"{name}: {imported}" for name, tree in MODULES.items() if name not in allowed
+                 for imported in imported_names(tree) if imported in scalar]
+    assert importers == []
