@@ -23,13 +23,13 @@ and one base point s_0 of it leaves the candidates c = t - s_0, t in A_i
 is invertible, which one batched Gauss-Jordan elimination of [A | I | b]
 (_invert) tests.  AffineMaps.invertible, the invertibility test of every
 map array (the families' candidate linear parts too), runs it once per
-distinct A.  The group-axioms check inverts with it, and looks each
-inverse and product up among the members' sorted keys: [A | b] packed into
-a uint64 where it fits, its bytes otherwise (_row_keys).  It decides
-closure under composition by the generator walk of the two-route check
+distinct A.  The group-axioms check decides a set with the identity and
+invertible linear parts by the generator walk of the two-route check
 (_cosets, below): g compositions per generator, at most log2 g + 1 rounds,
-exact for every g.  Pairs are composed, in itertools.product order and at
-most _PAIR_LIMIT of them, only to name a non-group's first failing pair.
+exact for every g.  Only for a non-group are inverses and products looked
+up among the members' sorted keys ([A | b] packed into a uint64 where it
+fits, its bytes otherwise: _row_keys), and at most _PAIR_LIMIT pairs
+composed in itertools.product order to name its first failing pair.
 
 The span route is one batched kernel (_span_scan): reduced pullbacks as
 coefficient arrays over the box basis of F[x]/I(S), built by shift-and-reduce
@@ -420,7 +420,7 @@ def _span_ok(kern, L, S, ab):
     return last.span[1].copy()
 
 
-def _span_scan(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
+def _span_scan(kern, L, S, ab, check=None):
     """Whether each map x -> Ax + b of an (N, m, m + 1) array [A | b] keeps
     the span of L: the reduced pullback modulo I(S) of every member of L, or
     of every member of the subset check, is supported on L.
@@ -489,7 +489,7 @@ def _span_scan(kern, L, S, ab, limit=_SPAN_CELLS, check=None):
         return live
 
     ok = np.zeros(len(ab), dtype=bool)
-    for k in _chunks(len(ab), S.n * max(1, len(walk)), limit):
+    for k in _chunks(len(ab), S.n * max(1, len(walk)), _SPAN_CELLS):
         ok[k[scan(ab[k])]] = True
     return ok
 
@@ -521,7 +521,7 @@ def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1) -> AffineMaps:
     return AffineMaps(S.field, _group_search((), S, budget))
 
 
-def _surviving_rows(kern, S, limit=_CHUNK_CELLS):
+def _surviving_rows(kern, S):
     """Per coordinate i, the rows [a | c] (an (R_i, m + 1) uint16 array) whose
     image x -> a.x + c of S is exactly A_i.
 
@@ -531,7 +531,7 @@ def _surviving_rows(kern, S, limit=_CHUNK_CELLS):
     and a translation by y is a gather through z -> z - y.  Row i keeps the
     translations c = t - s_0 (s_0 the first point of I_a, t in A_i) that carry
     I_a onto A_i; only sumsets of size |A_i| are tried.  Each chunk of masks
-    and each gather holds about limit cells, or one mask when q > limit."""
+    and each gather holds about _CHUNK_CELLS cells, or one mask past that."""
     q, m = kern.q, S.m
     comps = [np.array(sorted(c.element_set()), dtype=np.uint16) for c in S.components]
     want = np.zeros((m, q), dtype=bool)
@@ -544,7 +544,7 @@ def _surviving_rows(kern, S, limit=_CHUNK_CELLS):
         sizes, s0 = masks.sum(axis=1), masks.argmax(axis=1)
         for i, A in enumerate(comps):
             keep = np.flatnonzero(sizes == len(A))
-            for k in _chunks(len(keep) * len(A), q, limit):
+            for k in _chunks(len(keep) * len(A), q, _CHUNK_CELLS):
                 r, t = np.divmod(k, len(A))
                 r = keep[r]
                 c = sub[s0[r], A[t]]
@@ -556,7 +556,7 @@ def _surviving_rows(kern, S, limit=_CHUNK_CELLS):
         j = lin.shape[1]
         if j == m:
             return match(lin, masks)
-        for k in _chunks(len(lin) * q, q, limit):
+        for k in _chunks(len(lin) * q, q, _CHUNK_CELLS):
             p, a = np.divmod(k, q)
             out = np.zeros((len(k), q), dtype=bool)
             for x in comps[j]:
@@ -575,7 +575,7 @@ def _counter_order(ab):
     return ab[np.lexsort([ab[:, i, j] for j in range(m + 1) for i in range(m)])]
 
 
-def _group_search(L, S, budget=None, limit=_SPAN_CELLS):
+def _group_search(L, S, budget=None):
     """The stabilizers that keep the span of L, in counter order, found by a
     row-prefix search that never lists the stabilizers.
 
@@ -593,9 +593,9 @@ def _group_search(L, S, budget=None, limit=_SPAN_CELLS):
     row pass and then each step's candidates, before they are built.
 
     The checks call _span_scan, not the memo of _span_ok, in chunks of
-    limit cells: its row groups pay off only on chunks that hold many maps
+    _SPAN_CELLS cells: its row groups pay off only on chunks of many maps
     sharing a prefix.  The candidates are built, and the last coordinate's
-    eliminated, in batches of min(limit, _PAIR_CELLS) cells, so their int64
+    eliminated, in batches of at most _PAIR_CELLS cells, so their int64
     indices stay as small as in every other elimination."""
     F, m, q = S.field, S.m, S.field.q
     _check_budget(q ** (m + 1), budget, "stabilizer row pass")
@@ -610,7 +610,7 @@ def _group_search(L, S, budget=None, limit=_SPAN_CELLS):
     eye = np.eye(m, m + 1, dtype=np.uint16)
     prefix = eye[None]
     # the cells of one candidate in the elimination
-    cells, batch = m * (2 * m + 1), min(limit, _PAIR_CELLS)
+    cells, batch = m * (2 * m + 1), min(_SPAN_CELLS, _PAIR_CELLS)
     for j, r in enumerate(rows):
         if alone[j]:
             banned = [k for k, n in enumerate(S.sizes) if any(
@@ -619,7 +619,7 @@ def _group_search(L, S, budget=None, limit=_SPAN_CELLS):
             r = r[(r[:, banned] == 0).all(axis=1)]
             ab = np.repeat(eye[None], len(r), axis=0)
             ab[:, j] = r
-            r = r[_span_scan(kern, L, S, ab, limit, check=alone[j])]
+            r = r[_span_scan(kern, L, S, ab, check=alone[j])]
         total = len(prefix) * len(r)
         _check_budget(total, budget, f"row-prefix step {j + 1} (coordinate x{j + 1})")
 
@@ -635,9 +635,9 @@ def _group_search(L, S, budget=None, limit=_SPAN_CELLS):
             # the candidates of a span chunk, built in elimination batches
             ab = np.concatenate([extend(k[b]) for b in _chunks(len(k), cells, batch)]
                                 + [np.empty((0, m, m + 1), dtype=np.uint16)])
-            return ab[_span_scan(kern, L, S, ab, limit, check=mixed[j])] if mixed[j] else ab
+            return ab[_span_scan(kern, L, S, ab, check=mixed[j])] if mixed[j] else ab
 
-        prefix = np.concatenate([grow(k) for k in _chunks(total, cells, limit)]
+        prefix = np.concatenate([grow(k) for k in _chunks(total, cells, _SPAN_CELLS)]
                                 + [np.empty((0, m, m + 1), dtype=np.uint16)])
     return _counter_order(prefix)
 
@@ -659,16 +659,16 @@ def group_axioms_report(F: Field, transforms):
     """Identity membership, closure under inverse, and closure under
     composition, batched on the field tables.
 
-    With the identity and every inverse present, the generator walk of the
-    two-route check (_cosets, every member accepted) decides closure under
-    composition exactly: the members are closed when it finds every
-    product, and then form a group.  So min(g * g, _PAIR_LIMIT) pairs count
-    as checked (exhaustive when that is all g * g) and none is composed.
-    Otherwise that many ordered pairs are composed in itertools.product
-    order, pair i * g + j being member i after member j, and the first
-    failing one is named, or the walk's first miss when none of them fails.
-    The witness is the first member whose inverse is missing, overwritten by
-    the failing pair."""
+    With the identity a member and every A invertible (AffineMaps.invertible),
+    the generator walk (_cosets, every member accepted) decides closure
+    under composition exactly.  When it finds every product the members
+    form a group, which holds every inverse: min(g * g, _PAIR_LIMIT) pairs
+    count as checked (exhaustive when that is all g * g), none is composed
+    and nothing is looked up.  Otherwise the inverses are looked up and that
+    many ordered pairs composed in itertools.product order, pair i * g + j
+    being member i after member j.  The witness is the first member whose
+    inverse is missing, overwritten by the first failing pair, else by the
+    walk's first miss; without the walk the scanned pairs alone decide."""
     ab = _as_array(transforms)
     maps = AffineMaps(F, ab)
     g, m = ab.shape[:2]
@@ -685,6 +685,12 @@ def group_axioms_report(F: Field, transforms):
     if g == 0:
         return report
     kern = _Kernel(F)
+    miss = None
+    if report["has_identity"] and maps.invertible().all():
+        miss = _cosets(kern, ab, np.ones(g, dtype=bool))[1]
+        if miss is None:
+            report["composition_pairs_checked"] = total
+            return report
     members = _key_set(ab, F.q)
     for k in _chunks(g, m * (2 * m + 1), _PAIR_CELLS):
         inv, ok = _invert(kern, ab[k])
@@ -693,12 +699,6 @@ def group_axioms_report(F: Field, transforms):
             report["closed_under_inverse"] = False
             report["witness"] = maps[k[bad[0]]].to_json()
             break
-    miss = None
-    if report["has_identity"] and report["closed_under_inverse"]:
-        miss = _cosets(kern, ab, np.ones(g, dtype=bool))[1]
-        if miss is None:
-            report["composition_pairs_checked"] = total
-            return report
     # whole rows of pairs per batch when a row fits in the batch, else one
     # row in blocks of columns: either way the pairs come in product order
     cells = m * m * (m + 1)

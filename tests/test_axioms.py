@@ -24,7 +24,7 @@ from cartperm.oracle import (
 from cartperm.points import (
     CartesianSet, full_component, mult_component, torus_component,
 )
-from test_oracle import search_cases, small_sets
+from test_oracle import gf4_square_config, gf16_triple_config, search_cases, small_sets
 
 VERIFY_GROUP = pathlib.Path(__file__).resolve().parents[1] / "bench" / "configs" / "verify-group"
 
@@ -317,8 +317,9 @@ def test_certificate_closes_the_sampling_gap():
     # identity and every inverse, not closed, whose only failing pair in
     # row 0 is at column j, so a prefix of j pairs misses every failing
     # pair.  The pairwise reference calls it closed; the generator walk finds
-    # a failing pair of members.  This is the one case where the report
-    # differs from the reference.
+    # a failing pair of members.  The report differs from the reference only
+    # on such non-groups: the identity, invertible members, and no failing
+    # pair among those scanned.
     F = GF(4)
     S = CartesianSet([full_component(F), full_component(F)])
     swap = AffineTransformation(F, [[0, 2], [3, 0]])
@@ -369,6 +370,75 @@ def test_gf16_code_group_is_certified():
     assert rep["has_identity"] and rep["closed_under_inverse"]
     assert not rep["closed_under_composition"]
     assert time.perf_counter() - start < 3
+
+
+def assert_walk_witness(F, ts, rep):
+    """The witness is a pair of members whose product is not a member."""
+    members = set(ts)
+    left = AffineTransformation.from_json(F, rep["witness"]["left"])
+    right = AffineTransformation.from_json(F, rep["witness"]["right"])
+    assert left in members and right in members
+    assert left.compose(right) not in members
+
+
+def test_walk_decides_a_set_missing_inverses():
+    # ASL(2, 5) and ASL(2, 5) diag(2, 1): the 6,000 maps of GF(5)^2 with
+    # det A in {1, 2}, det-1 maps first.  The det-2 maps lack their det-3
+    # inverses, and two of them compose to a det-4 map; the first 2,000,000
+    # pairs lie in the rows of det-1 maps, which all stay in the set.
+    F = GF(5)
+    ab = oracle_stabilizers(CartesianSet([full_component(F)] * 2)).ab
+    # over a prime field an element index is its integer value
+    det = (ab[:, 0, 0].astype(int) * ab[:, 1, 1] - ab[:, 0, 1].astype(int) * ab[:, 1, 0]) % 5
+    maps = oracle.AffineMaps(F, np.concatenate([ab[det == 1], ab[det == 2]]))
+    assert len(maps) == 6000
+    rep = group_axioms_report(F, maps)
+    assert rep["has_identity"] and not rep["exhaustive"]
+    assert not rep["closed_under_inverse"] and not rep["closed_under_composition"]
+    assert rep["composition_pairs_checked"] == 2_000_000
+    assert_walk_witness(F, list(maps), rep)
+
+
+def test_walk_overrides_a_clean_pair_prefix():
+    # x -> x + b and x -> 2x + b over GF(5): the first 50 pairs are the rows
+    # of the translations, which fail none, yet 2x after 2x is 4x
+    F = GF(5)
+    ts = [AffineTransformation(F, [[a]], [b]) for a in (1, 2) for b in range(5)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_PAIR_LIMIT", 50)
+        rep = group_axioms_report(F, ts)
+    assert rep["has_identity"] and not rep["closed_under_inverse"]
+    assert not rep["closed_under_composition"]
+    assert rep["composition_pairs_checked"] == 50 and not rep["exhaustive"]
+    assert_walk_witness(F, ts, rep)
+
+
+@pytest.mark.parametrize("config, distinct", [(gf4_square_config, 36), (gf16_triple_config, 3)])
+def test_group_report_needs_no_inverse_lookup(config, distinct):
+    """On a group the walk alone decides: no member's key set is sorted,
+    and the elimination runs once per distinct linear part."""
+    S, L = config()
+    F, group = S.field, oracle_affine_perm_group(L, S)
+    g = len(group)
+    assert len({T.A for T in group}) == distinct
+    rows = []
+    invert = oracle._invert
+
+    def counted(kern, ab):
+        rows.append(len(ab))
+        return invert(kern, ab)
+
+    def refused(*args):
+        raise AssertionError("a group's report looked up the members' keys")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_invert", counted)
+        patch.setattr(oracle, "_key_set", refused)
+        rep = group_axioms_report(F, group)
+    assert rep == {"size": g, "has_identity": True, "closed_under_inverse": True,
+                   "closed_under_composition": True, "composition_pairs_checked": g * g,
+                   "exhaustive": True, "witness": None}
+    assert 0 < sum(rows) <= distinct
 
 
 def test_verify_group_report_is_unchanged(tmp_path):

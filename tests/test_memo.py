@@ -41,9 +41,9 @@ def kernel_calls(monkeypatch):
     calls = []
     scan = oracle._span_scan
 
-    def counted(kern, L, S, ab, limit=oracle._SPAN_CELLS, check=None):
+    def counted(kern, L, S, ab, check=None):
         calls.append((len(ab), check))
-        return scan(kern, L, S, ab, limit, check)
+        return scan(kern, L, S, ab, check)
 
     monkeypatch.setattr(oracle, "_span_scan", counted)
     return calls

@@ -154,7 +154,9 @@ def test_surviving_rows_match_point_walk(S):
     want = point_walk_rows(S)
     kern = oracle._Kernel(S.field)
     for limit in (1, 200, oracle._CHUNK_CELLS):
-        rows = oracle._surviving_rows(kern, S, limit)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_CHUNK_CELLS", limit)
+            rows = oracle._surviving_rows(kern, S)
         assert [r.shape[1] for r in rows] == [S.m + 1] * S.m
         assert [set(map(tuple, r.tolist())) for r in rows] == want
         assert [len(r) for r in rows] == [len(w) for w in want]
@@ -296,7 +298,9 @@ def sweep_class_batch():
 @example(sweep_class_batch())
 def test_batched_span_matches_span_checker(batch):
     S, L, ts, limit = batch
-    got = oracle._span_scan(oracle._Kernel(S.field), L, S, oracle._as_array(ts), limit)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_SPAN_CELLS", limit)
+        got = oracle._span_scan(oracle._Kernel(S.field), L, S, oracle._as_array(ts))
     checker = SpanChecker(L, S)
     assert got.tolist() == [checker.check(T) for T in ts]
 
@@ -360,8 +364,8 @@ def test_span_scan_builds_on_distinct_row_tuples(monkeypatch):
 
     monkeypatch.setattr(oracle._Forms, "times_form", counted)
     # one chunk for all maps
-    limit = len(ab) * S.n * len(L)
-    assert oracle._span_scan(oracle._Kernel(F), L, S, ab, limit).all()
+    monkeypatch.setattr(oracle, "_SPAN_CELLS", len(ab) * S.n * len(L))
+    assert oracle._span_scan(oracle._Kernel(F), L, S, ab).all()
     walk = oracle._walk(L)
     assert len(calls) == len(walk) - 1
     sizes = {}
@@ -455,7 +459,9 @@ def test_group_search_matches_stabilizer_filter(case):
     stabs = oracle_stabilizers(S).ab
     want = stabs[oracle._span_ok(oracle._Kernel(S.field), L, S, stabs)]
     for limit in (1, 60):
-        got = oracle._group_search(L, S, limit=limit)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_SPAN_CELLS", limit)
+            got = oracle._group_search(L, S)
         assert got.dtype == want.dtype and np.array_equal(got, want), limit
     assert np.array_equal(oracle_affine_perm_group(L, S).ab, want)
 
