@@ -5,7 +5,7 @@ monomial span preserved)."""
 
 from __future__ import annotations
 
-from .codes import rank_ix
+from .codes import check_exponent_box, rank_ix, rref_ix
 from .field import Field, FieldElement, FieldError
 from .poly import Polynomial, affine_pullback, grlex_key, substitute_affine
 
@@ -110,7 +110,6 @@ class AffineTransformation:
         F, m = self.field, self.m
         aug = [list(self.A[i]) + [1 if j == i else 0 for j in range(m)]
                for i in range(m)]
-        from .codes import rref_ix
         rows, rank, pivots = rref_ix(aug, F)
         if rank < m or pivots[:m] != tuple(range(m)):
             raise FieldError("singular transformation")
@@ -190,6 +189,7 @@ class SpanChecker:
     def __init__(self, L, S):
         self.S = S
         monos = frozenset(getattr(L, "monomials", L))
+        check_exponent_box(monos, S)
         self.members = sorted(monos, key=lambda e: (sum(e), e))
         self.allowed = monos
 

@@ -100,15 +100,21 @@ class GeneratorMatrix:
         return f"GeneratorMatrix({len(self.rows)} x {self.n} over GF({self.field.q}))"
 
 
-def build_code(L, S) -> GeneratorMatrix:
-    """Generator matrix of the monomial Cartesian code of L on S."""
-    exps = list(getattr(L, "monomials", L))
-    F = S.field
+def check_exponent_box(exps, S):
+    """Raise ValueError unless every monomial has the arity of S and lies in
+    its exponent box: exponent j below the size of component j."""
     for e in exps:
         if len(e) != S.m:
             raise ValueError(f"monomial {e} has wrong arity")
         if any(e[j] >= S.sizes[j] for j in range(S.m)):
             raise ValueError(f"monomial {e} outside the exponent box of the set")
+
+
+def build_code(L, S) -> GeneratorMatrix:
+    """Generator matrix of the monomial Cartesian code of L on S."""
+    exps = list(getattr(L, "monomials", L))
+    F = S.field
+    check_exponent_box(exps, S)
     exps = sorted_monomials(exps)
     rows = [tuple(x.ix for x in evaluate_on_set(Polynomial.monomial(F, e), S))
             for e in exps]

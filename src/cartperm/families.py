@@ -21,7 +21,7 @@ import numpy as np
 
 from .affine import AffineTransformation
 from .field import Field, FieldError
-from .monomials import MonomialSet, has_borel_property, stable_pattern
+from .monomials import MonomialSet, has_borel_property, is_decreasing, stable_pattern
 from .oracle import AffineMaps, BudgetExceeded
 from .points import ADD, FULL, MULT, CartesianSet, stabilizer_subfield, transporter_space
 
@@ -372,6 +372,8 @@ class BorelClaimedFamily:
     describe_params = ("split", "shape", "subfield_degree")
 
     def __init__(self, S: CartesianSet, L: MonomialSet):
+        if not is_decreasing(L):
+            raise ValueError("monomial set is not decreasing")
         if not has_borel_property(L):
             raise ValueError("monomial set lacks the Borel property")
         self.S = S

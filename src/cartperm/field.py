@@ -5,12 +5,21 @@ root a of the chosen monic irreducible polynomial.  Internally every element
 is identified with its index sum(c_i * p^i), which makes tables and numpy
 kernels cheap; the index encoding is part of the public contract (canonical
 element order).
+
+A field of at most TABLE_LIMIT elements builds its lookup tables once, on
+first use, as numpy arrays: products and inverses from the exponent and
+logarithm tables of a primitive element (fewer than 10 q table-free
+products; Lidl and Niederreiter, Finite Fields), sums and negations digit by
+digit.  The scalar index arithmetic reads Python lists made from those
+arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+
+import numpy as np
 
 # fields up to this size get full q x q multiplication/addition tables
 TABLE_LIMIT = 4096
@@ -140,14 +149,13 @@ def default_irreducible(p: int, k: int) -> tuple:
 def _digitwise_tables(p, k):
     """The q x q addition table and the negation table of GF(p^k) on element
     indices: coordinate vectors add digit by digit modulo p."""
-    import numpy as np
-    ix = np.arange(p ** k, dtype=np.int32)
-    add = np.zeros((len(ix), len(ix)), dtype=np.int32)
-    neg = np.zeros(len(ix), dtype=np.int32)
+    ix = np.arange(p ** k, dtype=np.uint16)
+    add = np.zeros((len(ix), len(ix)), dtype=np.uint16)
+    neg = np.zeros_like(ix)
     for t in range(k):
         digit = ix // p ** t % p
-        add += (digit[:, None] + digit[None, :]) % p * p ** t
-        neg += -digit % p * p ** t
+        add += (digit[:, None] + digit) % p * p ** t
+        neg += (p - digit) % p * p ** t
     return add, neg
 
 
@@ -285,8 +293,9 @@ class FieldElement:
 class Field:
     """GF(p^k) under a fixed monic irreducible polynomial.
 
-    Immutable after construction.  Multiplication tables are built lazily for
-    small fields and are behaviorally invisible.
+    Immutable after construction.  The lookup tables of a field of at most
+    TABLE_LIMIT elements are built on first use (np_tables) and are
+    behaviorally invisible.
     """
 
     def __init__(self, p: int, k: int = 1, irreducible=None):
@@ -353,8 +362,9 @@ class Field:
         return [FieldElement(self, i) for i in range(self.q)]
 
     # -- index arithmetic -----------------------------------------------------
-    # addition and negation look up the tables once they exist: a list
-    # lookup costs a tenth of the digit loop
+    # products and inverses read the scalar lists of the tables, built on
+    # first use (q <= TABLE_LIMIT); sums and negations read them once they
+    # exist, since a list lookup costs a tenth of the digit loop
     def add_ix(self, a: int, b: int) -> int:
         if self._add is None:
             if self.k == 1:
@@ -396,24 +406,40 @@ class Field:
         return ix
 
     def _ensure_tables(self):
-        if self._mul is not None:
+        """The uint16 tables of np_tables, and the scalar lists made from
+        them.  The powers of each element in index order, until they return
+        to 1, find the primitive element g of smallest index with the
+        table-free product (fewer than 10 q products for every q up to
+        TABLE_LIMIT).  The exponent and logarithm tables of g give the
+        products and inverses by one gather each; sums and negations are
+        digitwise."""
+        if self._np is not None:
             return
         q = self.q
-        mul = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_ix_slow(a, b)
-                mul[a * q + b] = v
-                mul[b * q + a] = v
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a * q:(a + 1) * q]
-            inv[a] = row.index(1)
+        if q > TABLE_LIMIT:
+            raise FieldError(f"numpy tables are built only for fields of at "
+                             f"most {TABLE_LIMIT} elements, not GF({q})")
+        for g in range(1, q):
+            exp = [1]           # the powers of g until they return to 1
+            for _ in range(q - 2):
+                exp.append(self._mul_ix_slow(exp[-1], g))
+                if exp[-1] == 1:
+                    break
+            else:
+                break
+        exp = np.array(exp + exp, dtype=np.uint16)  # exp[i] = g^i, i < 2(q - 1)
+        log = np.zeros(q, dtype=np.int32)
+        log[exp[:q - 1]] = np.arange(q - 1)
+        mul = exp[log[:, None] + log]
+        mul[0] = mul[:, 0] = 0
+        inv = exp[q - 1 - log]
+        inv[0] = 0
         add, neg = _digitwise_tables(self.p, self.k)
-        self._mul = mul
-        self._inv = inv
-        self._add = add.ravel().tolist()
-        self._neg = neg.tolist()
+        self._np = {"mul": mul, "add": add, "neg": neg, "inv": inv}
+        # the scalar lists hold one int object per element, not one per entry
+        ints = np.arange(q, dtype=object)
+        self._mul, self._add = ints[mul.ravel()].tolist(), ints[add.ravel()].tolist()
+        self._neg, self._inv = ints[neg].tolist(), ints[inv].tolist()
 
     def mul_ix(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -465,19 +491,9 @@ class Field:
 
     # -- numpy kernels ----------------------------------------------------------
     def np_tables(self):
-        """uint16 lookup tables for vectorized arithmetic on element indices."""
-        import numpy as np
-        if self._np is None:
-            q = self.q
-            if q > TABLE_LIMIT:
-                raise FieldError(f"numpy tables are built only for fields of at "
-                                 f"most {TABLE_LIMIT} elements, not GF({q})")
-            self._ensure_tables()
-            mul = np.array(self._mul, dtype=np.uint16).reshape(q, q)
-            add = np.array(self._add, dtype=np.uint16).reshape(q, q)
-            neg = np.array(self._neg, dtype=np.uint16)
-            inv = np.array(self._inv, dtype=np.uint16)
-            self._np = {"mul": mul, "add": add, "neg": neg, "inv": inv}
+        """uint16 lookup tables for vectorized arithmetic on element indices:
+        "mul" and "add" (q x q), "neg" and "inv" (q; inv[0] = 0)."""
+        self._ensure_tables()
         return self._np
 
     # -- serialization ------------------------------------------------------------

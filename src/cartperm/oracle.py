@@ -77,7 +77,7 @@ from itertools import chain
 import numpy as np
 
 from .affine import AffineTransformation, induced_permutation, stabilizes_set
-from .codes import build_code, codes_equal
+from .codes import build_code, check_exponent_box, codes_equal
 from .field import Field
 from .monomials import MonomialSet
 from .points import CartesianSet
@@ -440,6 +440,7 @@ def _span_scan(kern, L, S, ab, check=None):
     array is compacted to the groups that keep a map; a node's array is
     freed once its last child is built."""
     members = frozenset(getattr(L, "monomials", L))
+    check_exponent_box(members, S)
     check = members if check is None else frozenset(check)
     walk = _walk(check)
     # the support of each node, and the walk position of its last child
@@ -447,8 +448,7 @@ def _span_scan(kern, L, S, ab, check=None):
     last = {parent: k for k, (_, parent, _) in enumerate(walk)}
     inside = np.zeros(S.sizes, dtype=bool)
     for u in members:
-        if all(e < n for e, n in zip(u, S.sizes)):
-            inside[u] = True
+        inside[u] = True
     outside = np.flatnonzero(~inside)
     forms = _Forms(kern, S)
 
@@ -599,9 +599,10 @@ def _group_search(L, S, budget=None):
     indices stay as small as in every other elimination."""
     F, m, q = S.field, S.m, S.field.q
     _check_budget(q ** (m + 1), budget, "stabilizer row pass")
+    members = frozenset(getattr(L, "monomials", L))
+    check_exponent_box(members, S)
     kern = _Kernel(F)
     rows = _surviving_rows(kern, S)
-    members = frozenset(getattr(L, "monomials", L))
     alone, mixed = [[] for _ in range(m)], [[] for _ in range(m)]
     for u in members:
         support = [j for j, e in enumerate(u) if e]

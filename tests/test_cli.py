@@ -238,6 +238,41 @@ def test_budget_exceeded_exit(tmp_path):
     assert main(["verify", path]) == EXIT_BUDGET
 
 
+def test_budget_flag_overrides_the_config(tmp_path, capsys):
+    # an explicit --budget wins over the config's "budget", in either
+    # direction, for verify and for group; the GF(4)^2 row pass has 64
+    # candidates
+    cfg = {"field": {"q": 4},
+           "set": {"components": [{"kind": "full"}, {"kind": "full"}]},
+           "monomials": {"generators": [[2, 1], [3, 0]]},
+           "tasks": ["oracle-verify"]}
+    large = write_json(tmp_path / "large.json", {**cfg, "budget": 1000000})
+    small = write_json(tmp_path / "small.json", {**cfg, "budget": 10})
+    for command in ("verify", "group"):
+        out = ["--out", str(tmp_path / command)]
+        assert main([*out, command, large]) == EXIT_OK
+        assert main([*out, "--budget", "10", command, large]) == EXIT_BUDGET
+        assert "row pass of 64 candidates exceeds budget 10" in capsys.readouterr().err
+        assert main([*out, command, small]) == EXIT_BUDGET
+        assert main([*out, "--budget", "1000000", command, small]) == EXIT_OK
+
+
+def test_claimed_subgroup_needs_a_decreasing_set(tmp_path):
+    # L = {x1, x2} has the Borel property but is not decreasing (1 is
+    # missing), and the claimed Borel subgroup is stated for decreasing sets:
+    # its translations pull x1 back to x1 + c, outside L.  Neither task
+    # reports a claim, for L or for its closure, and the config verifies.
+    path = write_json(tmp_path / "cfg.json", {
+        "field": {"q": 4},
+        "set": {"components": [{"kind": "full"}, {"kind": "full"}]},
+        "monomials": {"monomials": [[1, 0], [0, 1]]},
+        "tasks": ["families", "oracle-verify"]})
+    out = tmp_path / "r"
+    assert main(["--out", str(out), "verify", path]) == EXIT_OK
+    for task in ("families", "oracle-verify"):
+        assert "claimed_subgroup" not in json.loads((out / f"{task}.json").read_text())
+
+
 def test_negative_budget_flag_is_a_config_error(tmp_path, capsys):
     path = write_json(tmp_path / "cfg.json", {**BASE_CONFIG, "tasks": ["oracle-verify"]})
     for argv in (["verify", path], ["examples"], ["group", path]):

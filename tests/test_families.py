@@ -209,6 +209,10 @@ def test_borel_claimed_families_sound():
     # non-Borel sets are rejected
     with pytest.raises(ValueError):
         BorelClaimedFamily(S, MonomialSet(2, [(0, 0), (0, 1)], bound=S.sizes))
+    # and so are Borel sets that are not decreasing: the claim is made for
+    # decreasing sets, and {x1, x2} lacks 1
+    with pytest.raises(ValueError, match="not decreasing"):
+        BorelClaimedFamily(S, MonomialSet(2, [(1, 0), (0, 1)], bound=S.sizes))
 
 
 def test_borel_claimed_requires_known_shape():

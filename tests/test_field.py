@@ -195,17 +195,48 @@ def test_cross_field_mixing_rejected():
         GF(4)(1) + GF(8)(1)
 
 
+# every prime power up to 64, three larger fields and three custom polynomials
+TABLE_FIELDS = [GF(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+                                37, 41, 43, 47, 49, 53, 59, 61, 64, 81, 125, 256)] \
+    + [Field(2, 3, (1, 0, 1, 1)), Field(2, 4, (1, 0, 0, 1, 1)), Field(3, 2, (2, 2, 1))]
+
+
 def test_np_tables_agree():
+    # every table against a table-free reference: products by polynomial
+    # multiplication and reduction, sums digit by digit on the coordinate
+    # vectors, inverses by their products; every scalar method reads the same
     np = pytest.importorskip("numpy")
-    for F in (GF(4), GF(9), GF(16)):
-        t = F.np_tables()
-        for a in range(F.q):
-            for b in range(F.q):
-                assert int(t["mul"][a, b]) == F.mul_ix(a, b)
-                assert int(t["add"][a, b]) == F.add_ix(a, b)
-            assert int(t["neg"][a]) == F.neg_ix(a)
-            if a:
-                assert int(t["inv"][a]) == F.inv_ix(a)
+    for F in TABLE_FIELDS:
+        q, t = F.q, F.np_tables()
+        assert all(a.dtype == np.uint16 for a in t.values())
+        assert t["mul"].shape == t["add"].shape == (q, q)
+        assert t["neg"].shape == t["inv"].shape == (q,)
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+        assert t["mul"].ravel().tolist() == [F._mul_ix_slow(a, b) for a, b in pairs]
+        digits = np.array([F(a).coeffs for a in range(q)])
+        sums = (digits[:, None] + digits) % F.p @ F.p ** np.arange(F.k)
+        assert np.array_equal(t["add"], sums)
+        assert np.array_equal(t["add"][np.arange(q), t["neg"]], np.zeros(q))
+        assert t["inv"][0] == 0 and (t["mul"][np.arange(1, q), t["inv"][1:]] == 1).all()
+        assert t["mul"].ravel().tolist() == [F.mul_ix(a, b) for a, b in pairs]
+        assert t["add"].ravel().tolist() == [F.add_ix(a, b) for a, b in pairs]
+        assert t["neg"].tolist() == [F.neg_ix(a) for a in range(q)]
+        assert t["inv"][1:].tolist() == [F.inv_ix(a) for a in range(1, q)]
+
+
+def test_tables_take_o_of_q_table_free_products(monkeypatch):
+    # the powers of the primitive element of smallest index, and of the
+    # elements of smaller index, which return to 1 sooner; a full product
+    # table would take q(q + 1)/2.  Fresh fields, since GF caches its fields.
+    calls = []
+    slow = Field._mul_ix_slow
+    monkeypatch.setattr(Field, "_mul_ix_slow",
+                        lambda F, a, b: calls.append(1) or slow(F, a, b))
+    for p, k in ((3, 6), (2, 10), (2, 11), (5, 5)):
+        calls.clear()
+        F = Field(p, k)
+        F.np_tables()
+        assert 0 < len(calls) < 10 * F.q, (F, len(calls))
 
 
 def test_int_equality_agrees_with_hash():

@@ -11,7 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cartperm import oracle
-from cartperm.affine import AffineTransformation, SpanChecker, stabilizes_set
+from cartperm.affine import (
+    AffineTransformation, SpanChecker, is_affine_permutation, membership_report,
+    stabilizes_monomial_span, stabilizes_set,
+)
+from cartperm.codes import build_code
 from cartperm.families import (
     BudgetExceeded, BorelClaimedFamily, MultProductFamily, enumerate_LTA,
     gl_count,
@@ -22,7 +26,7 @@ from cartperm.monomials import (
 )
 from cartperm.oracle import (
     affine_space_size, code_permutation_check, enumerate_all_affine,
-    group_axioms_report, oracle_affine_perm_group, oracle_stabilizers,
+    group_axioms_report, keeps_span, oracle_affine_perm_group, oracle_stabilizers,
     two_route_agreement, verify_characterization, verify_containment,
 )
 from cartperm.points import (
@@ -674,3 +678,26 @@ def test_containment_equal_needs_every_group_member():
     rep = verify_containment(group + [outside], L, S)
     assert rep.relation == "violation"
     assert rep.counterexamples == [{"T": outside.to_json(), "reason": "not-in-oracle-group"}]
+
+
+def test_monomials_outside_the_exponent_box_are_rejected():
+    # x1^5 on GF(4) full x full lies outside the exponent box {0..3}^2: it
+    # names no coordinate of the code, so the span route rejects it as
+    # build_code does, at every entry point, instead of reading every map,
+    # the identity too, as failing on it
+    S = full_square(4)
+    L = MonomialSet(2, [(0, 0), (5, 0)])
+    T = AffineTransformation(S.field, [[1, 0], [0, 1]])
+    stabs = oracle_stabilizers(S)
+    calls = [lambda: build_code(L, S), lambda: SpanChecker(L, S),
+             lambda: membership_report(T, L, S), lambda: stabilizes_monomial_span(T, L, S),
+             lambda: is_affine_permutation(T, L, S), lambda: keeps_span(L, S, [T]),
+             lambda: keeps_span(L, S, stabs), lambda: oracle_affine_perm_group(L, S),
+             lambda: oracle_affine_perm_group(L, S, stabilizers=stabs),
+             lambda: two_route_agreement(L, S, stabs)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"monomial \(5, 0\) outside the exponent box"):
+            call()
+    # a mixed member is rejected too, before the search could stop early
+    with pytest.raises(ValueError, match=r"monomial \(1, 4\) outside the exponent box"):
+        oracle_affine_perm_group(MonomialSet(2, [(0, 0), (1, 4)]), S)

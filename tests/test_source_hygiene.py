@@ -70,3 +70,13 @@ def test_only_scalar_callers_import_the_scalar_reducer():
     importers = [f"{name}: {imported}" for name, tree in MODULES.items() if name not in allowed
                  for imported in imported_names(tree) if imported in scalar]
     assert importers == []
+
+
+def test_imports_are_at_module_top():
+    # an import inside a function body hides a dependency of its module and
+    # runs again at every call; no module of the package imports another
+    # lazily to break a cycle
+    nested = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
+              for top in tree.body if not isinstance(top, (ast.Import, ast.ImportFrom))
+              for node in ast.walk(top) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
