@@ -20,9 +20,12 @@ without walking the points: a row x -> a.x + c maps S onto the sumset
 c + a_1 A_1 + ... + a_m A_m, built for every linear part a as a q-cell mask,
 and one base point s_0 of it leaves the candidates c = t - s_0, t in A_i
 (_surviving_rows).  A product of surviving rows maps S onto S exactly when A
-is invertible, which one batched Gauss-Jordan elimination of [A | I | b]
-(_invert) tests.  AffineMaps.invertible, the invertibility test of every
-map array (the families' candidate linear parts too), runs it once per
+is invertible, which the batched Gauss-Jordan elimination of [A | I | b]
+(_invert) tests.  Whether A is invertible depends only on the linear parts
+of its rows, so the search eliminates one product per pair of distinct
+linear parts (of the first m - 1 rows, and of the last row) and builds only
+the invertible products.  AffineMaps.invertible, the invertibility test of
+every map array (the families' candidate linear parts too), runs it once per
 distinct A.  The group-axioms check decides a set with the identity and
 invertible linear parts by the generator walk of the two-route check
 (_cosets, below): g compositions per generator, at most log2 g + 1 rounds,
@@ -587,16 +590,19 @@ def _group_search(L, S, budget=None):
     a_k^e at x_k^e, since every other term of degree e that reduces keeps a
     variable besides x_k.  Prefixes of rows then grow one coordinate at a
     time; at coordinate j the mixed members whose last coordinate is j are
-    checked, and the full products are tested for invertibility before the
-    last coordinate's check; with no members (oracle_stabilizers) the steps
-    build every invertible product of surviving rows.  The budget caps the
-    row pass and then each step's candidates, before they are built.
+    checked.  At the last coordinate only the invertible products are built:
+    the prefixes are grouped by the linear parts of their first m - 1 rows
+    and the rows by their linear part (_distinct of _row_keys), one product
+    per pair of groups is eliminated (_invert, in batches of at most
+    _PAIR_CELLS cells), and a product is built, in the order of the
+    candidates, when its pair is invertible.  With no members
+    (oracle_stabilizers) the steps build every invertible product of
+    surviving rows.  The budget caps the row pass and then each step's
+    candidates, prefixes times rows, before they are built.
 
     The checks call _span_scan, not the memo of _span_ok, in chunks of
     _SPAN_CELLS cells: its row groups pay off only on chunks of many maps
-    sharing a prefix.  The candidates are built, and the last coordinate's
-    eliminated, in batches of at most _PAIR_CELLS cells, so their int64
-    indices stay as small as in every other elimination."""
+    sharing a prefix."""
     F, m, q = S.field, S.m, S.field.q
     _check_budget(q ** (m + 1), budget, "stabilizer row pass")
     members = frozenset(getattr(L, "monomials", L))
@@ -611,7 +617,7 @@ def _group_search(L, S, budget=None):
     eye = np.eye(m, m + 1, dtype=np.uint16)
     prefix = eye[None]
     # the cells of one candidate in the elimination
-    cells, batch = m * (2 * m + 1), min(_SPAN_CELLS, _PAIR_CELLS)
+    cells = m * (2 * m + 1)
     for j, r in enumerate(rows):
         if alone[j]:
             banned = [k for k, n in enumerate(S.sizes) if any(
@@ -624,18 +630,35 @@ def _group_search(L, S, budget=None):
         total = len(prefix) * len(r)
         _check_budget(total, budget, f"row-prefix step {j + 1} (coordinate x{j + 1})")
 
-        def extend(k, prefix=prefix, r=r, j=j):
-            # a function call, so each batch's temporaries are freed before
-            # the next batch is built
-            p, t = np.divmod(k, len(r))
+        # extend, pairs and grow run within their own step: the step's prefix
+        # is freed once the next one is built
+        def extend(p, t):
             ab = prefix[p]
             ab[:, j] = r[t]
-            return ab[_invert(kern, ab)[1]] if j == m - 1 else ab
+            return ab
 
-        def grow(k, j=j):
-            # the candidates of a span chunk, built in elimination batches
-            ab = np.concatenate([extend(k[b]) for b in _chunks(len(k), cells, batch)]
-                                + [np.empty((0, m, m + 1), dtype=np.uint16)])
+        if j == m - 1:
+            # ok[h, t]: whether the products of prefix head h (the linear
+            # parts of its first m - 1 rows) and last linear part t are invertible
+            (heads, head), (lasts, last) = (_distinct(_row_keys(x, q))
+                                            for x in (prefix[:, :j, :m], r[:, None, :m]))
+
+            def pairs(k):
+                h, t = np.divmod(k, len(lasts))
+                return _invert(kern, extend(heads[h], lasts[t]))[1]
+
+            pair_count = len(heads) * len(lasts)
+            ok = np.concatenate([pairs(k) for k in _chunks(pair_count, cells, _PAIR_CELLS)]
+                                + [np.zeros(0, dtype=bool)]).reshape(len(heads), len(lasts))
+
+        def grow(k):
+            # a function call, so each chunk's temporaries are freed before
+            # the next chunk is built; a singular product is never built
+            p, t = np.divmod(k, len(r))
+            if j == m - 1:
+                keep = ok[head[p], last[t]]
+                p, t = p[keep], t[keep]
+            ab = extend(p, t)
             return ab[_span_scan(kern, L, S, ab, check=mixed[j])] if mixed[j] else ab
 
         prefix = np.concatenate([grow(k) for k in _chunks(total, cells, _SPAN_CELLS)]

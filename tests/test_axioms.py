@@ -291,7 +291,7 @@ def test_closure_certificate_matches_pairwise_reference(case):
         assert rep["closed_under_composition"]
     # the walk's verdict needs the identity and invertible members only, so
     # it is also exact on the sets that lack an inverse (a group minus a
-    # member of order > 2), where the report does not run it
+    # member of order > 2), where the report runs it before its inverse check
     if not (rep["has_identity"] and all(T.is_invertible() for T in ts)):
         return
     found, miss = oracle._cosets(oracle._Kernel(F), oracle._as_array(ts),

@@ -494,10 +494,64 @@ def test_group_search_budget(monkeypatch):
     group = oracle_affine_perm_group(L, S, budget=100_000)
     assert time.perf_counter() - start < 5
     assert len(group) == 3600
+    # a three-variable L on a two-variable set is refused once the budget
+    # admits the row pass of 4^3 = 64 candidates
+    with pytest.raises(ValueError, match="wrong arity"):
+        oracle_affine_perm_group(L, full_square(4), budget=64)
     # the row budget trips before any field table is built
+    S = full_square(4)
+    L = divisibility_closure(MonomialSet(2, [(2, 1)], bound=S.sizes))
     monkeypatch.setattr(oracle, "_Kernel", None)
     with pytest.raises(BudgetExceeded, match="row pass"):
-        oracle_affine_perm_group(L, full_square(4), budget=63)
+        oracle_affine_perm_group(L, S, budget=63)
+
+
+def test_scan_inverts_once_per_pair_of_linear_parts(monkeypatch):
+    # GF(4)^2: 60 surviving rows per coordinate with 15 distinct linear
+    # parts, so 3,600 products but at most 15 * 15 eliminated matrices
+    S = full_square(4)
+    sent, invert = [], oracle._invert
+
+    def counted(kern, ab):
+        sent.append(len(ab))
+        return invert(kern, ab)
+
+    monkeypatch.setattr(oracle, "_invert", counted)
+    stabs = oracle_stabilizers(S)
+    assert len(stabs) == 2880 and 0 < sum(sent) <= 225
+    # the last step's span check sees only invertible products
+    checked, scan = [], oracle._span_scan
+
+    def recorded(kern, L, S, ab, check=None):
+        if (1, 1) in check:
+            checked.append(ab)
+        return scan(kern, L, S, ab, check=check)
+
+    monkeypatch.setattr(oracle, "_span_scan", recorded)
+    oracle._group_search(divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes)), S)
+    last = np.concatenate(checked)
+    assert len(last) == 2880 and oracle.AffineMaps(S.field, last).invertible().all()
+
+
+SCAN_SETS = {
+    # the second component has one point: rows of linear part 0 make
+    # every product with them singular
+    "one-point": CartesianSet([full_component(GF(3)), explicit_component(GF(3), [2])]),
+    "explicit": CartesianSet([explicit_component(GF(4), [0, 1, 2]), full_component(GF(4))]),
+    "m=3": CartesianSet([full_component(GF(2)), torus_component(GF(2)), full_component(GF(2))]),
+}
+
+
+@pytest.mark.parametrize("limit", [1, 40, oracle._PAIR_CELLS])
+@pytest.mark.parametrize("name", sorted(SCAN_SETS))
+def test_scan_matches_affine_filter_at_every_pair_chunk(monkeypatch, name, limit):
+    S = SCAN_SETS[name]
+    want = oracle._as_array([T for T in enumerate_all_affine(S.field, S.m, invertible_only=True)
+                             if stabilizes_set(T, S)], S.m)
+    assert len(want)
+    monkeypatch.setattr(oracle, "_PAIR_CELLS", limit)
+    got = oracle_stabilizers(S).ab
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_perm_group_whole_box_is_stabilizers():
