@@ -483,8 +483,11 @@ def example_additive_triple():
             len({v for v, t in zip(b, translation) if t}) == 64 and set(b) <= set(S.points_ix()))
     # both list each map once: equal sets when one holds the other
     f4_star = [x.ix for x in F.subfield_elements(2) if x]
-    derived = [AffineTransformation(F, [[1, 0, 0], [0, d, 0], [0, 0, 1]], pt)
-               for d in f4_star for pt in S.points_ix()]
+    # diag(1, d, 1) for each d outermost, then each point of S as the offset
+    derived = np.zeros((len(f4_star), S.n, 3, 4), np.uint16)
+    derived[..., range(3), range(3)] = np.array([[1, d, 1] for d in f4_star], np.uint16)[:, None]
+    derived[..., 3] = S.points_ix()
+    derived = AffineMaps(F, derived.reshape(-1, 3, 4))
     _assert(asr, "group-is-translations-times-line-scalars",
             len(group) == len(derived) and group.holds(derived).all(),
             {"group_size": len(group)})

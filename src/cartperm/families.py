@@ -3,6 +3,15 @@ and (for the claimed subgroup families) a monomial set: lower-triangular
 maps, stable-pattern maps, and the characterized stabilizer families for
 multiplicative and additive subgroup products.
 
+The stabilizers of F_q^m0 x G_1^m1 x ... x G_l^ml (G_k multiplicative
+subgroups) have one characterization, and one implementation,
+MixedGeneralFamily: an invertible full block with its upper strip, then on
+each class of equal subgroups a permutation of its positions times a
+diagonal with entries in the subgroup.  The multiplicative product (no full
+component, equal subgroups anywhere) and the full-torus product (one block
+of full tori) subclass it only for their kind, reported parameters and
+validation.
+
 Every family builds its members as one AffineMaps, an (N, m, m + 1) uint16
 array of augmented matrices [A | b] in a fixed order: the candidate linear
 parts are listed (and, where the family needs it, masked by the batched
@@ -64,10 +73,11 @@ def _lower_triangular(values, s):
 def _kept(F, lists, k, width):
     """The tuples of itertools.product(*lists), in its order, as an
     (N, k, width) array, kept where the first k columns are invertible
-    (AffineMaps.invertible)."""
+    (AffineMaps.invertible; every tuple when k = 0, so no field tables are
+    needed)."""
     ent = _grid(lists)
     ent = ent.reshape(len(ent), k, width)
-    return ent[_maps(F, ent[..., :k], np.zeros((1, k), np.uint16)).invertible()]
+    return ent[_maps(F, ent[..., :k], np.zeros((1, k), np.uint16)).invertible()] if k else ent
 
 
 def _maps(F, A, b):
@@ -120,149 +130,123 @@ def enumerate_ML_invertible(L: MonomialSet, p: int, F: Field, budget=None) -> Af
 # ---------------------------------------------------------------------------
 # characterized stabilizer families
 
-class MultProductFamily:
-    """Stabilizers of a product of nontrivial multiplicative subgroups:
-    b = 0 and A a group-preserving permutation times a diagonal with entries
-    in the matching subgroup."""
+def _subgroup_classes(S: CartesianSet):
+    """The number m0 of leading full-field components of S, and the classes
+    of equal subgroups among the other components: ascending position lists,
+    ordered by their first position.  FieldError unless every other
+    component is a nontrivial multiplicative subgroup."""
+    comps = S.components
+    m0 = 0
+    while m0 < len(comps) and comps[m0].kind == FULL:
+        m0 += 1
+    classes = {}
+    for i, c in enumerate(comps[m0:], m0):
+        if c.kind != MULT or c.n < 2:
+            raise FieldError("tail components must be nontrivial multiplicative subgroups")
+        classes.setdefault(c.element_set(), []).append(i)
+    return m0, list(classes.values())
 
-    kind = "mult-product"
 
-    def __init__(self, S: CartesianSet):
-        if any(c.kind != MULT or c.n < 2 for c in S.components):
-            raise FieldError("every component must be a nontrivial multiplicative subgroup")
-        self.S = S
-        self.F = S.field
-        self.m = S.m
-        self._classes = {}
-        for i, c in enumerate(S.components):
-            self._classes.setdefault(c.element_set(), []).append(i)
-
-    def _sigmas(self):
-        """All position permutations preserving the component labeling, as
-        tuples sigma with sigma[i] = the column of row i's nonzero entry."""
-        groups = sorted(self._classes.values())
-        out = []
-        for perms in itertools.product(*[itertools.permutations(g) for g in groups]):
-            sigma = [None] * self.m
-            for g, perm in zip(groups, perms):
-                for src, dst in zip(g, perm):
-                    sigma[src] = dst
-            out.append(tuple(sigma))
-        return sorted(out)
-
-    def count(self) -> int:
-        perms = 1
-        for g in self._classes.values():
-            perms *= math.factorial(len(g))
-        sizes = 1
-        for c in self.S.components:
-            sizes *= c.n
-        return perms * sizes
-
-    def members(self, budget=None) -> AffineMaps:
-        """Sigma outermost, then the entries of row i from component sigma[i]
-        in its element order, the last row fastest; b = 0."""
-        _guard(self.count(), budget)
-        m, comps = self.m, self.S.components
-        blocks = []
-        for sigma in self._sigmas():
-            diag = _grid([[x.ix for x in comps[j].elements] for j in sigma])
-            A = np.zeros((len(diag), m, m), np.uint16)
-            A[:, range(m), sigma] = diag
-            blocks.append(A)
-        return _maps(self.F, np.concatenate(blocks), np.zeros((1, m), np.uint16))
-
-    def contains(self, T: AffineTransformation) -> bool:
-        if any(T.b):
-            return False
-        sigma = []
-        for i in range(self.m):
-            nz = [j for j in range(self.m) if T.A[i][j]]
-            if len(nz) != 1:
-                return False
-            j = nz[0]
-            ci, cj = self.S.components[i], self.S.components[j]
-            if ci.element_set() != cj.element_set():
-                return False
-            if T.A[i][j] not in ci.element_set():
-                return False
-            sigma.append(j)
-        return len(set(sigma)) == self.m
+def _blocks(S: CartesianSet):
+    """_subgroup_classes(S), each class a block: a run of adjacent positions."""
+    m0, classes = _subgroup_classes(S)
+    if any(g[-1] - g[0] >= len(g) for g in classes):
+        raise FieldError("repeated subgroups must be merged into one block")
+    return m0, classes
 
 
 class MixedGeneralFamily:
     """Stabilizers of F_q^m0 x G_1^m1 x ... x G_l^ml for pairwise distinct
-    nontrivial multiplicative subgroups: block upper strip over an invertible
-    full block, permutation-diagonal blocks with entries in the matching
-    subgroup, offset supported on the full block."""
+    nontrivial multiplicative subgroups, each power one block of adjacent
+    positions: block upper strip over an invertible full block,
+    permutation-diagonal blocks with entries in the matching subgroup, offset
+    supported on the full block.
+
+    The multiplicative product (m0 = 0, equal subgroups anywhere) and the
+    full-torus product (one block of full tori) are the subclasses below:
+    they differ only in kind, reported parameters and validation, and keep
+    their own class so that reports name their kind."""
 
     kind = "mixed-general"
     describe_params = ("m0",)
+    _validate = staticmethod(_blocks)
 
     def __init__(self, S: CartesianSet):
-        kinds = [c.kind for c in S.components]
-        m0 = 0
-        while m0 < len(kinds) and kinds[m0] == FULL:
-            m0 += 1
-        blocks = []
-        i = m0
-        while i < len(kinds):
-            c = S.components[i]
-            if c.kind != MULT or c.n < 2:
-                raise FieldError("tail components must be nontrivial multiplicative subgroups")
-            j = i
-            while j < len(kinds) and S.components[j] == c:
-                j += 1
-            blocks.append((i, j))
-            i = j
-        sets = [S.components[a].element_set() for a, _ in blocks]
-        if len(set(sets)) != len(sets):
-            raise FieldError("repeated subgroups must be merged into one block")
+        self.m0, self._classes = self._validate(S)
         self.S = S
         self.F = S.field
         self.m = S.m
-        self.m0 = m0
-        self.blocks = blocks
+
+    def _sigmas(self):
+        """All permutations of the tail positions within their classes, as
+        lists sigma, ascending, with sigma[i - m0] = the column of row i's
+        nonzero entry."""
+        out = []
+        for perms in itertools.product(*map(itertools.permutations, self._classes)):
+            dst = dict(zip(itertools.chain(*self._classes), itertools.chain(*perms)))
+            out.append([dst[i] for i in range(self.m0, self.m)])
+        return sorted(out)
 
     def count(self) -> int:
-        q, m0 = self.F.q, self.m0
-        out = gl_count(q, m0) * q ** (m0 * (self.m - m0)) * q ** m0
-        for a, b in self.blocks:
-            w = b - a
-            out *= math.factorial(w) * self.S.components[a].n ** w
+        q, m, m0 = self.F.q, self.m, self.m0
+        out = gl_count(q, m0) * q ** (m0 * (m - m0 + 1))   # strip and offset
+        for g in self._classes:
+            out *= math.factorial(len(g)) * self.S.components[g[0]].n ** len(g)
         return out
 
     def members(self, budget=None) -> AffineMaps:
-        """The top rows (their full block invertible) outermost, then the
-        tail of the multiplicative sub-family, then the offset on the full
+        """The top rows (their full block invertible) outermost, then sigma,
+        then the entries of tail row i from component sigma[i - m0] in its
+        element order, the last row fastest, then the offset on the full
         block."""
         _guard(self.count(), budget)
-        F, m, m0 = self.F, self.m, self.m0
+        F, m, m0, comps = self.F, self.m, self.m0, self.S.components
         top = _kept(F, [range(F.q)] * (m0 * m), m0, m)
-        tail = (MultProductFamily(CartesianSet(self.S.components[m0:])).members().ab[:, :, :-1]
-                if m0 < m else np.zeros((1, 0, 0), np.uint16))
-        A = np.zeros((len(top), len(tail), m, m), np.uint16)
+        tails = []
+        for sigma in self._sigmas():
+            diag = _grid([[x.ix for x in comps[j].elements] for j in sigma])
+            rows = np.zeros((len(diag), m - m0, m), np.uint16)
+            rows[:, range(m - m0), sigma] = diag
+            tails.append(rows)
+        tail = np.concatenate(tails)
+        A = np.empty((len(top), len(tail), m, m), np.uint16)
         A[:, :, :m0] = top[:, None]
-        A[:, :, m0:, m0:] = tail
+        A[:, :, m0:] = tail
         return _maps(F, A.reshape(-1, m, m), _grid([range(F.q)] * m0 + [[0]] * (m - m0)))
 
     def contains(self, T: AffineTransformation) -> bool:
-        F, m, m0 = self.F, self.m, self.m0
+        F, m, m0, comps = self.F, self.m, self.m0, self.S.components
         if any(T.b[m0:]):
             return False
         if m0 and not AffineTransformation(F, [r[:m0] for r in T.A[:m0]]).is_invertible():
             return False
+        # each tail row has one nonzero entry, in the subgroup, in a column
+        # of its own class (a full column's element set holds 0, no
+        # subgroup's does)
+        cols = []
         for i in range(m0, m):
-            if any(T.A[i][j] for j in range(m0)):
+            nz = [j for j in range(m) if T.A[i][j]]
+            gset = comps[i].element_set()
+            if len(nz) != 1 or comps[nz[0]].element_set() != gset or T.A[i][nz[0]] not in gset:
                 return False
-        if m0 == m:
-            return True
-        sub = MultProductFamily(CartesianSet(self.S.components[m0:]))
-        tail = AffineTransformation(F, [[T.A[i][j] for j in range(m0, m)]
-                                        for i in range(m0, m)])
-        # rows of the tail blocks must not reach across distinct blocks,
-        # which the sub-family predicate enforces via the labeling constraint
-        return sub.contains(tail)
+            cols.append(nz[0])
+        return len(set(cols)) == m - m0
+
+
+class MultProductFamily(MixedGeneralFamily):
+    """Stabilizers of a product of nontrivial multiplicative subgroups: the
+    mixed family with m0 = 0, so b = 0 and A a group-preserving permutation
+    times a diagonal with entries in the matching subgroup.  Equal subgroups
+    may sit in non-adjacent positions."""
+
+    kind = "mult-product"
+    describe_params = ()
+
+    @staticmethod
+    def _validate(S: CartesianSet):
+        if any(c.kind != MULT or c.n < 2 for c in S.components):
+            raise FieldError("every component must be a nontrivial multiplicative subgroup")
+        return _subgroup_classes(S)
 
 
 class MixedFullTorusFamily(MixedGeneralFamily):
@@ -388,7 +372,7 @@ class BorelClaimedFamily:
         else:
             self.split = [c.kind for c in S.components].count(FULL)
             if self.shape == "full-subgroups":
-                MixedGeneralFamily(S)  # validates distinct nontrivial blocks
+                _blocks(S)  # validates distinct nontrivial subgroup blocks
 
     def count(self) -> int:
         if self.shape == "additive-power":

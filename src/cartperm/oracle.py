@@ -973,10 +973,11 @@ def _routes_certified(kern, code, images, ab, span_ok):
     return bool(code_ok[:len(gens)].all() and not code_ok[len(gens):].any())
 
 
-def two_route_agreement(L, S, transforms=None, budget=None):
+def two_route_agreement(L, S, transforms):
     """Compare the monomial-span condition with the code-level permutation
-    check on every stabilizing map; returns (agree, disagreements), the maps
-    on which the routes differ, in input order.
+    check on each given stabilizer of S (an AffineMaps, or a list of maps
+    packed once; any other map is a ValueError); returns (agree,
+    disagreements), the maps on which the routes differ, in input order.
 
     Both routes decide membership in a group, so the code route runs only
     on the generators of the span route's group and on one representative
@@ -984,7 +985,7 @@ def two_route_agreement(L, S, transforms=None, budget=None):
     1991).  Only when that fails to certify does it run on every map, to
     name the disagreements."""
     F = S.field
-    ab = _as_array(oracle_stabilizers(S, budget) if transforms is None else transforms, S.m)
+    ab = _as_array(transforms, S.m)
     kern = _Kernel(F)
     code = _CodeRoute(kern, L, S)
     span_ok = _span_ok(kern, L, S, ab)

@@ -48,7 +48,11 @@ def ml_invertible(L, F, budget=None):
 
 
 def _sigmas(fam):
-    groups = sorted(fam._classes.values())
+    # the classes of equal subgroups, from the point set alone
+    classes = {}
+    for i, c in enumerate(fam.S.components):
+        classes.setdefault(c.element_set(), []).append(i)
+    groups = sorted(classes.values())
     out = []
     for perms in itertools.product(*[itertools.permutations(g) for g in groups]):
         sigma = [None] * fam.m

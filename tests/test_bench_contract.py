@@ -9,12 +9,15 @@ differ from an untraced one, fails here.  The bench files are loaded, never modi
 
 import importlib.util
 import inspect
+import json
 import pathlib
 import sys
 
+import numpy as np
+
 from cartperm.field import GF
 from cartperm.monomials import MonomialSet
-from cartperm.oracle import enumerate_all_affine
+from cartperm.oracle import AffineMaps, enumerate_all_affine
 from cartperm.points import CartesianSet, full_component
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -79,6 +82,22 @@ def traced(spans, monkeypatch):
     return tracer
 
 
+def test_traced_family_members_are_the_plain_arrays(monkeypatch):
+    """Every family case of test_family_arrays.py lists the same members,
+    in the same order, under spans.install as without it.  The tracer turns
+    each family's members() into a stream of objects, so a family that
+    builds its members from another family's members() fails here."""
+    from test_family_arrays import FAMILIES
+    plain = {name: make().members().ab for name, make in FAMILIES.items()}
+    tracer = traced(load("spans"), monkeypatch)
+    for name, make in FAMILIES.items():
+        fam = make()
+        got = AffineMaps.packed(fam.F, fam.members(), fam.m).ab
+        assert got.dtype == np.uint16 and np.array_equal(got, plain[name]), name
+    items = sum(n for key, n in tracer.counts.items() if key.endswith(".members.items"))
+    assert items == sum(map(len, plain.values()))
+
+
 def test_traced_sweep_draw(tmp_path, monkeypatch):
     workloads, spans = load("workloads"), load("spans")
     tracer = traced(spans, monkeypatch)
@@ -95,22 +114,34 @@ def test_traced_sweep_draw(tmp_path, monkeypatch):
 
 
 def test_traced_reports_are_byte_identical(tmp_path, monkeypatch):
-    """The verify-group config and the examples under spans.install write
-    the same report bytes as without it.  The tracer hands every family's
-    members on as a stream of objects rather than the family's AffineMaps,
-    so this guards the callers that pack them."""
+    """The verify-group config, the examples and a mixed config (GF(5) full
+    x μ2) under spans.install write the same report bytes as without it.
+    The tracer hands every family's members on as a stream of objects
+    rather than the family's AffineMaps, so this guards the callers that
+    pack them, the families among them."""
     from cartperm import cli
     config = next((BENCH / "configs" / "verify-group").glob("*.json"))
+    mixed = tmp_path / "gf5-full-mu2.json"
+    mixed.write_text(json.dumps({
+        "field": {"q": 5},
+        "set": {"components": [{"kind": "full"}, {"kind": "mult", "order": 2}]},
+        "monomials": {"generators": [[2, 1]]},
+        "tasks": ["families", "oracle-verify"]}))
+    runs = {"group": ["verify", str(config)], "examples": ["examples"],
+            "mixed": ["verify", str(mixed)]}
 
     def reports(out):
-        for argv in (["verify", str(config)], ["examples"]):
-            assert cli.main(["--out", str(out)] + argv) == cli.EXIT_OK
-        return {p.name: p.read_bytes() for p in sorted(out.glob("*.json"))}
+        for name, argv in runs.items():
+            assert cli.main(["--out", str(out / name)] + argv) == cli.EXIT_OK
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.glob("*/*.json"))}
 
     plain = reports(tmp_path / "plain")
     tracer = traced(load("spans"), monkeypatch)
     assert reports(tmp_path / "traced") == plain
-    assert {"oracle-verify.json", "examples.json"} <= set(plain)
+    assert {"group/oracle-verify.json", "examples/examples.json",
+            "mixed/families.json", "mixed/oracle-verify.json"} <= set(plain)
     counts = tracer.counts
+    # the mixed config alone runs MixedGeneralFamily: its 200 members, once
+    assert counts["families.MixedGeneralFamily.members.items"] == 200
     assert counts["families.BorelClaimedFamily.members.items"] == 576
     assert counts["families.AdditivePowerFamily.members.items"] == 2880 + 12

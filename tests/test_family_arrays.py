@@ -210,6 +210,14 @@ def test_rank_filtered_members_need_tables(make):
         make(F)
 
 
+@pytest.mark.parametrize("cls", [MultProductFamily, MixedGeneralFamily])
+def test_subgroup_products_need_no_tables(cls):
+    # with no full component there is no linear part to filter
+    F = GF(2 * TABLE_LIMIT)
+    fam = cls(CartesianSet([torus_component(F)]))
+    assert len(fam.members()) == fam.count() == F.q - 1
+
+
 def test_hetero_candidates_match_scalar_reference():
     F = GF(16)
     a = F.primitive_element()

@@ -2,8 +2,9 @@
 (no linter is needed): no module imports a name it never uses, every
 module-private top-level function or class is used somewhere in the
 package, so a helper left behind by a removed caller shows up here; no
-module imports another module's private name, and only the scalar callers
-(codes, affine, points) import the scalar row reducer."""
+module imports another module's private name; only the scalar callers
+(codes, affine, points) import the scalar row reducer; and no family calls
+another family's members()."""
 
 import ast
 import pathlib
@@ -80,3 +81,13 @@ def test_imports_are_at_module_top():
               for top in tree.body if not isinstance(top, (ast.Import, ast.ImportFrom))
               for node in ast.walk(top) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_no_family_reads_members():
+    # a family builds its own array: another family's members() may be
+    # wrapped from outside (a tracer turns it into a stream of objects),
+    # so families.py never calls an attribute named members
+    calls = [f"families.py:{node.lineno}" for node in ast.walk(MODULES["families.py"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "members"]
+    assert calls == []
