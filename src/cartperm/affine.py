@@ -11,9 +11,15 @@ from .poly import Polynomial, affine_pullback, grlex_key, substitute_affine
 
 
 class AffineTransformation:
-    """Pair (A, b) over a field; not necessarily invertible."""
+    """Pair (A, b) over a field; not necessarily invertible.
 
-    __slots__ = ("field", "m", "A", "b")
+    A map may also hold its row: the bytes of its [A | b] in the layout of
+    oracle.AffineMaps.ab (oracle._rows).  Iterating or indexing an AffineMaps
+    hands each map its row through of_ix; oracle._as_array, the packing of
+    object lists, stores one on every other map the first time it packs it.
+    __init__, compose and invert build none."""
+
+    __slots__ = ("field", "m", "A", "b", "row")
 
     def __init__(self, field: Field, A, b=None):
         self.field = field
@@ -37,11 +43,12 @@ class AffineTransformation:
         return cls(field, [[1 if i == j else 0 for j in range(m)] for i in range(m)])
 
     @classmethod
-    def of_ix(cls, field, A, b):
+    def of_ix(cls, field, A, b, row):
         """The map of a tuple of row tuples A and a tuple b of element
-        indices, taken as they are: no entry is reduced or checked."""
+        indices, with its row (the bytes of [A | b]), all taken as they are:
+        no entry is reduced or checked."""
         T = object.__new__(cls)
-        T.field, T.m, T.A, T.b = field, len(A), A, b
+        T.field, T.m, T.A, T.b, T.row = field, len(A), A, b, row
         return T
 
     @classmethod

@@ -8,11 +8,16 @@ in the scan's base-q counter order.  Every kernel and report reads the
 array; AffineTransformation objects are built on demand, for the members,
 witnesses and counterexamples a report names.  The families of
 cartperm.families build their members as AffineMaps too, so _as_array takes
-their array as it is; only object lists (or streams) from other callers are
-packed, once.  The batched layers share one kernel of field arithmetic on
-element indices (_Kernel): in characteristic 2 an index holds the GF(2)
-coordinates as bits and a sum is their XOR; elsewhere a sum is a table
-lookup on a uint16 flat index (uint32 past q = 256).
+their array as it is.  Only object lists (or streams) from other callers are
+packed, by one join of the objects' rows: each object holds the bytes of its
+[A | b] in the layout of the array (_rows), handed to it by the AffineMaps it
+was read from, or stored on it the first time _as_array packs it from its
+entries.  So a list is read entry by entry at most once, however often it is
+passed.  The packing checks every map's dimension and field against the
+caller's (ValueError).  The batched layers share one kernel of field
+arithmetic on element indices (_Kernel): in characteristic 2 an index holds
+the GF(2) coordinates as bits and a sum is their XOR; elsewhere a sum is a
+table lookup on a uint16 flat index (uint32 past q = 256).
 
 The scan is row-factored: T(S) = S for a Cartesian S forces each row of T to
 map S onto its component, so the q^(m+1) candidate rows are filtered once,
@@ -171,8 +176,11 @@ class AffineMaps(Sequence):
 
     @classmethod
     def packed(cls, field: Field, maps, m=0):
-        """maps as an AffineMaps, packed once (_as_array) unless it is one."""
-        return maps if isinstance(maps, AffineMaps) else cls(field, _as_array(maps, m))
+        """maps as an AffineMaps, packed once (_as_array) unless it is one;
+        maps of another dimension than m or over another field are a
+        ValueError."""
+        ab = _as_array(maps, m, field)
+        return maps if isinstance(maps, AffineMaps) else cls(field, ab)
 
     def __len__(self):
         return len(self.ab)
@@ -183,11 +191,14 @@ class AffineMaps(Sequence):
         return next(iter(AffineMaps(self.field, self.ab[i, None])))
 
     def __iter__(self):
-        # one tolist for the A blocks and one for the b columns, whose entries
-        # are field indices already: no entry is normalised again
+        """Each map as an AffineTransformation holding its row (_rows), so
+        a list of them packs again by joining the rows.  One tolist for the
+        A blocks and one for the b columns, whose entries are field indices
+        already: no entry is normalised again."""
         F, m = self.field, self.ab.shape[1]
-        for A, b in zip(self.ab[:, :, :m].tolist(), map(tuple, self.ab[:, :, m].tolist())):
-            yield AffineTransformation.of_ix(F, tuple(map(tuple, A)), b)
+        for A, b, row in zip(self.ab[:, :, :m].tolist(), map(tuple, self.ab[:, :, m].tolist()),
+                             _rows(self.ab)):
+            yield AffineTransformation.of_ix(F, tuple(map(tuple, A)), b, row)
 
     def invertible(self):
         """Whether each map's linear part A is invertible: one batched
@@ -201,19 +212,75 @@ class AffineMaps(Sequence):
     def holds(self, transforms):
         """Whether each of the given maps is one of these maps."""
         q, m = self.field.q, self.ab.shape[1]
-        return _contains(_key_set(self.ab, q), _row_keys(_as_array(transforms, m), q))
+        return _contains(_key_set(self.ab, q), _row_keys(_as_array(transforms, m, self.field), q))
 
 
-def _as_array(maps, m=0):
+# the layout of a map's row: the entries of its [A | b] as in AffineMaps.ab,
+# each row of A followed by its b entry, in this dtype
+_ROW = np.dtype(np.uint16)
+
+
+def _rows(ab):
+    """The row of each map of an (N, m, m + 1) array [A | b], as bytes."""
+    flat = np.ascontiguousarray(ab, dtype=_ROW).reshape(len(ab), ab.shape[1] * ab.shape[2])
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
+
+
+def _as_array(maps, m=0, field=None):
     """The [A | b] array of an AffineMaps, or of AffineTransformation objects
-    packed once (m is their dimension when there are none)."""
+    packed by one join of their rows (_rows) into a fresh, writable array.
+    When some object has no row (built by __init__, compose or invert), the
+    list is packed from the entries of its objects instead, and each object
+    stores its row: a list of objects is read entry by entry once.
+
+    m and field are the caller's dimension and field, each the first map's
+    when not given; m is the dimension of an empty list.  A map of another
+    dimension, or over a field that is not equal to the caller's, is a
+    ValueError; a field that is the caller's object is not compared."""
     if isinstance(maps, AffineMaps):
-        return maps.ab
+        ab, m = maps.ab, m or (maps.ab.shape[1] if maps.ab.ndim == 3 else 0)
+        if ab.shape[1:] != (m, m + 1):
+            raise ValueError(f"an array of shape {ab.shape} where (N, {m}, {m + 1}) is expected")
+        if field is not None:
+            _check_field(maps.field, field)
+        return ab
     ts = list(maps)
-    m = ts[0].m if ts else m
-    A = np.fromiter(chain.from_iterable(chain.from_iterable(T.A for T in ts)), np.uint16)
-    b = np.fromiter(chain.from_iterable(T.b for T in ts), np.uint16)
-    return np.concatenate([A.reshape(len(ts), m, m), b.reshape(len(ts), m, 1)], axis=2)
+    if ts:
+        m, field = m or ts[0].m, ts[0].field if field is None else field
+    try:
+        # one pass over the maps that are plainly the caller's; any other
+        # map, or one without a row, sends the list through the check
+        rows = [T.row for T in ts if T.field is field and T.m == m]
+    except AttributeError:
+        rows = None
+    if rows is None or len(rows) < len(ts):
+        _check_maps(ts, m, field)
+        try:
+            rows = [T.row for T in ts]
+        except AttributeError:
+            A = np.fromiter(chain.from_iterable(chain.from_iterable(T.A for T in ts)), _ROW)
+            b = np.fromiter(chain.from_iterable(T.b for T in ts), _ROW)
+            ab = np.concatenate([A.reshape(len(ts), m, m), b.reshape(len(ts), m, 1)], axis=2)
+            for T, row in zip(ts, _rows(ab)):
+                T.row = row
+            return ab
+    return np.frombuffer(bytearray().join(rows), _ROW).reshape(len(ts), m, m + 1)
+
+
+def _check_maps(ts, m, field):
+    """A ValueError unless each object has dimension m and a field equal to
+    field; == runs once per distinct field object that is not field itself."""
+    odd = [T for T in ts if T.field is not field or T.m != m]
+    for T in odd:
+        if T.m != m:
+            raise ValueError(f"a map of dimension {T.m} where {m} is expected")
+    for F in {id(T.field): T.field for T in odd}.values():
+        _check_field(F, field)
+
+
+def _check_field(F, field):
+    if F is not field and F != field:
+        raise ValueError(f"a map over {F!r} where one over {field!r} is expected")
 
 
 def _row_keys(ab, q):
@@ -379,7 +446,7 @@ def reduced_pullbacks(S: CartesianSet, maps, monomials):
     one (N, len(monomials), n_1, ..., n_m) array of coefficients (element
     indices) over the box basis: entry [t, k, e] is the coefficient of x^e in
     the pullback of monomials[k] under map t.  One batch, for few maps."""
-    ab = _as_array(maps, S.m)
+    ab = _as_array(maps, S.m, S.field)
     forms = _Forms(_Kernel(S.field), S)
     pulled = {}
     for v, parent, i in _walk(monomials):
@@ -390,7 +457,7 @@ def reduced_pullbacks(S: CartesianSet, maps, monomials):
 
 def keeps_span(L, S: CartesianSet, maps):
     """Whether each map keeps the span of L, by the batched span route."""
-    return _span_ok(_Kernel(S.field), L, S, _as_array(maps, S.m))
+    return _span_ok(_Kernel(S.field), L, S, _as_array(maps, S.m, S.field))
 
 
 class _Last:
@@ -675,7 +742,7 @@ def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
     order."""
     if stabilizers is None:
         return AffineMaps(S.field, _group_search(L, S, budget))
-    ab = _as_array(stabilizers, S.m)
+    ab = _as_array(stabilizers, S.m, S.field)
     return AffineMaps(S.field, ab[_span_ok(_Kernel(S.field), L, S, ab)])
 
 
@@ -693,7 +760,7 @@ def group_axioms_report(F: Field, transforms):
     being member i after member j.  The witness is the first member whose
     inverse is missing, overwritten by the first failing pair, else by the
     walk's first miss; without the walk the scanned pairs alone decide."""
-    ab = _as_array(transforms)
+    ab = _as_array(transforms, field=F)
     maps = AffineMaps(F, ab)
     g, m = ab.shape[:2]
     total = min(g * g, _PAIR_LIMIT)
@@ -985,7 +1052,7 @@ def two_route_agreement(L, S, transforms):
     1991).  Only when that fails to certify does it run on every map, to
     name the disagreements."""
     F = S.field
-    ab = _as_array(transforms, S.m)
+    ab = _as_array(transforms, S.m, F)
     kern = _Kernel(F)
     code = _CodeRoute(kern, L, S)
     span_ok = _span_ok(kern, L, S, ab)
