@@ -365,7 +365,7 @@ def example_gf9_quartics():
     _assert(asr, "borel-property-fails", wit is not None and wit[1] == (2, 2),
             {"witness": [list(wit[0]), list(wit[1])]} if wit else None)
     maps = gf9_lower_triangular()
-    mul = F.np_tables()["mul"]
+    mul = F.np_tables().mul
     a, b, c = maps.ab[:, 0, 0], maps.ab[:, 1, 0], maps.ab[:, 1, 1]
 
     def prod(*xs):
@@ -540,6 +540,9 @@ def run_config(cfg, out_dir, budget=None):
         S = load_set(F, cfg.get("set", {}))
         if "monomials" in cfg:
             L = load_monomials(cfg["monomials"], S)
+        for t in tasks:
+            if t in ("closures", "p-borel-graph") and L is None:
+                raise ConfigError(f"monomials: missing, but task {t!r} needs them")
     # an explicit budget (the --budget flag) wins over the config's
     cfg_budget = _budget(cfg.get("budget"))
     budget = cfg_budget if budget is None else _budget(budget)

@@ -10,8 +10,11 @@ A field of at most TABLE_LIMIT elements builds its lookup tables once, on
 first use, as numpy arrays: products and inverses from the exponent and
 logarithm tables of a primitive element (fewer than 10 q table-free
 products; Lidl and Niederreiter, Finite Fields), sums and negations digit by
-digit.  The scalar index arithmetic reads Python lists made from those
-arrays.
+digit.  They exist once, in the Tables object of np_tables.  The scalar
+index arithmetic indexes flat memoryviews of its arrays; the batched kernels
+call its vectorized arithmetic, where a sum in characteristic 2 is the XOR
+of the indices (which hold the GF(2) coordinates as bits), and elsewhere a
+lookup on a uint16 flat index (uint32 past q = 256).
 """
 
 from __future__ import annotations
@@ -173,6 +176,33 @@ class FieldError(ValueError):
     pass
 
 
+class Tables:
+    """The lookup tables of one field on element indices, as uint16 arrays:
+    mul and add (q x q), neg and inv (q; inv[0] = 0), and the vectorized
+    arithmetic over them; sums are XOR in characteristic 2."""
+
+    def __init__(self, F, mul, add, neg, inv):
+        self.q, self.mul, self.add, self.neg, self.inv = F.q, mul, add, neg, inv
+        # flat indices x * q + y < q * q fit the uint16 of the elements up
+        # to q = 256
+        self.ix = np.uint16 if F.q <= 256 else np.uint32
+        if F.p == 2:
+            self.vadd = np.bitwise_xor
+
+    def flat(self, x, y):
+        """The flat table index x * q + y."""
+        return x.astype(self.ix, copy=False) * self.q + y
+
+    def vadd(self, x, y):
+        # one flat index array: every sum has an operand of its full shape
+        return self.add.take(self.flat(x, y))
+
+    def vmul(self, x, y):
+        # two broadcast index arrays: a product of a few maps by many points
+        # would otherwise need a flat index array of its full shape
+        return self.mul[x.astype(np.int64), y.astype(np.int64)]
+
+
 class FieldElement:
     """Element of a Field; immutable, hashable, printable as a polynomial in a.
     An int compares equal to the element whose index it is."""
@@ -319,7 +349,7 @@ class Field:
         self._inv = None
         self._add = None
         self._neg = None
-        self._np = None
+        self._tables = None
 
     # -- identity -----------------------------------------------------------
     def __eq__(self, other):
@@ -362,9 +392,10 @@ class Field:
         return [FieldElement(self, i) for i in range(self.q)]
 
     # -- index arithmetic -----------------------------------------------------
-    # products and inverses read the scalar lists of the tables, built on
-    # first use (q <= TABLE_LIMIT); sums and negations read them once they
-    # exist, since a list lookup costs a tenth of the digit loop
+    # a field of at most TABLE_LIMIT elements indexes flat memoryviews of
+    # its tables: for k > 1 every operation builds them on first use; for
+    # k = 1 products and inverses are modular, and sums and negations read
+    # the tables once something else has built them
     def add_ix(self, a: int, b: int) -> int:
         if self._add is None:
             if self.k == 1:
@@ -406,14 +437,14 @@ class Field:
         return ix
 
     def _ensure_tables(self):
-        """The uint16 tables of np_tables, and the scalar lists made from
-        them.  The powers of each element in index order, until they return
-        to 1, find the primitive element g of smallest index with the
-        table-free product (fewer than 10 q products for every q up to
-        TABLE_LIMIT).  The exponent and logarithm tables of g give the
-        products and inverses by one gather each; sums and negations are
-        digitwise."""
-        if self._np is not None:
+        """The Tables of np_tables, and flat memoryviews of its arrays for
+        the scalar arithmetic.  The powers of each element in index order,
+        until they return to 1, find the primitive element g of smallest
+        index with the table-free product (fewer than 10 q products for
+        every q up to TABLE_LIMIT).  The exponent and logarithm tables of g
+        give the products and inverses by one gather each; sums and
+        negations are digitwise."""
+        if self._tables is not None:
             return
         q = self.q
         if q > TABLE_LIMIT:
@@ -435,11 +466,9 @@ class Field:
         inv = exp[q - 1 - log]
         inv[0] = 0
         add, neg = _digitwise_tables(self.p, self.k)
-        self._np = {"mul": mul, "add": add, "neg": neg, "inv": inv}
-        # the scalar lists hold one int object per element, not one per entry
-        ints = np.arange(q, dtype=object)
-        self._mul, self._add = ints[mul.ravel()].tolist(), ints[add.ravel()].tolist()
-        self._neg, self._inv = ints[neg].tolist(), ints[inv].tolist()
+        self._tables = Tables(self, mul, add, neg, inv)
+        self._mul, self._add, self._neg, self._inv = (
+            memoryview(t.ravel()) for t in (mul, add, neg, inv))
 
     def mul_ix(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -490,11 +519,10 @@ class Field:
         return [x for x in self.elements() if x.in_subfield(d)]
 
     # -- numpy kernels ----------------------------------------------------------
-    def np_tables(self):
-        """uint16 lookup tables for vectorized arithmetic on element indices:
-        "mul" and "add" (q x q), "neg" and "inv" (q; inv[0] = 0)."""
+    def np_tables(self) -> Tables:
+        """The field's one Tables object, built on first use."""
         self._ensure_tables()
-        return self._np
+        return self._tables
 
     # -- serialization ------------------------------------------------------------
     def to_json(self):

@@ -14,10 +14,8 @@ packed, by one join of the objects' rows: each object holds the bytes of its
 was read from, or stored on it the first time _as_array packs it from its
 entries.  So a list is read entry by entry at most once, however often it is
 passed.  The packing checks every map's dimension and field against the
-caller's (ValueError).  The batched layers share one kernel of field
-arithmetic on element indices (_Kernel): in characteristic 2 an index holds
-the GF(2) coordinates as bits and a sum is their XOR; elsewhere a sum is a
-table lookup on a uint16 flat index (uint32 past q = 256).
+caller's (ValueError).  The batched layers share the vectorized field
+arithmetic on element indices of Field.np_tables (cartperm.field.Tables).
 
 The scan is row-factored: T(S) = S for a Cartesian S forces each row of T to
 map S onto its component, so the q^(m+1) candidate rows are filtered once,
@@ -128,37 +126,6 @@ def enumerate_all_affine(F: Field, m: int, budget=None, invertible_only=False):
         yield T
 
 
-class _Kernel:
-    """Vectorized arithmetic over one field's lookup tables; sums are XOR in
-    characteristic 2."""
-
-    def __init__(self, F: Field):
-        t = F.np_tables()
-        self.q = F.q
-        self.mul = t["mul"]
-        self.add = t["add"]
-        self.neg = t["neg"]
-        self.inv = t["inv"]
-        # flat indices x * q + y < q * q fit the uint16 of the elements up
-        # to q = 256
-        self.ix = np.uint16 if F.q <= 256 else np.uint32
-        if F.p == 2:
-            self.vadd = np.bitwise_xor
-
-    def flat(self, x, y):
-        """The flat table index x * q + y."""
-        return x.astype(self.ix, copy=False) * self.q + y
-
-    def vadd(self, x, y):
-        # one flat index array: every sum has an operand of its full shape
-        return self.add.take(self.flat(x, y))
-
-    def vmul(self, x, y):
-        # two broadcast index arrays: a product of a few maps by many points
-        # would otherwise need a flat index array of its full shape
-        return self.mul[x.astype(np.int64), y.astype(np.int64)]
-
-
 def _chunks(total, cells, limit=_CHUNK_CELLS):
     """Index ranges covering range(total), each about limit / cells long."""
     step = max(1, limit // max(1, cells))
@@ -203,7 +170,7 @@ class AffineMaps(Sequence):
     def invertible(self):
         """Whether each map's linear part A is invertible: one batched
         Gauss-Jordan elimination (_invert) per distinct A."""
-        kern, m = _Kernel(self.field), self.ab.shape[1]
+        kern, m = self.field.np_tables(), self.ab.shape[1]
         first, inverse = _distinct(_row_keys(self.ab[:, :, :m], kern.q))
         return np.concatenate([_invert(kern, self.ab[first[k]])[1]
                                for k in _chunks(len(first), m * (2 * m + 1), _PAIR_CELLS)]
@@ -447,7 +414,7 @@ def reduced_pullbacks(S: CartesianSet, maps, monomials):
     indices) over the box basis: entry [t, k, e] is the coefficient of x^e in
     the pullback of monomials[k] under map t.  One batch, for few maps."""
     ab = _as_array(maps, S.m, S.field)
-    forms = _Forms(_Kernel(S.field), S)
+    forms = _Forms(S.field.np_tables(), S)
     pulled = {}
     for v, parent, i in _walk(monomials):
         pulled[v] = forms.one(len(ab)) if i is None else forms.times_form(pulled[parent], ab, i)
@@ -457,7 +424,7 @@ def reduced_pullbacks(S: CartesianSet, maps, monomials):
 
 def keeps_span(L, S: CartesianSet, maps):
     """Whether each map keeps the span of L, by the batched span route."""
-    return _span_ok(_Kernel(S.field), L, S, _as_array(maps, S.m, S.field))
+    return _span_ok(S.field.np_tables(), L, S, _as_array(maps, S.m, S.field))
 
 
 class _Last:
@@ -674,7 +641,7 @@ def _group_search(L, S, budget=None):
     _check_budget(q ** (m + 1), budget, "stabilizer row pass")
     members = frozenset(getattr(L, "monomials", L))
     check_exponent_box(members, S)
-    kern = _Kernel(F)
+    kern = F.np_tables()
     rows = _surviving_rows(kern, S)
     alone, mixed = [[] for _ in range(m)], [[] for _ in range(m)]
     for u in members:
@@ -743,7 +710,7 @@ def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
     if stabilizers is None:
         return AffineMaps(S.field, _group_search(L, S, budget))
     ab = _as_array(stabilizers, S.m, S.field)
-    return AffineMaps(S.field, ab[_span_ok(_Kernel(S.field), L, S, ab)])
+    return AffineMaps(S.field, ab[_span_ok(S.field.np_tables(), L, S, ab)])
 
 
 def group_axioms_report(F: Field, transforms):
@@ -775,7 +742,7 @@ def group_axioms_report(F: Field, transforms):
     }
     if g == 0:
         return report
-    kern = _Kernel(F)
+    kern = F.np_tables()
     miss = None
     if report["has_identity"] and maps.invertible().all():
         miss = _cosets(kern, ab, np.ones(g, dtype=bool))[1]
@@ -1053,7 +1020,7 @@ def two_route_agreement(L, S, transforms):
     name the disagreements."""
     F = S.field
     ab = _as_array(transforms, S.m, F)
-    kern = _Kernel(F)
+    kern = F.np_tables()
     code = _CodeRoute(kern, L, S)
     span_ok = _span_ok(kern, L, S, ab)
     images = _stabilizer_images(kern, S, ab)

@@ -294,7 +294,7 @@ def test_closure_certificate_matches_pairwise_reference(case):
     # member of order > 2), where the report runs it before its inverse check
     if not (rep["has_identity"] and all(T.is_invertible() for T in ts)):
         return
-    found, miss = oracle._cosets(oracle._Kernel(F), oracle._as_array(ts),
+    found, miss = oracle._cosets(F.np_tables(), oracle._as_array(ts),
                                  np.ones(len(ts), dtype=bool))
     gens = None if found is None else found[0].tolist()
     assert (gens, miss) == rounds_reference(ts)
@@ -357,7 +357,7 @@ def test_gf16_code_group_is_certified():
     L = divisibility_closure(MonomialSet(3, [(3, 1, 1)], bound=S.sizes))
     group = oracle._group_search(L, S)
     assert len(group) == 3600
-    (gens, _, _), miss = oracle._cosets(oracle._Kernel(F), group, np.ones(len(group), dtype=bool))
+    (gens, _, _), miss = oracle._cosets(F.np_tables(), group, np.ones(len(group), dtype=bool))
     assert miss is None and len(gens) <= 11
     rep = group_axioms_report(F, oracle.AffineMaps(F, group))
     assert rep == {"size": 3600, "has_identity": True, "closed_under_inverse": True,

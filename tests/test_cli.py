@@ -65,6 +65,47 @@ def test_closures_task_on_explicit_monomials(tmp_path):
     assert closures["input_size"] == 1 and closures["closure_size"] == 4
 
 
+@pytest.mark.parametrize("task", ["closures", "p-borel-graph"])
+def test_monomial_tasks_need_monomials(tmp_path, capsys, task):
+    cfg = {key: value for key, value in BASE_CONFIG.items() if key != "monomials"}
+    out = tmp_path / "reports"
+    path = write_json(tmp_path / "cfg.json", {**cfg, "tasks": ["classify", task]})
+    assert main(["--out", str(out), "verify", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: monomials: missing, but task {task!r} needs them\n"
+    assert not out.exists()
+
+
+def test_set_tasks_run_without_monomials(tmp_path):
+    cfg = {key: value for key, value in BASE_CONFIG.items() if key != "monomials"}
+    path = write_json(tmp_path / "cfg.json",
+                      {**cfg, "tasks": ["classify", "families", "oracle-verify"]})
+    out = tmp_path / "reports"
+    assert main(["--out", str(out), "verify", path]) == EXIT_OK
+    report = json.loads((out / "oracle-verify.json").read_text())
+    assert report["stabilizer_count"] == 36 and "affine_permutation_group" not in report
+
+
+def test_classify_reports_additive_components(tmp_path):
+    # GF(16) under x^4 + x + 1, a = 2: a^6 = a^2 + a^3 (index 12) and
+    # a^11 = a + a^2 + a^3 (index 14) span the line a F_4 = {0, a, a^6, a^11},
+    # reduced echelon basis (0,1,0,0), (0,0,1,1); F_4 = {0, 1, a^5, a^10}
+    # scales it onto itself.  a^4 = 1 + a and a^8 = 1 + a^2 span
+    # {0, a^4, a^8, a + a^2}, basis (1,0,1,0), (0,1,1,0); a^5 a^4 = a^9 =
+    # a + a^3 leaves it, so only F_2 keeps it.
+    cfg = {"field": {"q": 16}, "tasks": ["classify"],
+           "set": {"components": [{"kind": "explicit", "elements": [0, 12, 14, 2]},
+                                  {"kind": "add", "basis": [[1, 1, 0, 0], [1, 0, 1, 0]]}]}}
+    out = tmp_path / "reports"
+    assert main(["--out", str(out), "verify", write_json(tmp_path / "cfg.json", cfg)]) == EXIT_OK
+    assert json.loads((out / "classify.json").read_text()) == {"components": [
+        {"n": 4, "kind": "add", "basis": [[0, 1, 0, 0], [0, 0, 1, 1]],
+         "stabilizer_subfield_degree": 2},
+        {"n": 4, "kind": "add", "basis": [[1, 0, 1, 0], [0, 1, 1, 0]],
+         "stabilizer_subfield_degree": 1},
+    ]}
+
+
 def test_reports_are_deterministic(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", BASE_CONFIG)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"

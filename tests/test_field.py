@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -208,20 +209,38 @@ def test_np_tables_agree():
     np = pytest.importorskip("numpy")
     for F in TABLE_FIELDS:
         q, t = F.q, F.np_tables()
-        assert all(a.dtype == np.uint16 for a in t.values())
-        assert t["mul"].shape == t["add"].shape == (q, q)
-        assert t["neg"].shape == t["inv"].shape == (q,)
+        assert all(a.dtype == np.uint16 for a in (t.mul, t.add, t.neg, t.inv))
+        assert t.mul.shape == t.add.shape == (q, q)
+        assert t.neg.shape == t.inv.shape == (q,)
         pairs = [(a, b) for a in range(q) for b in range(q)]
-        assert t["mul"].ravel().tolist() == [F._mul_ix_slow(a, b) for a, b in pairs]
+        assert t.mul.ravel().tolist() == [F._mul_ix_slow(a, b) for a, b in pairs]
         digits = np.array([F(a).coeffs for a in range(q)])
         sums = (digits[:, None] + digits) % F.p @ F.p ** np.arange(F.k)
-        assert np.array_equal(t["add"], sums)
-        assert np.array_equal(t["add"][np.arange(q), t["neg"]], np.zeros(q))
-        assert t["inv"][0] == 0 and (t["mul"][np.arange(1, q), t["inv"][1:]] == 1).all()
-        assert t["mul"].ravel().tolist() == [F.mul_ix(a, b) for a, b in pairs]
-        assert t["add"].ravel().tolist() == [F.add_ix(a, b) for a, b in pairs]
-        assert t["neg"].tolist() == [F.neg_ix(a) for a in range(q)]
-        assert t["inv"][1:].tolist() == [F.inv_ix(a) for a in range(1, q)]
+        assert np.array_equal(t.add, sums)
+        assert np.array_equal(t.add[np.arange(q), t.neg], np.zeros(q))
+        assert t.inv[0] == 0 and (t.mul[np.arange(1, q), t.inv[1:]] == 1).all()
+        assert t.mul.ravel().tolist() == [F.mul_ix(a, b) for a, b in pairs]
+        assert t.add.ravel().tolist() == [F.add_ix(a, b) for a, b in pairs]
+        assert t.neg.tolist() == [F.neg_ix(a) for a in range(q)]
+        assert t.inv[1:].tolist() == [F.inv_ix(a) for a in range(1, q)]
+
+
+def test_tables_exist_once():
+    # a fresh GF(1024), since GF caches its fields: the four uint16 arrays
+    # hold 4 MiB, and the scalar arithmetic indexes views of those arrays,
+    # not q x q lists of its own (20 MiB held with them)
+    np = pytest.importorskip("numpy")
+    F = Field(2, 10)
+    tracemalloc.start()
+    try:
+        t = F.np_tables()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 6 << 20, held
+    for view, table in ((F._mul, t.mul), (F._add, t.add), (F._neg, t.neg), (F._inv, t.inv)):
+        assert np.shares_memory(np.asarray(view), table)
+    assert F.mul_ix(3, 1000) == t.mul[3, 1000] and F.add_ix(3, 1000) == t.add[3, 1000]
 
 
 def test_tables_take_o_of_q_table_free_products(monkeypatch):

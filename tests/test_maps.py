@@ -258,6 +258,13 @@ def test_empty_round_trip():
         assert list(AffineMaps(GF(4), got)) == []
 
 
+def test_empty_maps_hold_nothing():
+    F, S, L, stabs = gf3_square()
+    empty = AffineMaps(F, oracle._as_array([], 2))
+    assert empty.holds(stabs[:5]).tolist() == [False] * 5
+    assert empty.holds([]).tolist() == []
+
+
 def test_packing_reads_entries_once(monkeypatch):
     """An iterated map hands its row to the packing, which reads no entry of
     it; a constructed map is read once, at its first packing."""

@@ -63,7 +63,7 @@ def image_builds(monkeypatch):
 
 
 def cold_span(S, L, ab):
-    return oracle._span_scan(oracle._Kernel(S.field), L, S, ab)
+    return oracle._span_scan(S.field.np_tables(), L, S, ab)
 
 
 def same_images(a, b, n):
@@ -86,7 +86,7 @@ def sweep_draws(S, count, seed):
 def test_hit_equals_cold_call(name, monkeypatch):
     make, count = SWEEP_SETS[name]
     S = make()
-    kern = oracle._Kernel(S.field)
+    kern = S.field.np_tables()
     stabs = oracle_stabilizers(S)
     listed = list(stabs)
     calls = kernel_calls(monkeypatch)
@@ -119,7 +119,7 @@ def test_each_point_set_and_monomial_set_has_its_own_entry():
     full = CartesianSet([full_component(F)] * 2)
     torus = CartesianSet([full_component(F), mult_component(F, 3)])
     ab = oracle_stabilizers(torus).ab
-    kern = oracle._Kernel(F)
+    kern = F.np_tables()
     L1 = divisibility_closure(MonomialSet(2, [(1, 2)], bound=torus.sizes))
     L2 = divisibility_closure(MonomialSet(2, [(1, 0)], bound=torus.sizes))
     wants = {(S, L): cold_span(S, L, ab) for S in (full, torus) for L in (L1, L2)}
@@ -148,7 +148,7 @@ def test_returned_masks_are_fresh():
     S = CartesianSet([full_component(GF(3))] * 2)
     L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
     ab = oracle_stabilizers(S).ab
-    kern = oracle._Kernel(S.field)
+    kern = S.field.np_tables()
     want = cold_span(S, L, ab)
     got = oracle._span_ok(kern, L, S, ab)
     got[:] = ~got
@@ -163,7 +163,7 @@ def test_returned_masks_are_fresh():
 def test_memo_holds_the_last_array_only(monkeypatch):
     S = CartesianSet([full_component(GF(4))] * 2)
     stabs = oracle_stabilizers(S)
-    kern = oracle._Kernel(S.field)
+    kern = S.field.np_tables()
     draws = [divisibility_closure(MonomialSet(2, [u], bound=S.sizes))
              for u in np.ndindex(*S.sizes)]
     calls = kernel_calls(monkeypatch)

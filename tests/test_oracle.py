@@ -104,7 +104,7 @@ def test_budget_names_each_phase(monkeypatch):
         oracle_stabilizers(S, budget=575)
     assert len(oracle_stabilizers(S, budget=576)) == 432
     # the row budget trips before any field table is built
-    monkeypatch.setattr(oracle, "_Kernel", None)
+    monkeypatch.setattr(Field, "np_tables", None)
     with pytest.raises(BudgetExceeded):
         oracle_stabilizers(full_square(4), budget=63)
 
@@ -125,7 +125,7 @@ def point_walk_rows(S):
     for a in itertools.product(range(F.q), repeat=m):
         img = np.zeros(len(pts), dtype=np.int64)
         for j in range(m):
-            img = t["add"][img, t["mul"][a[j], pts[:, j]]]
+            img = t.add[img, t.mul[a[j], pts[:, j]]]
         walked = set(img.tolist())
         for c in range(F.q):
             image = {F.add_ix(s, c) for s in walked}
@@ -156,7 +156,7 @@ def row_sets(draw):
                        mult_component(GF(7), 3)]))
 def test_surviving_rows_match_point_walk(S):
     want = point_walk_rows(S)
-    kern = oracle._Kernel(S.field)
+    kern = S.field.np_tables()
     for limit in (1, 200, oracle._CHUNK_CELLS):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_CHUNK_CELLS", limit)
@@ -177,7 +177,7 @@ def test_row_pass_time_guard():
     # the product scan of this set peaks at 742 MiB: only its rows are timed
     F = GF(16)
     S = CartesianSet([full_component(F), mult_component(F, 5), mult_component(F, 3)])
-    kern = oracle._Kernel(F)
+    kern = F.np_tables()
     start = time.perf_counter()
     rows = oracle._surviving_rows(kern, S)
     assert time.perf_counter() - start < 2
@@ -217,7 +217,7 @@ def affine_batches(draw):
 @given(affine_batches())
 def test_batched_inverse_matches_scalar_inverse(batch):
     F, m, ts = batch
-    inv, ok = oracle._invert(oracle._Kernel(F), oracle._as_array(ts))
+    inv, ok = oracle._invert(F.np_tables(), oracle._as_array(ts))
     assert ok.tolist() == [T.is_invertible() for T in ts]
     for T, row, invertible in zip(ts, inv.tolist(), ok):
         if invertible:
@@ -304,7 +304,7 @@ def test_batched_span_matches_span_checker(batch):
     S, L, ts, limit = batch
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_SPAN_CELLS", limit)
-        got = oracle._span_scan(oracle._Kernel(S.field), L, S, oracle._as_array(ts))
+        got = oracle._span_scan(S.field.np_tables(), L, S, oracle._as_array(ts))
     checker = SpanChecker(L, S)
     assert got.tolist() == [checker.check(T) for T in ts]
 
@@ -369,7 +369,7 @@ def test_span_scan_builds_on_distinct_row_tuples(monkeypatch):
     monkeypatch.setattr(oracle._Forms, "times_form", counted)
     # one chunk for all maps
     monkeypatch.setattr(oracle, "_SPAN_CELLS", len(ab) * S.n * len(L))
-    assert oracle._span_scan(oracle._Kernel(F), L, S, ab).all()
+    assert oracle._span_scan(F.np_tables(), L, S, ab).all()
     walk = oracle._walk(L)
     assert len(calls) == len(walk) - 1
     sizes = {}
@@ -391,7 +391,7 @@ def test_kernel_matches_field_on_every_pair(F):
     field's scalar arithmetic on all q^2 pairs."""
     x, y = np.divmod(np.arange(F.q * F.q), F.q)
     x, y = x.astype(np.uint16), y.astype(np.uint16)
-    kern = oracle._Kernel(F)
+    kern = F.np_tables()
     got = kern.vadd(x, y)
     assert got.dtype == np.uint16
     assert got.tolist() == [F.add_ix(a, b) for a, b in zip(x.tolist(), y.tolist())]
@@ -415,7 +415,7 @@ def search_cases(draw):
     whose group may swap coordinates."""
     F = draw(st.sampled_from(ORACLE_FIELDS))
     S = CartesianSet([draw(components(F)) for _ in range(draw(st.sampled_from([1, 2, 3, 3])))])
-    rows = oracle._surviving_rows(oracle._Kernel(F), S)
+    rows = oracle._surviving_rows(F.np_tables(), S)
     assume(math.prod(len(r) for r in rows) <= SEARCH_STABILIZERS)
     box = list(itertools.product(*[range(n) for n in S.sizes]))
     kind = draw(st.sampled_from(["empty", "one", "any", "closure", "mixed", "symmetric"]))
@@ -461,7 +461,7 @@ def test_group_search_matches_stabilizer_filter(case):
     # the search gives the filtered stabilizer list, array and order alike
     S, L = case
     stabs = oracle_stabilizers(S).ab
-    want = stabs[oracle._span_ok(oracle._Kernel(S.field), L, S, stabs)]
+    want = stabs[oracle._span_ok(S.field.np_tables(), L, S, stabs)]
     for limit in (1, 60):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_SPAN_CELLS", limit)
@@ -501,7 +501,7 @@ def test_group_search_budget(monkeypatch):
     # the row budget trips before any field table is built
     S = full_square(4)
     L = divisibility_closure(MonomialSet(2, [(2, 1)], bound=S.sizes))
-    monkeypatch.setattr(oracle, "_Kernel", None)
+    monkeypatch.setattr(Field, "np_tables", None)
     with pytest.raises(BudgetExceeded, match="row pass"):
         oracle_affine_perm_group(L, S, budget=63)
 

@@ -26,7 +26,7 @@ def per_map_reference(L, S, transforms):
     """The per-map comparison: the span route and the scalar code route
     (code_permutation_check) on every map; disagreements in input order."""
     maps = list(transforms)
-    span = oracle._span_ok(oracle._Kernel(S.field), L, S, oracle._as_array(maps, S.m))
+    span = oracle._span_ok(S.field.np_tables(), L, S, oracle._as_array(maps, S.m))
     code = build_code(L, S)
     dis = []
     for T, s in zip(maps, span):
@@ -96,7 +96,7 @@ def test_code_route_checks_generators_and_one_map_per_coset(monkeypatch):
     L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
     stabs = oracle_stabilizers(S)
     group = oracle_affine_perm_group(L, S, stabilizers=stabs)
-    (gens, _, _), miss = oracle._cosets(oracle._Kernel(F), group.ab,
+    (gens, _, _), miss = oracle._cosets(F.np_tables(), group.ab,
                                         np.ones(len(group), dtype=bool))
     assert miss is None
     sizes = code_route_sizes(monkeypatch)
@@ -162,7 +162,7 @@ def test_coset_rounds_stop_when_they_do_not_double():
     # translations of GF(7), all accepted: the rounds' components hold the
     # subgroup generated so far, which a group at least doubles each round
     F = GF(7)
-    kern = oracle._Kernel(F)
+    kern = F.np_tables()
 
     def rounds(shifts):
         ab = oracle._as_array([AffineTransformation.translation(F, [c]) for c in shifts])
@@ -184,7 +184,7 @@ def test_coset_rounds_stop_when_they_do_not_double():
 def test_right_products_match_compose(q, m):
     # against the scalar AffineTransformation.compose, pair by pair
     F = GF(q)
-    kern = oracle._Kernel(F)
+    kern = F.np_tables()
     rng = np.random.default_rng(q)
     xs = rng.integers(0, q, (50, m, m + 1)).astype(np.uint16)
     maps = AffineMaps(F, xs)
@@ -238,7 +238,7 @@ def test_images_match_induced_permutation(S):
     others = [T for T in random_maps(rng, F, m, 200) if not stabilizes_set(T, S)]
     assert others
     ab = oracle._as_array(maps + others, m)
-    kern = oracle._Kernel(F)
+    kern = F.np_tables()
     images = oracle._Images(kern, S, ab)
     inside = images.inside()
     got = images(np.arange(len(maps)))
