@@ -11,9 +11,8 @@ from .affine import (
 from .codes import GeneratorMatrix, build_code, codes_equal, rank_ix, rref_ix
 from .families import (
     AdditiveHeteroPattern, AdditivePowerFamily, BorelClaimedFamily,
-    BudgetExceeded, MixedFullTorusFamily, MixedGeneralFamily,
-    MultProductFamily, enumerate_LTA, enumerate_ML_invertible, gl_count,
-    lta_count,
+    MixedFullTorusFamily, MixedGeneralFamily, MultProductFamily,
+    enumerate_LTA, enumerate_ML_invertible, gl_count, lta_count,
 )
 from .field import (
     GF, Field, FieldElement, FieldError, leq_p, leq_p_values,
@@ -26,9 +25,10 @@ from .monomials import (
     random_decreasing_set, stable_pattern, valid_p_borel_reachable,
 )
 from .oracle import (
-    AffineMaps, VerificationReport, code_permutation_check, enumerate_all_affine,
-    group_axioms_report, oracle_affine_perm_group, oracle_stabilizers,
-    two_route_agreement, verify_characterization, verify_containment,
+    AffineMaps, BudgetExceeded, VerificationReport, code_permutation_check,
+    enumerate_all_affine, group_axioms_report, oracle_affine_perm_group,
+    oracle_stabilizers, two_route_agreement, verify_characterization,
+    verify_containment,
 )
 from .points import (
     CartesianSet, SetComponent, additive_component, classify_subset,

@@ -17,8 +17,8 @@ import numpy as np
 from .affine import AffineTransformation, membership_report, stabilizes_set
 from .families import (
     AdditiveHeteroPattern, AdditivePowerFamily, BorelClaimedFamily,
-    BudgetExceeded, MixedFullTorusFamily, MixedGeneralFamily,
-    MultProductFamily, describe, set_shape,
+    MixedFullTorusFamily, MixedGeneralFamily, MultProductFamily, describe,
+    set_shape,
 )
 from .field import TABLE_LIMIT, Field, FieldError, GF, is_prime
 from .monomials import (
@@ -26,7 +26,7 @@ from .monomials import (
     is_decreasing, p_borel_graph,
 )
 from .oracle import (
-    AffineMaps, group_axioms_report, keeps_span,
+    AffineMaps, BudgetExceeded, group_axioms_report, keeps_span,
     oracle_affine_perm_group, oracle_stabilizers, reduced_pullbacks,
     two_route_agreement, verify_characterization,
 )
@@ -41,10 +41,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
-
-TASKS = ("classify", "closures", "p-borel-graph", "families", "oracle-verify",
-         "examples")
-
 
 class ConfigError(ValueError):
     pass
@@ -529,7 +525,7 @@ def run_config(cfg, out_dir, budget=None):
         raise ConfigError("tasks: must be a nonempty list")
     for t in tasks:
         if not isinstance(t, str) or t not in TASK_FUNCS:
-            raise ConfigError(f"tasks: unknown task {t!r} (known: {', '.join(TASKS)})")
+            raise ConfigError(f"tasks: unknown task {t!r} (known: {', '.join(TASK_FUNCS)})")
     needs_setup = [t for t in tasks if t != "examples"]
     F = S = L = None
     if needs_setup:

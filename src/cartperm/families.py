@@ -10,7 +10,10 @@ each class of equal subgroups a permutation of its positions times a
 diagonal with entries in the subgroup.  The multiplicative product (no full
 component, equal subgroups anywhere) and the full-torus product (one block
 of full tori) subclass it only for their kind, reported parameters and
-validation.
+validation.  The claimed Borel subgroup and the lower-triangular maps are
+one block shape, built by one builder: an invertible lower-triangular
+block over given entry values, the identity elsewhere, and an offset list
+per coordinate.
 
 Every family builds its members as one AffineMaps, an (N, m, m + 1) uint16
 array of augmented matrices [A | b] in a fixed order: the candidate linear
@@ -31,7 +34,7 @@ import numpy as np
 from .affine import AffineTransformation
 from .field import Field, FieldError
 from .monomials import MonomialSet, has_borel_property, is_decreasing, stable_pattern
-from .oracle import AffineMaps, BudgetExceeded
+from .oracle import AffineMaps, check_budget
 from .points import ADD, FULL, MULT, CartesianSet, stabilizer_subfield, transporter_space
 
 
@@ -60,14 +63,19 @@ def _grid(lists):
     return out
 
 
-def _lower_triangular(values, s):
-    """Invertible lower-triangular s x s matrices with entries from the
-    ascending index list values (which holds 0), in row-major counting
-    order over the entries, as an (N, s, s) array."""
+def _triangular(F, m, s, values, offsets):
+    """The maps T = Ax+b whose A is an invertible lower-triangular s x s
+    block with entries from the ascending index list values (which holds
+    0), then the identity on the other m - s coordinates, and whose b is a
+    tuple of itertools.product(*offsets): the block's entries in row-major
+    counting order, the offset fastest."""
     diag = [x for x in values if x]
     ent = _grid([diag if i == j else values if j < i else [0]
                  for i in range(s) for j in range(s)])
-    return ent.reshape(len(ent), s, s)
+    A = np.zeros((len(ent), m, m), np.uint16)
+    A[:, :s, :s] = ent.reshape(len(ent), s, s)
+    A[:, range(s, m), range(s, m)] = 1
+    return _maps(F, A, _grid(offsets))
 
 
 def _kept(F, lists, k, width):
@@ -90,17 +98,11 @@ def _maps(F, A, b):
     return AffineMaps(F, ab.reshape(n * len(b), m, m + 1))
 
 
-def _guard(count, budget, lower=False):
-    """Raise when a family's size, or a lower bound on it, exceeds the budget."""
-    if budget is not None and count is not None and count > budget:
-        raise BudgetExceeded(f"family of {'at least ' * lower}{count} maps exceeds budget {budget}")
-
-
 def enumerate_LTA(F: Field, m: int, budget=None) -> AffineMaps:
     """All T = Ax+b with A lower triangular and invertible, the offset
     counting fastest."""
-    _guard(lta_count(F, m), budget)
-    return _maps(F, _lower_triangular(range(F.q), m), _grid([range(F.q)] * m))
+    check_budget(lta_count(F, m), budget, "family of {} maps")
+    return _triangular(F, m, m, range(F.q), [range(F.q)] * m)
 
 
 def is_lower_triangular_invertible(T: AffineTransformation) -> bool:
@@ -121,9 +123,9 @@ def enumerate_ML_invertible(L: MonomialSet, p: int, F: Field, budget=None) -> Af
     # degree m in its a free entries (the pattern holds the identity), so at
     # least (q-1)^m q^(a-m) of the q^a candidates are invertible, each with
     # q^m offsets: the family has at least as many maps as candidates.
-    _guard(math.prod(map(len, value_lists)), budget, lower=True)
+    check_budget(math.prod(map(len, value_lists)), budget, "family of at least {} maps")
     A = _kept(F, value_lists, m, m)
-    _guard(len(A) * F.q ** m, budget)
+    check_budget(len(A) * F.q ** m, budget, "family of {} maps")
     return _maps(F, A, _grid([range(F.q)] * m))
 
 
@@ -199,7 +201,7 @@ class MixedGeneralFamily:
         then the entries of tail row i from component sigma[i - m0] in its
         element order, the last row fastest, then the offset on the full
         block."""
-        _guard(self.count(), budget)
+        check_budget(self.count(), budget, "family of {} maps")
         F, m, m0, comps = self.F, self.m, self.m0, self.S.components
         top = _kept(F, [range(F.q)] * (m0 * m), m0, m)
         tails = []
@@ -289,7 +291,7 @@ class AdditivePowerFamily:
     def members(self, budget=None) -> AffineMaps:
         """The invertible A over the subfield outermost, then the offsets in
         the components' element order."""
-        _guard(self.count(), budget)
+        check_budget(self.count(), budget, "family of {} maps")
         A = _kept(self.F, [self.subfield] * self.m ** 2, self.m, self.m)
         return _maps(self.F, A, _grid([[x.ix for x in c.elements] for c in self.S.components]))
 
@@ -316,10 +318,8 @@ class AdditiveHeteroPattern:
         tests q candidates against the n_j points of component j."""
         if any(c.kind not in (ADD, FULL) for c in S.components):
             raise FieldError("components must be additive subgroups")
-        size = S.m * S.field.q * sum(S.sizes)
-        if budget is not None and size > budget:
-            raise BudgetExceeded(f"transporter table of {size} field products "
-                                 f"exceeds budget {budget}")
+        check_budget(S.m * S.field.q * sum(S.sizes), budget,
+                     "transporter table of {} field products")
         self.S = S
         self.F = S.field
         self.m = S.m
@@ -336,7 +336,7 @@ class AdditiveHeteroPattern:
         return out
 
     def candidates(self, budget=None) -> AffineMaps:
-        _guard(self.candidate_count(), budget)
+        check_budget(self.candidate_count(), budget, "family of {} maps")
         m = self.m
         A = _grid([sorted(x.ix for x in H) for row in self.table for H in row])
         return _maps(self.F, A.reshape(-1, m, m),
@@ -350,7 +350,13 @@ class BorelClaimedFamily:
     """The claimed (sufficient, not exhaustive) subgroup of affine
     permutations for a Borel-closed decreasing monomial set on one of the
     three structured point sets: full x torus, full x distinct subgroup
-    powers, or an additive subgroup power."""
+    powers, or an additive subgroup power.  Each is one block description,
+    read by count, members and contains alike: the maps of _triangular for
+    a block size s, its entry values and an offset list per coordinate.  On
+    an additive power s = m, the values are the stabilizer subfield and the
+    offsets each component's elements; otherwise s is the split, the number
+    of full coordinates, the values are all of GF(q), and the offsets are
+    GF(q) on the full coordinates and 0 elsewhere."""
 
     kind = "borel-claimed"
     describe_params = ("split", "shape", "subfield_degree")
@@ -369,57 +375,31 @@ class BorelClaimedFamily:
             raise FieldError("point set does not match a claimed-subgroup shape")
         if self.shape == "additive-power":
             self.subfield_degree = stabilizer_subfield(S.components[0])
+            self._s = S.m
+            self._values = sorted(x.ix for x in S.field.subfield_elements(self.subfield_degree))
+            self._offsets = [[x.ix for x in c.elements] for c in S.components]
         else:
-            self.split = [c.kind for c in S.components].count(FULL)
+            self._s = self.split = [c.kind for c in S.components].count(FULL)
             if self.shape == "full-subgroups":
                 _blocks(S)  # validates distinct nontrivial subgroup blocks
+            self._values = range(S.field.q)
+            self._offsets = [range(S.field.q)] * self.split + [[0]] * (S.m - self.split)
 
     def count(self) -> int:
-        if self.shape == "additive-power":
-            return (_lower_triangular_count(self.F.p ** self.subfield_degree, self.m)
-                    * self.S.components[0].n ** self.m)
-        s = self.split
-        return _lower_triangular_count(self.F.q, s) * self.F.q ** s
+        return (_lower_triangular_count(len(self._values), self._s)
+                * math.prod(map(len, self._offsets)))
 
     def members(self, budget=None) -> AffineMaps:
-        """Lower-triangular maps over the stabilizer subfield with offsets in
-        the set, or lower-triangular on the full block, identity on the rest
-        and offsets on the full block."""
-        _guard(self.count(), budget)
-        F, m = self.F, self.m
-        if self.shape == "additive-power":
-            values = sorted(x.ix for x in F.subfield_elements(self.subfield_degree))
-            s = m
-            shifts = [[x.ix for x in c.elements] for c in self.S.components]
-        else:
-            values = range(F.q)
-            s = self.split
-            shifts = [range(F.q)] * s + [[0]] * (m - s)
-        top = _lower_triangular(values, s)
-        A = np.zeros((len(top), m, m), np.uint16)
-        A[:, :s, :s] = top
-        A[:, range(s, m), range(s, m)] = 1
-        return _maps(F, A, _grid(shifts))
+        """The maps of the block description, in the order of _triangular."""
+        check_budget(self.count(), budget, "family of {} maps")
+        return _triangular(self.F, self.m, self._s, self._values, self._offsets)
 
     def contains(self, T: AffineTransformation) -> bool:
-        m = self.m
-        if self.shape == "additive-power":
-            d = self.subfield_degree
-            gset = self.S.components[0].element_set()
-            return (is_lower_triangular_invertible(T)
-                    and all(T.field(x).in_subfield(d) for row in T.A for x in row)
-                    and all(x in gset for x in T.b))
-        s = self.split
-        if any(T.b[s:]):
-            return False
-        for i in range(m):
-            for j in range(m):
-                want_free = (i < s and j <= i)
-                if not want_free:
-                    expect = 1 if (i == j and i >= s) else 0
-                    if T.A[i][j] != expect:
-                        return False
-        return all(T.A[i][i] for i in range(s))
+        s = self._s
+        return (is_lower_triangular_invertible(T)
+                and all(T.A[i][j] in self._values for i in range(s) for j in range(i + 1))
+                and all(T.A[i][j] == (i == j) for i in range(s, self.m) for j in range(i + 1))
+                and all(x in offsets for x, offsets in zip(T.b, self._offsets)))
 
 
 def describe(family) -> dict:

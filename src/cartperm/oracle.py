@@ -103,6 +103,14 @@ class BudgetExceeded(RuntimeError):
     """An enumeration or scan larger than its budget, raised before it runs."""
 
 
+def check_budget(size, budget, what):
+    """Raise BudgetExceeded when size exceeds a budget that is not None,
+    naming the work as what.format(size): the one budget check, run before
+    the work it guards."""
+    if budget is not None and size > budget:
+        raise BudgetExceeded(f"{what.format(size)} exceeds budget {budget}")
+
+
 def affine_space_size(F: Field, m: int) -> int:
     return F.q ** (m * m + m)
 
@@ -110,8 +118,7 @@ def affine_space_size(F: Field, m: int) -> int:
 def enumerate_all_affine(F: Field, m: int, budget=None, invertible_only=False):
     """Every pair (A, b) exactly once, in base-q counter order."""
     total = affine_space_size(F, m)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"affine space of size {total} exceeds budget {budget}")
+    check_budget(total, budget, "affine space of size {}")
     q = F.q
     for counter in range(total):
         c = counter
@@ -544,11 +551,6 @@ def _regroup(inverse, count):
     return alive, (reps, inverse)
 
 
-def _check_budget(size, budget, phase):
-    if budget is not None and size > budget:
-        raise BudgetExceeded(f"{phase} of {size} candidates exceeds budget {budget}")
-
-
 def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1) -> AffineMaps:
     """All invertible affine maps carrying the point set onto itself, in
     base-q counter order: the row-prefix search (_group_search) with no
@@ -638,7 +640,7 @@ def _group_search(L, S, budget=None):
     _SPAN_CELLS cells: its row groups pay off only on chunks of many maps
     sharing a prefix."""
     F, m, q = S.field, S.m, S.field.q
-    _check_budget(q ** (m + 1), budget, "stabilizer row pass")
+    check_budget(q ** (m + 1), budget, "stabilizer row pass of {} candidates")
     members = frozenset(getattr(L, "monomials", L))
     check_exponent_box(members, S)
     kern = F.np_tables()
@@ -662,7 +664,8 @@ def _group_search(L, S, budget=None):
             ab[:, j] = r
             r = r[_span_scan(kern, L, S, ab, check=alone[j])]
         total = len(prefix) * len(r)
-        _check_budget(total, budget, f"row-prefix step {j + 1} (coordinate x{j + 1})")
+        check_budget(total, budget, f"row-prefix step {j + 1} (coordinate x{j + 1}) "
+                                    "of {} candidates")
 
         # extend, pairs and grow run within their own step: the step's prefix
         # is freed once the next one is built
@@ -800,7 +803,8 @@ class _Images:
     """The point images of the maps of an (N, m, m + 1) array [A | b] on S,
     by per-coordinate position tables.  Row i of a map sends the point x to
     a_i.x + b_i; its position in the element order of the i-th component is
-    -1 when it lies outside.  The image of x is then the point index
+    -1 when it lies outside, an int16 since the tables exist only for
+    q <= TABLE_LIMIT.  The image of x is then the point index
     sum_i pos_i * stride_i, in the itertools.product order of S.points_ix().
     Each distinct row of a coordinate is evaluated once, over the box."""
 
@@ -808,7 +812,7 @@ class _Images:
         self.rows, self.tables = [], []
         for i, comp in enumerate(S.components):
             first, inverse = _distinct(_row_keys(ab[:, i:i + 1], kern.q))
-            pos = np.full(kern.q, -1, dtype=np.int16 if kern.q <= 1 << 15 else np.int32)
+            pos = np.full(kern.q, -1, dtype=np.int16)
             pos[[x.ix for x in comp.elements]] = np.arange(comp.n)
             table = np.concatenate(
                 [pos[self._values(kern, S, ab[first[k], i])] for k in _chunks(len(first), S.n)]

@@ -7,8 +7,9 @@ import itertools
 
 from cartperm.affine import AffineTransformation
 from cartperm.codes import rank_ix
-from cartperm.families import BudgetExceeded, MultProductFamily
+from cartperm.families import MultProductFamily
 from cartperm.monomials import stable_pattern
+from cartperm.oracle import BudgetExceeded
 from cartperm.points import CartesianSet
 
 

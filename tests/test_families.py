@@ -11,12 +11,13 @@ from cartperm.affine import (
 )
 from cartperm.families import (
     AdditiveHeteroPattern, AdditivePowerFamily, BorelClaimedFamily,
-    BudgetExceeded, MixedFullTorusFamily, MixedGeneralFamily,
-    MultProductFamily, enumerate_LTA, enumerate_ML_invertible, gl_count,
+    MixedFullTorusFamily, MixedGeneralFamily, MultProductFamily,
+    enumerate_LTA, enumerate_ML_invertible, gl_count,
     is_lower_triangular_invertible, lta_count,
 )
 from cartperm.field import GF, FieldError
-from cartperm.monomials import MonomialSet, random_borel_set
+from cartperm.monomials import MonomialSet, divisibility_closure, random_borel_set
+from cartperm.oracle import BudgetExceeded, enumerate_all_affine
 from cartperm.points import (
     CartesianSet, additive_component, full_component, mult_component,
     torus_component,
@@ -213,6 +214,32 @@ def test_borel_claimed_families_sound():
     # decreasing sets, and {x1, x2} lacks 1
     with pytest.raises(ValueError, match="not decreasing"):
         BorelClaimedFamily(S, MonomialSet(2, [(1, 0), (0, 1)], bound=S.sizes))
+
+
+def test_borel_claimed_contains_matches_members():
+    # every map of the affine space, singular ones included, on each shape
+    # of the claimed family: contains accepts exactly the members
+    F3, F4, F5, F16 = GF(3), GF(4), GF(5), GF(16)
+    a = F16.primitive_element()
+    # (set, shape, split or subfield degree)
+    cases = [
+        (CartesianSet([full_component(F3), torus_component(F3)]), "full-torus", 1),
+        (CartesianSet([full_component(F5), mult_component(F5, 2)]), "full-subgroups", 1),
+        (CartesianSet([mult_component(F5, 2), mult_component(F5, 4)]), "full-subgroups", 0),
+        (CartesianSet([additive_component(F4, [F4.one])] * 2), "additive-power", 1),
+        (CartesianSet([full_component(GF(2))] * 2), "additive-power", 1),
+        (CartesianSet([additive_component(F16, [a ** 6, a ** 11])]), "additive-power", 2),
+    ]
+    for S, shape, param in cases:
+        L = divisibility_closure(MonomialSet(S.m, [(1,) + (0,) * (S.m - 1)], bound=S.sizes))
+        fam = BorelClaimedFamily(S, L)
+        assert fam.shape == shape
+        assert (fam.subfield_degree if shape == "additive-power" else fam.split) == param
+        members = set(fam.members())
+        assert len(members) == fam.count()
+        mismatched = [T for T in enumerate_all_affine(S.field, S.m)
+                      if fam.contains(T) != (T in members)]
+        assert mismatched == []
 
 
 def test_borel_claimed_requires_known_shape():

@@ -12,12 +12,14 @@ from cartperm import codes, families
 from cartperm.affine import AffineTransformation
 from cartperm.families import (
     AdditiveHeteroPattern, AdditivePowerFamily, BorelClaimedFamily,
-    BudgetExceeded, MixedFullTorusFamily, MixedGeneralFamily,
-    MultProductFamily, enumerate_LTA, enumerate_ML_invertible,
+    MixedFullTorusFamily, MixedGeneralFamily, MultProductFamily,
+    enumerate_LTA, enumerate_ML_invertible,
 )
 from cartperm.field import GF, TABLE_LIMIT, Field, FieldError
 from cartperm.monomials import MonomialSet, divisibility_closure, stable_pattern
-from cartperm.oracle import AffineMaps, _as_array, oracle_stabilizers, verify_characterization
+from cartperm.oracle import (
+    AffineMaps, BudgetExceeded, _as_array, oracle_stabilizers, verify_characterization,
+)
 from cartperm.points import (
     CartesianSet, additive_component, full_component, mult_component,
     torus_component,

@@ -17,15 +17,14 @@ from cartperm.affine import (
 )
 from cartperm.codes import build_code
 from cartperm.families import (
-    BudgetExceeded, BorelClaimedFamily, MultProductFamily, enumerate_LTA,
-    gl_count,
+    BorelClaimedFamily, MultProductFamily, enumerate_LTA, gl_count,
 )
 from cartperm.field import GF, Field
 from cartperm.monomials import (
     MonomialSet, divisibility_closure, p_borel_graph, random_decreasing_set,
 )
 from cartperm.oracle import (
-    affine_space_size, code_permutation_check, enumerate_all_affine,
+    BudgetExceeded, affine_space_size, code_permutation_check, enumerate_all_affine,
     group_axioms_report, keeps_span, oracle_affine_perm_group, oracle_stabilizers,
     two_route_agreement, verify_characterization, verify_containment,
 )

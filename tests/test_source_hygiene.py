@@ -3,8 +3,8 @@
 module-private top-level function or class is used somewhere in the
 package, so a helper left behind by a removed caller shows up here; no
 module imports another module's private name; only the scalar callers
-(codes, affine, points) import the scalar row reducer; and no family calls
-another family's members()."""
+(codes, affine, points) import the scalar row reducer; no family calls
+another family's members(); and one function raises BudgetExceeded."""
 
 import ast
 import pathlib
@@ -91,3 +91,25 @@ def test_no_family_reads_members():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "members"]
     assert calls == []
+
+
+def enclosing_functions(tree):
+    """Each node of a tree with the name of the innermost function around
+    it, None at module level."""
+    stack = [(tree, None)]
+    while stack:
+        node, func = stack.pop()
+        yield node, func
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
+def test_one_budget_guard():
+    # every budget check goes through oracle.check_budget, so that each
+    # BudgetExceeded message is built in one place
+    sites = {f"{name}: {func}" for name, tree in MODULES.items()
+             for node, func in enclosing_functions(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BudgetExceeded"}
+    assert len(sites) == 1, sorted(sites)
