@@ -85,19 +85,18 @@ def divisibility_closure(L: MonomialSet) -> MonomialSet:
     return MonomialSet(L.m, out, L.bound)
 
 
+def divisor_closed(monomials) -> bool:
+    """Whether a collection of exponent tuples holds every divisor of each
+    member: each u - e_i with u_i > 0 is a member (then, by induction, so is
+    every divisor)."""
+    members = frozenset(monomials)
+    return all(u[:i] + (e - 1,) + u[i + 1:] in members
+               for u in members for i, e in enumerate(u) if e)
+
+
 def is_decreasing(L: MonomialSet) -> bool:
     if L._decreasing is None:
-        ok = True
-        for u in L.monomials:
-            for i in range(L.m):
-                if u[i]:
-                    v = u[:i] + (u[i] - 1,) + u[i + 1:]
-                    if v not in L.monomials:
-                        ok = False
-                        break
-            if not ok:
-                break
-        L._decreasing = ok
+        L._decreasing = divisor_closed(L.monomials)
     return L._decreasing
 
 

@@ -45,9 +45,15 @@ decreasing L most often fails before the low-degree pullbacks are built for
 it.  The pullback of x^v reads only the rows in the support of v, so it is
 held once per distinct tuple of those rows among the live maps.
 affine.SpanChecker is its scalar reference and the witness finder of
-membership_report.  A check of all of L goes through _span_ok, which
-memoizes its verdicts; the point images of the code route
-(_stabilizer_images) share that memo (_last).  It holds one map array,
+membership_report.  A check of all of L goes through _span_ok.  For a
+decreasing L (closed under division) the verdict of x -> Ax + b does not
+depend on b: x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), with every
+u <= v in L, the identity with -b gives the converse, and reduction modulo
+I(S) is linear.  So _span_ok runs the kernel once per distinct linear part
+of a list with offsets, with b = 0; the code route and SpanChecker do not
+use that, so the two-route check tests it.  _span_ok memoizes its
+verdicts; the point images of the code route (_stabilizer_images) share
+that memo (_last).  It holds one map array,
 the last one seen, keyed by its dtype, shape and exact bytes: its images
 for the last point set S, and its verdicts for the last S and members of L.
 So oracle_affine_perm_group and two_route_agreement over one stabilizer
@@ -85,7 +91,7 @@ import numpy as np
 from .affine import AffineTransformation, induced_permutation, stabilizes_set
 from .codes import build_code, check_exponent_box, codes_equal
 from .field import Field
-from .monomials import MonomialSet
+from .monomials import MonomialSet, divisor_closed
 from .points import CartesianSet
 
 _CHUNK_CELLS = 4_000_000
@@ -264,12 +270,15 @@ def _row_keys(ab, q):
     np.void, whose generic compare is slower but never overflows.  A map with
     no entries (r or c zero) gets the key 0."""
     cells, bits = ab.shape[1] * ab.shape[2], max(1, (q - 1).bit_length())
-    flat = np.ascontiguousarray(ab).reshape(len(ab), cells)
     if cells * bits <= 64:
         weights = np.uint64(1) << np.arange(0, cells * bits, bits, dtype=np.uint64)
-        step = _PAIR_CELLS // max(1, cells) + 1     # bounds the uint64 copy of the entries
-        return np.concatenate([flat[lo:lo + step].astype(np.uint64) @ weights
-                               for lo in range(0, len(flat), step)] + [np.empty(0, np.uint64)])
+        # chunks bound the uint64 copy of the entries, and a strided ab is
+        # copied chunk by chunk, never whole
+        step = _PAIR_CELLS // max(1, cells) + 1
+        return np.concatenate([x.astype(np.uint64).reshape(len(x), cells) @ weights
+                               for x in (ab[lo:lo + step] for lo in range(0, len(ab), step))]
+                              + [np.empty(0, np.uint64)])
+    flat = np.ascontiguousarray(ab).reshape(len(ab), cells)
     return flat.view(np.dtype((np.void, flat.itemsize * cells))).ravel()
 
 
@@ -290,10 +299,10 @@ def _distinct(keys):
     """The index of the first occurrence of each distinct key, in key order,
     and for each key the position of its own among them."""
     order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    new = _starts(ordered)
+    new = _starts(keys[order])
     inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
+    inverse[order] = np.cumsum(new)
+    inverse -= 1
     return order[new], inverse
 
 
@@ -455,12 +464,28 @@ def _last(ab):
 
 def _span_ok(kern, L, S, ab):
     """Whether each map of an (N, m, m + 1) array [A | b] keeps the span of
-    L, by the batched kernel _span_scan, memoized (_last).  It returns a
-    fresh mask, which a caller may change."""
+    L, by the batched kernel _span_scan, memoized (_last) on ab.  It returns
+    a fresh mask, which a caller may change.
+
+    A decreasing L keeps its span under x -> Ax + b exactly when it does
+    under x -> Ax: x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), every
+    such u is in L, the same identity with -b gives the converse, and
+    reduction modulo I(S) is linear.  So when L is divisor-closed and some
+    map has an offset, the kernel runs once per distinct A, with b = 0, and
+    each map takes the verdict of its A."""
     members = frozenset(getattr(L, "monomials", L))
     last = _last(ab)
     if last.span is None or last.span[0] != (S, members):
-        last.span = ((S, members), _span_scan(kern, members, S, ab))
+        check_exponent_box(members, S)
+        m = ab.shape[1]
+        if ab[:, :, m].any() and divisor_closed(members):
+            first, inverse = _distinct(_row_keys(ab[:, :, :m], kern.q))
+            linear = ab[first]
+            linear[:, :, m] = 0
+            ok = _span_scan(kern, members, S, linear)[inverse]
+        else:
+            ok = _span_scan(kern, members, S, ab)
+        last.span = ((S, members), ok)
     return last.span[1].copy()
 
 
@@ -961,12 +986,15 @@ def _cosets(kern, ab, span_ok):
     anchor = identity[0]
     keys = _row_keys(ab, q)
     first, inverse = _distinct(keys)
-    keys = keys[first]
+    # each map's first equal map; the rounds hold neither array
+    keys, twin = keys[first], first[inverse]
+    del inverse
     # the labels of the components so far are a valid start for the next
     # round, which then needs only the new generator's edges
-    label = _components(np.arange(n), np.arange(n), first[inverse])
+    label = _components(np.arange(n), np.arange(n), twin)
     # each accepted map at its first occurrence
-    accepted = span_ok & (first[inverse] == np.arange(n))
+    accepted = span_ok & (twin == np.arange(n))
+    del twin
     gens, reached, miss = [], 1, None
     while True:
         left = np.flatnonzero(span_ok & (label != label[anchor]))

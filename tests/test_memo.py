@@ -2,7 +2,8 @@
 a cold run of the kernels, every point set and monomial set gets its own
 verdict, returned masks are fresh, the memo holds the last map array only,
 and cartperm verify and the sweep's pair of calls run the span kernel once
-over the stabilizers."""
+over the stabilizers: over their distinct linear parts when L is
+decreasing and some map has an offset, else over every map."""
 
 import importlib.util
 import json
@@ -23,10 +24,11 @@ from cartperm.points import CartesianSet, full_component, mult_component
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
-# the sweep's point sets and draws per set
+# the sweep's point sets, draws per set, and distinct linear parts of
+# their stabilizers
 SWEEP_SETS = {
-    "gf4^2": (lambda: CartesianSet([full_component(GF(4))] * 2), 4),
-    "gf2^3": (lambda: CartesianSet([full_component(GF(2))] * 3), 3),
+    "gf4^2": (lambda: CartesianSet([full_component(GF(4))] * 2), 4, 180),
+    "gf2^3": (lambda: CartesianSet([full_component(GF(2))] * 3), 3, 168),
 }
 
 
@@ -62,6 +64,21 @@ def image_builds(monkeypatch):
     return calls
 
 
+def kernel_maps(ab):
+    """The number of maps a span kernel run over ab takes for a decreasing
+    L: its distinct linear parts A when some map has an offset b, else all
+    of its maps.  Counted from the bytes of the blocks."""
+    m = ab.shape[1]
+    if not ab[:, :, m].any():
+        return len(ab)
+    return len({A.tobytes() for A in np.ascontiguousarray(ab[:, :, :m])})
+
+
+def full_runs(calls):
+    """The sizes of the kernel runs that check all of L (check=None)."""
+    return [size for size, check in calls if check is None]
+
+
 def cold_span(S, L, ab):
     return oracle._span_scan(S.field.np_tables(), L, S, ab)
 
@@ -84,11 +101,12 @@ def sweep_draws(S, count, seed):
 
 @pytest.mark.parametrize("name", sorted(SWEEP_SETS))
 def test_hit_equals_cold_call(name, monkeypatch):
-    make, count = SWEEP_SETS[name]
+    make, count, linear = SWEEP_SETS[name]
     S = make()
     kern = S.field.np_tables()
     stabs = oracle_stabilizers(S)
     listed = list(stabs)
+    assert kernel_maps(stabs.ab) == linear < len(stabs)
     calls = kernel_calls(monkeypatch)
     builds = image_builds(monkeypatch)
     for L in sweep_draws(S, count, name):
@@ -101,7 +119,7 @@ def test_hit_equals_cold_call(name, monkeypatch):
         assert list(oracle_affine_perm_group(L, S, stabilizers=listed)) \
             == list(oracle_affine_perm_group(L, S, stabilizers=stabs)) \
             == list(AffineMaps(S.field, stabs.ab[want]))
-        assert calls == [(len(stabs), None)]
+        assert calls == [(linear, None)]
         assert two_route_agreement(L, S, listed) == (True, [])
     # the draws on one list share its images
     assert builds == [len(stabs)]
@@ -174,7 +192,7 @@ def test_memo_holds_the_last_array_only(monkeypatch):
     del calls[:]
     oracle._span_ok(kern, draws[-1], S, stabs.ab)
     oracle._span_ok(kern, draws[0], S, stabs.ab)
-    assert calls == [(len(stabs), None)]
+    assert calls == [(kernel_maps(stabs.ab), None)] == [(180, None)]
     # many arrays: only the last one's bytes are kept, and an earlier one
     # runs the kernel again
     L = draws[0]
@@ -186,7 +204,8 @@ def test_memo_holds_the_last_array_only(monkeypatch):
     del calls[:]
     oracle._span_ok(kern, L, S, stabs.ab[11:111])
     oracle._span_ok(kern, L, S, stabs.ab[:100])
-    assert calls == [(100, None)]
+    # the first 180 maps, in counter order, have no offset
+    assert calls == [(kernel_maps(stabs.ab[:100]), None)] == [(100, None)]
     assert oracle._LAST.images is None
 
 
@@ -203,10 +222,6 @@ def test_row_prefix_search_leaves_the_memo_empty(monkeypatch):
     assert oracle._LAST.key is None
 
 
-def full_list_runs(calls, n):
-    return sum(1 for size, check in calls if size == n and check is None)
-
-
 def test_verify_runs_the_span_kernel_once(tmp_path, monkeypatch):
     cfg = {"field": {"q": 4},
            "set": {"components": [{"kind": "full"}, {"kind": "full"}]},
@@ -218,7 +233,9 @@ def test_verify_runs_the_span_kernel_once(tmp_path, monkeypatch):
     assert main(["--out", str(tmp_path / "out"), "verify", str(path)]) == 0
     report = json.loads((tmp_path / "out" / "oracle-verify.json").read_text())
     assert report["affine_permutation_group"]["two_route_agreement"] is True
-    assert full_list_runs(calls, report["stabilizer_count"]) == 1
+    stabs = oracle_stabilizers(CartesianSet([full_component(GF(4))] * 2))
+    assert len(stabs) == report["stabilizer_count"]
+    assert full_runs(calls) == [kernel_maps(stabs.ab)] == [180]
 
 
 def test_sweep_draw_runs_the_span_kernel_once(monkeypatch):
@@ -233,4 +250,24 @@ def test_sweep_draw_runs_the_span_kernel_once(monkeypatch):
         got = workloads.sweep_draw(L, S, stabs)
         assert got["two_route"] is True
         assert two_route_agreement(L, S, stabs) == (True, [])
-        assert full_list_runs(calls, len(stabs)) == 1
+        assert full_runs(calls) == [kernel_maps(oracle._as_array(stabs, S.m))] == [168]
+
+
+def test_lists_without_offsets_or_decreasing_L_run_the_kernel_on_every_map():
+    # no stabilizer of GF(5) mu4 x mu2 has an offset, so a decreasing L is
+    # checked on every map; L = {x1} is not decreasing, so on GF(3)^2 it is
+    # checked on every map though they have offsets
+    torus = CartesianSet([mult_component(GF(5), 4), mult_component(GF(5), 2)])
+    full = CartesianSet([full_component(GF(3))] * 2)
+    cases = [(torus, divisibility_closure(MonomialSet(2, [(2, 1)], bound=torus.sizes))),
+             (full, MonomialSet(2, [(1, 0)], bound=full.sizes))]
+    for S, L in cases:
+        stabs = oracle_stabilizers(S)
+        want = cold_span(S, L, stabs.ab)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = kernel_calls(patch)
+            assert np.array_equal(keeps_span(L, S, stabs), want)
+            assert two_route_agreement(L, S, list(stabs)) == (True, [])
+        assert calls == [(len(stabs), None)]
+    assert not oracle_stabilizers(torus).ab[:, :, 2].any()
+    assert kernel_maps(oracle_stabilizers(full).ab) == 48 < 432

@@ -8,7 +8,7 @@ import pytest
 
 from cartperm.monomials import (
     MonomialSet, borel_movements, borel_property_witness,
-    divisibility_closure, has_borel_property, is_decreasing, p_borel_graph,
+    divisibility_closure, divisor_closed, has_borel_property, is_decreasing, p_borel_graph,
     p_borel_movements, random_borel_set, random_decreasing_set,
     stable_pattern, valid_p_borel_reachable,
 )
@@ -39,6 +39,21 @@ def test_divisibility_closure():
     assert divisibility_closure(got) == got
     bigger = MonomialSet(2, set(L.monomials) | {(0, 2)})
     assert divisibility_closure(L).monomials <= divisibility_closure(bigger).monomials
+
+
+def test_divisor_closed_is_equal_to_its_closure():
+    # every subset of the box {0, 1, 2} x {0, 1}, as a MonomialSet and as
+    # a bare list of exponent tuples
+    box = list(itertools.product(range(3), range(2)))
+    closed = 0
+    for size in range(len(box) + 1):
+        for monos in itertools.combinations(box, size):
+            L = MonomialSet(2, monos)
+            want = divisibility_closure(L) == L
+            assert divisor_closed(list(monos)) == is_decreasing(L) == want
+            closed += want
+    # the order ideals of a 3 x 2 grid, the empty one included
+    assert closed == 10
 
 
 def test_borel_movements():

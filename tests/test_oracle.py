@@ -308,6 +308,49 @@ def test_batched_span_matches_span_checker(batch):
     assert got.tolist() == [checker.check(T) for T in ts]
 
 
+@st.composite
+def offset_batches(draw):
+    """A point set of full, explicit and additive components with m <= 3
+    (GF(8) under x^3 + x^2 + 1 among the fields), a subset L of its box
+    (its divisor closure half the time), and random maps x -> Ax + b,
+    stabilizing or not: each linear part A with two drawn offsets and with
+    b = 0, so the maps share their linear parts."""
+    F = draw(st.sampled_from(ORACLE_FIELDS))
+    m = draw(st.integers(1, 3 if F.q <= 5 else 2))
+    S = CartesianSet([draw(components(F).filter(lambda c: c.kind != "mult"))
+                      for _ in range(m)])
+    box = list(itertools.product(*[range(n) for n in S.sizes]))
+    L = MonomialSet(m, draw(st.lists(st.sampled_from(box), max_size=6)), bound=S.sizes)
+    if draw(st.booleans()):
+        L = divisibility_closure(L)
+    vector = st.lists(st.integers(0, F.q - 1), min_size=m, max_size=m)
+    ts = []
+    for _ in range(draw(st.integers(1, 5))):
+        A = draw(st.lists(vector, min_size=m, max_size=m))
+        ts.extend(AffineTransformation(F, A, b) for b in (draw(vector), draw(vector), [0] * m))
+    return S, L, ts
+
+
+def offset_twins():
+    """L = {x1} on GF(3)^2, not decreasing: x -> x + (1, 0) leaves its
+    span, x -> x + (0, 1) and the identity keep it."""
+    S = full_square(3)
+    ts = [AffineTransformation(S.field, [[1, 0], [0, 1]], b) for b in ([1, 0], [0, 1], [0, 0])]
+    return S, MonomialSet(2, [(1, 0)], bound=S.sizes), ts
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(offset_batches())
+@example(offset_twins())
+def test_span_ok_matches_span_checker_on_maps_with_offsets(batch):
+    S, L, ts = batch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_LAST", oracle._Last())
+        got = oracle._span_ok(S.field.np_tables(), L, S, oracle._as_array(ts, S.m))
+    checker = SpanChecker(L, S)
+    assert got.tolist() == [checker.check(T) for T in ts]
+
+
 def chain(v):
     """v and its parents down to 1, each parent v - e_i for the first
     coordinate i of v with a nonzero exponent."""
@@ -754,3 +797,10 @@ def test_monomials_outside_the_exponent_box_are_rejected():
     # a mixed member is rejected too, before the search could stop early
     with pytest.raises(ValueError, match=r"monomial \(1, 4\) outside the exponent box"):
         oracle_affine_perm_group(MonomialSet(2, [(0, 0), (1, 4)]), S)
+    # so is a divisor-closed L, for which a list with offsets is checked
+    # on its linear parts only
+    closed = divisibility_closure(MonomialSet(2, [(5, 0)]))
+    for call in (lambda: keeps_span(closed, S, stabs),
+                 lambda: oracle_affine_perm_group(closed, S, stabilizers=stabs)):
+        with pytest.raises(ValueError, match=r"monomial \([45], 0\) outside the exponent box"):
+            call()

@@ -158,6 +158,24 @@ def test_broken_span_route_is_named_like_the_reference(name, monkeypatch):
         monkeypatch.undo()
 
 
+def test_second_route_catches_a_wrong_decreasing_guard(monkeypatch):
+    # L = {x1} is not decreasing.  Taken for decreasing, the span route
+    # would judge x -> Ax + b by x -> Ax, and so accept the 72 stabilizers
+    # with a12 = 0 and b1 != 0, which the code route rejects
+    S = CartesianSet([full_component(GF(3))] * 2)
+    L = MonomialSet(2, [(1, 0)], bound=S.sizes)
+    stabs = oracle_stabilizers(S)
+    monkeypatch.setattr(oracle, "_LAST", oracle._Last())
+    assert two_route_agreement(L, S, stabs) == (True, [])
+    monkeypatch.setattr(oracle, "divisor_closed", lambda monomials: True)
+    monkeypatch.setattr(oracle, "_LAST", oracle._Last())
+    agree, disagreements = two_route_agreement(L, S, stabs)
+    assert not agree and len(disagreements) == 72
+    for d in disagreements:
+        assert d["span_route"] and not d["code_route"]
+        assert d["T"]["A"][0][1] == [0] and d["T"]["b"][0] != [0]
+
+
 def test_coset_rounds_stop_when_they_do_not_double():
     # translations of GF(7), all accepted: the rounds' components hold the
     # subgroup generated so far, which a group at least doubles each round
