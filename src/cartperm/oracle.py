@@ -76,8 +76,12 @@ The two routes are compared on generators and coset representatives
 (two_route_agreement): point images come from per-coordinate position
 tables (_Images), the maps are joined into cosets of the span route's group
 by right multiplication with its generators (_cosets), and the code route
-runs on the generators and one map per coset.  Only when that does not
-certify agreement does it run on every map, to name the disagreements.
+runs on the generators and one map per coset.  Two stabilizers with one
+linear part differ by a translation that keeps S, so when the span verdicts
+are constant on each linear part and the code route accepts a basis of
+those translations (_translations), the walk joins the distinct linear
+parts (_linear_parts) instead of the maps.  Only when that does not certify
+agreement does it run on every map, to name the disagreements.
 """
 
 from __future__ import annotations
@@ -168,25 +172,32 @@ class AffineMaps(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return AffineMaps(self.field, self.ab[i])
-        return next(iter(AffineMaps(self.field, self.ab[i, None])))
+        x = self.ab[i]
+        m = len(x)
+        return AffineTransformation.of_ix(self.field, tuple(map(tuple, x[:, :m].tolist())),
+                                          tuple(x[:, m].tolist()), _rows(x[None])[0])
 
     def __iter__(self):
         """Each map as an AffineTransformation holding its row (_rows), so
-        a list of them packs again by joining the rows.  One tolist for the
-        A blocks and one for the b columns, whose entries are field indices
-        already: no entry is normalised again."""
-        F, m = self.field, self.ab.shape[1]
-        for A, b, row in zip(self.ab[:, :, :m].tolist(), map(tuple, self.ab[:, :, m].tolist()),
-                             _rows(self.ab)):
-            yield AffineTransformation.of_ix(F, tuple(map(tuple, A)), b, row)
+        a list of them packs again by joining the rows.  The maps share one
+        A tuple per distinct linear part (_linear_parts) and one b tuple per
+        distinct offset, built from entries that are field indices already:
+        no entry is normalised again."""
+        F, q, m = self.field, self.field.q, self.ab.shape[1]
+        linear, _, of_A = _linear_parts(self.ab, q)
+        As = [tuple(map(tuple, A)) for A in linear[:, :, :m].tolist()]
+        first, of_b = _distinct(_row_keys(self.ab[:, None, :, m], q))
+        bs = list(map(tuple, self.ab[first, :, m].tolist()))
+        for a, b, row in zip(of_A.tolist(), of_b.tolist(), _rows(self.ab)):
+            yield AffineTransformation.of_ix(F, As[a], bs[b], row)
 
     def invertible(self):
         """Whether each map's linear part A is invertible: one batched
         Gauss-Jordan elimination (_invert) per distinct A."""
         kern, m = self.field.np_tables(), self.ab.shape[1]
-        first, inverse = _distinct(_row_keys(self.ab[:, :, :m], kern.q))
-        return np.concatenate([_invert(kern, self.ab[first[k]])[1]
-                               for k in _chunks(len(first), m * (2 * m + 1), _PAIR_CELLS)]
+        linear, _, inverse = _linear_parts(self.ab, kern.q)
+        return np.concatenate([_invert(kern, linear[k])[1]
+                               for k in _chunks(len(linear), m * (2 * m + 1), _PAIR_CELLS)]
                               + [np.zeros(0, dtype=bool)])[inverse]
 
     def holds(self, transforms):
@@ -304,6 +315,17 @@ def _distinct(keys):
     inverse[order] = np.cumsum(new)
     inverse -= 1
     return order[new], inverse
+
+
+def _linear_parts(ab, q):
+    """The distinct linear parts of an (N, m, m + 1) array [A | b], as a
+    fresh array of [A | 0] in key order, the first map with each, and each
+    map's index among them."""
+    m = ab.shape[1]
+    first, inverse = _distinct(_row_keys(ab[:, :, :m], q))
+    linear = ab[first]
+    linear[:, :, m] = 0
+    return linear, first, inverse
 
 
 def _lookup(sorted_keys, keys):
@@ -479,9 +501,7 @@ def _span_ok(kern, L, S, ab):
         check_exponent_box(members, S)
         m = ab.shape[1]
         if ab[:, :, m].any() and divisor_closed(members):
-            first, inverse = _distinct(_row_keys(ab[:, :, :m], kern.q))
-            linear = ab[first]
-            linear[:, :, m] = 0
+            linear, _, inverse = _linear_parts(ab, kern.q)
             ok = _span_scan(kern, members, S, linear)[inverse]
         else:
             ok = _span_scan(kern, members, S, ab)
@@ -1016,7 +1036,34 @@ def _cosets(kern, ab, span_ok):
         reached = grown
 
 
-def _routes_certified(kern, code, images, ab, span_ok):
+def _translations(kern, S):
+    """An F_p-basis of the translations that keep S, T_S = the product over
+    i of {t : A_i + t = A_i}, as maps [I | t e_i]: each factor is an
+    additive subgroup of GF(q), so an F_p-subspace, and a greedy pass over
+    its elements keeps each one outside the span of those kept before, at
+    most k of them for q = p^k."""
+    q, m, p = kern.q, S.m, S.field.p
+    maps = []
+    for i, comp in enumerate(S.components):
+        elements = np.array(sorted(comp.element_set()))
+        inside = np.zeros(q, dtype=bool)
+        inside[elements] = True
+        spanned = np.arange(q) == 0
+        for t in np.flatnonzero(inside[kern.add[:, elements]].all(axis=1)):
+            if not spanned[t]:
+                shift = np.eye(m, m + 1, dtype=np.uint16)
+                shift[i, m] = t
+                maps.append(shift)
+                # the span grows by the multiples c t, c in F_p: each a
+                # translation by t more, a gather through z -> z - t
+                shifted, back = spanned, kern.add[kern.neg[t]]
+                for _ in range(p - 1):
+                    shifted = shifted[back]
+                    spanned = spanned | shifted
+    return np.array(maps, dtype=np.uint16).reshape(-1, m, m + 1)
+
+
+def _routes_certified(kern, code, S, images, ab, span_ok):
     """Whether the code route accepts exactly the maps the span route
     accepts, decided on generators and coset representatives (_cosets).
 
@@ -1026,7 +1073,30 @@ def _routes_certified(kern, code, images, ab, span_ok):
     product of theirs and their inverses: there must be no rejected map in
     that component, and then every accepted map is there.  Any other
     component is r times such products, r its first map, so the code route
-    rejects all of it when it rejects r (Seress 2003; Butler 1991)."""
+    rejects all of it when it rejects r (Seress 2003; Butler 1991).
+
+    The walk runs over the distinct linear parts (_linear_parts, each with
+    b = 0) instead of the maps when some linear part has several maps, the
+    span verdicts are constant on each linear part, and the code route
+    accepts an F_p-basis of the translations T_S that keep S (_translations).
+    Two stabilizers with one A differ by a translation of T_S, which the
+    code route's group then holds, so its verdict is a function of A too;
+    (A, b) -> A is a homomorphism, so the argument above holds for the linear
+    parts, with the code route run on the first listed map of each
+    generator and representative.  The check reads the span verdicts only,
+    so the two routes stay independent."""
+    linear, first, of_map = _linear_parts(ab, kern.q)
+    linear_ok = np.zeros(len(linear), dtype=bool)
+    linear_ok[of_map[span_ok]] = True
+    on_linear = len(linear) < len(ab) and np.array_equal(linear_ok[of_map], span_ok)
+    if on_linear:
+        shifts = _translations(kern, S)
+        on_linear = code.accepts(_Images(kern, S, shifts), np.arange(len(shifts))).all()
+    if on_linear:
+        ab, span_ok = linear, linear_ok
+    else:
+        first = np.arange(len(ab))
+    del linear, of_map
     found = _cosets(kern, ab, span_ok)[0]
     if found is None:
         return False
@@ -1035,7 +1105,7 @@ def _routes_certified(kern, code, images, ab, span_ok):
     if (inner & ~span_ok).any():
         return False
     reps = np.flatnonzero((label == np.arange(len(ab))) & ~inner)
-    code_ok = code.accepts(images, np.concatenate([gens, reps]))
+    code_ok = code.accepts(images, first[np.concatenate([gens, reps])])
     return bool(code_ok[:len(gens)].all() and not code_ok[len(gens):].any())
 
 
@@ -1048,15 +1118,19 @@ def two_route_agreement(L, S, transforms):
     Both routes decide membership in a group, so the code route runs only
     on the generators of the span route's group and on one representative
     of each of its other cosets (_routes_certified: Seress 2003; Butler
-    1991).  Only when that fails to certify does it run on every map, to
-    name the disagreements."""
+    1991).  When the span verdicts are constant on each linear part and the
+    code route accepts a basis of the translations that keep S, its
+    verdicts are too, since two stabilizers with one A differ by such a
+    translation; then the generators and cosets are taken of the distinct
+    linear parts, not of the maps.  Only when that fails to certify does it
+    run on every map, to name the disagreements."""
     F = S.field
     ab = _as_array(transforms, S.m, F)
     kern = F.np_tables()
     code = _CodeRoute(kern, L, S)
     span_ok = _span_ok(kern, L, S, ab)
     images = _stabilizer_images(kern, S, ab)
-    if _routes_certified(kern, code, images, ab, span_ok):
+    if _routes_certified(kern, code, S, images, ab, span_ok):
         return True, []
     code_ok = code.accepts(images, np.arange(len(ab)))
     disagreements = [{"T": AffineMaps(F, ab)[t].to_json(), "span_route": bool(span_ok[t]),

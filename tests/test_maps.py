@@ -251,6 +251,27 @@ def test_round_trip(name):
         assert [(U.row, U.A, U.b) for U in ts] == before
 
 
+@pytest.mark.parametrize("name", list(ROUND_TRIPS))
+def test_iteration_shares_tuples(name, monkeypatch):
+    """Iteration hands the maps one A tuple per distinct linear part and one
+    b tuple per distinct offset, equal to each map's own decode of its row;
+    indexing decodes one row, without the pass over all maps."""
+    maps = ROUND_TRIPS[name]()
+    m = maps.ab.shape[1]
+    listed = list(maps)
+    shared = {}
+    for T, x in zip(listed, maps.ab):
+        assert T.A == tuple(tuple(r[:m]) for r in x.tolist())
+        assert T.b == tuple(r[m] for r in x.tolist())
+        assert T.row == x.tobytes() and type(T.A[0][0]) is int and type(T.b[0]) is int
+        assert shared.setdefault(("A", T.A), T.A) is T.A
+        assert shared.setdefault(("b", T.b), T.b) is T.b
+    monkeypatch.setattr(oracle, "_distinct", None)
+    for t, T in enumerate(listed):
+        U = maps[t]
+        assert (U.A, U.b, U.row, U.m, U.field) == (T.A, T.b, T.row, T.m, T.field)
+
+
 def test_empty_round_trip():
     for m in (1, 2, 3):
         got = oracle._as_array([], m)

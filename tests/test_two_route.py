@@ -1,7 +1,8 @@
-"""The two-route check by generators and coset representatives against the
-per-map reference, the per-coordinate point images against the scalar
-induced permutation, the two kinds of map keys, and bulk iteration of
-AffineMaps."""
+"""The two-route check by generators and coset representatives, of the maps
+or of their linear parts, against the per-map reference, the basis of the
+translations that keep S against brute force, the per-coordinate point
+images against the scalar induced permutation, the two kinds of map keys,
+and bulk iteration of AffineMaps."""
 
 import random
 
@@ -11,14 +12,15 @@ import pytest
 from cartperm import oracle
 from cartperm.affine import AffineTransformation, induced_permutation, stabilizes_set
 from cartperm.codes import build_code
-from cartperm.field import GF
+from cartperm.field import GF, Field
 from cartperm.monomials import MonomialSet, divisibility_closure, random_decreasing_set
 from cartperm.oracle import (
     AffineMaps, code_permutation_check, oracle_affine_perm_group, oracle_stabilizers,
     two_route_agreement,
 )
 from cartperm.points import (
-    CartesianSet, explicit_component, full_component, mult_component, torus_component,
+    CartesianSet, additive_component, explicit_component, full_component, mult_component,
+    torus_component,
 )
 
 
@@ -88,25 +90,35 @@ def test_coset_route_matches_per_map_reference(name):
         assert two_route_agreement(draws[0], S, maps) == per_map_reference(draws[0], S, maps)
 
 
+def linear_generators(F, ab):
+    """The generators the walk picks among the distinct linear parts of ab,
+    every one accepted."""
+    linear = oracle._linear_parts(ab, F.q)[0]
+    (gens, _, _), miss = oracle._cosets(F.np_tables(), linear, np.ones(len(linear), dtype=bool))
+    assert miss is None
+    return gens
+
+
 def test_code_route_checks_generators_and_one_map_per_coset(monkeypatch):
-    # GF(4)^2 with L = closure{x1 x2}: 2,880 stabilizers, a 288-map group in
-    # 3 generators, 10 cosets
+    # GF(4)^2 with L = closure{x1 x2}: 2,880 stabilizers over 180 linear
+    # parts, a 288-map group over 18 of them, 10 cosets.  The code route
+    # checks the 4 translations of an F_2-basis of GF(4)^2, then the 2
+    # generators of the group's linear parts and 9 coset representatives
     F = GF(4)
     S = CartesianSet([full_component(F)] * 2)
     L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
     stabs = oracle_stabilizers(S)
     group = oracle_affine_perm_group(L, S, stabilizers=stabs)
-    (gens, _, _), miss = oracle._cosets(F.np_tables(), group.ab,
-                                        np.ones(len(group), dtype=bool))
-    assert miss is None
+    gens = linear_generators(F, group.ab)
     sizes = code_route_sizes(monkeypatch)
     assert two_route_agreement(L, S, stabs) == (True, [])
-    assert sizes == [len(gens) + len(stabs) // len(group) - 1] == [3 + 9]
-    # the zero code: every map is in the one coset, made by the generators
+    assert sizes == [4, len(gens) + len(stabs) // len(group) - 1] == [4, 2 + 9]
+    # the zero code: every linear part is in the one coset, made by the
+    # generators of all 180
     sizes.clear()
     empty = MonomialSet(2, [], bound=S.sizes)
     assert two_route_agreement(empty, S, stabs) == (True, [])
-    assert len(sizes) == 1 and sizes[0] < 10
+    assert sizes == [4, len(linear_generators(F, stabs.ab))] == [4, 4]
 
 
 def test_trivial_span_group_makes_every_map_a_coset(monkeypatch):
@@ -174,6 +186,97 @@ def test_second_route_catches_a_wrong_decreasing_guard(monkeypatch):
     for d in disagreements:
         assert d["span_route"] and not d["code_route"]
         assert d["T"]["A"][0][1] == [0] and d["T"]["b"][0] != [0]
+
+
+def components_of_every_kind(F):
+    """Full, multiplicative, additive and explicit components of F, with
+    translation stabilizers from {0} to all of F: an explicit coset of an
+    additive subgroup, an explicit set that is no coset, one point."""
+    a = F.primitive_element()
+    plane = additive_component(F, [F.one, a])
+    line = additive_component(F, [a])
+    orders = [d for d in range(2, F.q - 1) if (F.q - 1) % d == 0]
+    return [full_component(F), mult_component(F, F.q - 1), plane, line,
+            explicit_component(F, [x + F.one for x in line.elements]),
+            explicit_component(F, [F.zero, F.one, a]), explicit_component(F, [a])] + [
+        mult_component(F, d) for d in orders[:1]]
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(4), GF(5), Field(2, 3, irreducible=(1, 0, 1, 1)),
+                               GF(9), GF(16)], ids=repr)
+def test_translation_basis_matches_brute_force(F):
+    # the translations of S are a product over the coordinates: one set of
+    # three components checks that each basis map sits in its coordinate
+    p, k = F.p, F.k
+    comps = components_of_every_kind(F)
+    for S in [CartesianSet([C]) for C in comps] + [CartesianSet(comps[2:5])]:
+        shifts = oracle._translations(F.np_tables(), S)
+        m = S.m
+        assert shifts.dtype == np.uint16 and shifts.shape[1:] == (m, m + 1)
+        assert (shifts[:, :, :m] == np.eye(m, dtype=np.uint16)).all()
+        assert ((shifts[:, :, m] != 0).sum(axis=1) == 1).all()
+        for i, C in enumerate(S.components):
+            keeps = {t.ix for t in F.elements()
+                     if {(x + t).ix for x in C.elements} == C.element_set()}
+            basis = [F(int(b[i])) for b in shifts[:, :, m] if b[i]]
+            span = {F.zero}
+            for t in basis:
+                multiples = [F.zero]
+                for _ in range(p - 1):
+                    multiples.append(multiples[-1] + t)
+                span = {x + c for x in span for c in multiples}
+            # exactly the translations, by a basis of at most k elements
+            assert {x.ix for x in span} == keeps
+            assert len(span) == p ** len(basis) and len(basis) <= k
+
+
+@pytest.mark.parametrize("S, top", [
+    (CartesianSet([full_component(GF(5)), explicit(GF(5), [0])]), (2, 0)),
+    (CartesianSet([full_component(GF(3))] * 2), (1, 1)),
+], ids=["gf5 full x {0}", "gf3^2"])
+def test_code_route_without_translations_is_named_like_the_reference(S, top, monkeypatch):
+    # A code route that also asks a map to fix the origin (point 0)
+    # accepts a group that holds every linear part of the code group but
+    # rejects the translations that keep S: the one basis translation of
+    # GF(5) full x {0}, and both of GF(3)^2.  So the verdicts of two maps
+    # with one A differ, and the walk must not run over the linear parts:
+    # S is a product of additive subgroups, so the first listed map of each
+    # linear part has b = 0 and fixes the origin
+    stabs = oracle_stabilizers(S)
+    L = divisibility_closure(MonomialSet(2, [top], bound=S.sizes))
+    code = build_code(L, S)
+    want = [{"T": T.to_json(), "span_route": True, "code_route": False}
+            for T in stabs if code_permutation_check(T, L, S, code) and any(T.b)]
+    assert want and two_route_agreement(L, S, stabs) == (True, [])
+    accepts = oracle._CodeRoute.accepts
+
+    def fixing_the_origin(self, images, t):
+        return accepts(self, images, t) & (images(t)[:, 0] == 0)
+
+    monkeypatch.setattr(oracle._CodeRoute, "accepts", fixing_the_origin)
+    assert two_route_agreement(L, S, stabs) == (False, want)
+
+
+@pytest.mark.parametrize("name", ["gf3 full x mu2", "gf4 mu3 x full", "gf7 full x {0,1,3}"])
+def test_span_route_rejecting_a_linear_part_is_named_like_the_reference(name, monkeypatch):
+    # a span route constant on each linear part, which rejects one linear
+    # part of the group besides: the certificate over linear parts must fail
+    S = SETS[name]()
+    stabs = oracle_stabilizers(S)
+    L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
+    group = oracle_affine_perm_group(L, S, stabilizers=stabs)
+    m = S.m
+    linear = oracle._linear_parts(group.ab, S.field.q)[0][:, :, :m]
+    dropped = next(A for A in linear if (A != np.eye(m, dtype=np.uint16)).any())
+    span_ok = oracle._span_ok
+
+    def fake(kern, L, S, ab):
+        return span_ok(kern, L, S, ab) & (ab[:, :, :m] != dropped).any(axis=(1, 2))
+
+    monkeypatch.setattr(oracle, "_span_ok", fake)
+    want = per_map_reference(L, S, stabs)
+    assert not want[0] and len(want[1]) == len(group) // len(linear)
+    assert two_route_agreement(L, S, stabs) == want
 
 
 def test_coset_rounds_stop_when_they_do_not_double():
