@@ -52,13 +52,19 @@ u <= v in L, the identity with -b gives the converse, and reduction modulo
 I(S) is linear.  So _span_ok runs the kernel once per distinct linear part
 of a list with offsets, with b = 0; the code route and SpanChecker do not
 use that, so the two-route check tests it.  _span_ok memoizes its
-verdicts; the point images of the code route (_stabilizer_images) share
-that memo (_last).  It holds one map array,
-the last one seen, keyed by its dtype, shape and exact bytes: its images
-for the last point set S, and its verdicts for the last S and members of L.
-So oracle_affine_perm_group and two_route_agreement over one stabilizer
-list run the span kernel once, later draws of L on that list reuse its
-images, and a caller that replaces _span_ok still sees its replacement.
+verdicts in the one memo (_last), which the point images of the code route
+(_stabilizer_images) and the facts of a list that do not depend on L share.
+It holds one map array, the last one seen, keyed by its dtype, shape and
+exact bytes: its distinct linear parts, its images for the last point set
+S, the basis of the translations that keep that S with their images, and
+its verdicts for the last S and members of L, every array read-only.  So
+oracle_affine_perm_group and two_route_agreement over one stabilizer list
+run the span kernel once, later draws of L on that list reuse its linear
+parts, images and translations, two_route_agreement keys the array once
+and hands the entry to each step, and a caller that replaces _span_ok
+still sees its replacement.  AffineMaps.invertible and iteration never
+read the memo, so the group-axioms check of another array between two
+calls on a list evicts nothing.
 
 The code group never needs the stabilizer list: the pullback of x^u reads
 only the rows i with u_i > 0, so a row-prefix search (_group_search) filters
@@ -70,7 +76,10 @@ chunks large enough for the candidates to share most of their rows.  With
 no member to check, the same search lists the stabilizers
 (oracle_stabilizers).  A stabilizer list supplied by the caller is filtered
 by _span_ok instead.  The code route stays independent of both: a permuted
-generator matrix must have a zero residue against the row-reduced one.
+generator matrix must have a zero residue against the row-reduced one.  Its
+generator matrix is built in batch from per-component power tables
+(_generator_rows), the rows codes.build_code builds one point at a time,
+and reduced by the scalar GeneratorMatrix.rref.
 
 The two routes are compared on generators and coset representatives
 (two_route_agreement): point images come from per-coordinate position
@@ -93,10 +102,11 @@ from itertools import chain
 import numpy as np
 
 from .affine import AffineTransformation, induced_permutation, stabilizes_set
-from .codes import build_code, check_exponent_box, codes_equal
+from .codes import GeneratorMatrix, build_code, check_exponent_box, codes_equal
 from .field import Field
 from .monomials import MonomialSet, divisor_closed
 from .points import CartesianSet
+from .poly import sorted_monomials
 
 _CHUNK_CELLS = 4_000_000
 # the elimination and composition batches stay small: the broadcast int64
@@ -193,12 +203,11 @@ class AffineMaps(Sequence):
 
     def invertible(self):
         """Whether each map's linear part A is invertible: one batched
-        Gauss-Jordan elimination (_invert) per distinct A."""
-        kern, m = self.field.np_tables(), self.ab.shape[1]
+        Gauss-Jordan elimination (_invert) per distinct A.  It never reads
+        the memo (_last), so checking another array evicts nothing."""
+        kern = self.field.np_tables()
         linear, _, inverse = _linear_parts(self.ab, kern.q)
-        return np.concatenate([_invert(kern, linear[k])[1]
-                               for k in _chunks(len(linear), m * (2 * m + 1), _PAIR_CELLS)]
-                              + [np.zeros(0, dtype=bool)])[inverse]
+        return _invertible(kern, linear)[inverse]
 
     def holds(self, transforms):
         """Whether each of the given maps is one of these maps."""
@@ -326,6 +335,15 @@ def _linear_parts(ab, q):
     linear = ab[first]
     linear[:, :, m] = 0
     return linear, first, inverse
+
+
+def _invertible(kern, ab):
+    """Whether the A of each map of an (N, m, m + 1) array [A | b] is
+    invertible, by _invert in batches of at most _PAIR_CELLS cells."""
+    m = ab.shape[1]
+    return np.concatenate([_invert(kern, ab[k])[1]
+                           for k in _chunks(len(ab), m * (2 * m + 1), _PAIR_CELLS)]
+                          + [np.zeros(0, dtype=bool)])
 
 
 def _lookup(sorted_keys, keys):
@@ -466,46 +484,76 @@ def keeps_span(L, S: CartesianSet, maps):
 
 
 class _Last:
-    """The memo of the span route and the point images: the key of the last
-    map array, (dtype, shape, exact bytes), with its _Images for the last
-    point set and its span verdicts for the last point set and members of L."""
+    """The memo of one map array, the last one seen, keyed by its dtype,
+    shape and exact bytes: its distinct linear parts (_linear_parts), its
+    _Images for the last point set, the basis of the translations that keep
+    that set (_translations) with the basis maps' _Images, and its span
+    verdicts for the last point set and members of L.  A miss makes a new
+    entry, so an entry handed down keeps describing its own array; every
+    array an entry holds is read-only, so a caller cannot change a later
+    result by writing into what it was handed."""
 
-    key = images = span = None
+    def __init__(self, key=None):
+        self.key = key
+        self.linear = self.images = self.shifts = self.span = None
+
+    def linear_parts(self, ab, q):
+        """_linear_parts of the entry's array ab, computed once."""
+        if self.linear is None:
+            self.linear = _read_only(*_linear_parts(ab, q))
+        return self.linear
+
+    def translations(self, kern, S):
+        """_translations of S with their _Images, computed once per S."""
+        if self.shifts is None or self.shifts[0] != S:
+            shifts = _read_only(_translations(kern, S))[0]
+            self.shifts = (S, shifts, _Images(kern, S, shifts))
+        return self.shifts[1:]
 
 
 _LAST = _Last()
 
 
 def _last(ab):
-    """The memo for ab, emptied first when ab is not the last map array."""
+    """The memo entry of ab: the last one when ab is the last map array,
+    else a new, empty one that replaces it."""
+    global _LAST
     key = (ab.dtype.str, ab.shape, ab.tobytes())
     if _LAST.key != key:
-        _LAST.key, _LAST.images, _LAST.span = key, None, None
+        _LAST = _Last(key)
     return _LAST
 
 
-def _span_ok(kern, L, S, ab):
+def _read_only(*arrays):
+    """The arrays, each set read-only."""
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
+def _span_ok(kern, L, S, ab, last=None):
     """Whether each map of an (N, m, m + 1) array [A | b] keeps the span of
-    L, by the batched kernel _span_scan, memoized (_last) on ab.  It returns
-    a fresh mask, which a caller may change.
+    L, by the batched kernel _span_scan, memoized in the memo entry last of
+    ab (_last(ab) when not given).  It returns a fresh mask, which a caller
+    may change.
 
     A decreasing L keeps its span under x -> Ax + b exactly when it does
     under x -> Ax: x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), every
     such u is in L, the same identity with -b gives the converse, and
     reduction modulo I(S) is linear.  So when L is divisor-closed and some
-    map has an offset, the kernel runs once per distinct A, with b = 0, and
-    each map takes the verdict of its A."""
+    map has an offset, the kernel runs once per distinct A (the entry's
+    linear parts), with b = 0, and each map takes the verdict of its A."""
     members = frozenset(getattr(L, "monomials", L))
-    last = _last(ab)
+    last = _last(ab) if last is None else last
     if last.span is None or last.span[0] != (S, members):
         check_exponent_box(members, S)
         m = ab.shape[1]
         if ab[:, :, m].any() and divisor_closed(members):
-            linear, _, inverse = _linear_parts(ab, kern.q)
+            linear, _, inverse = last.linear_parts(ab, kern.q)
             ok = _span_scan(kern, members, S, linear)[inverse]
         else:
             ok = _span_scan(kern, members, S, ab)
-        last.span = ((S, members), ok)
+        last.span = ((S, members), _read_only(ok)[0])
     return last.span[1].copy()
 
 
@@ -851,7 +899,8 @@ class _Images:
     -1 when it lies outside, an int16 since the tables exist only for
     q <= TABLE_LIMIT.  The image of x is then the point index
     sum_i pos_i * stride_i, in the itertools.product order of S.points_ix().
-    Each distinct row of a coordinate is evaluated once, over the box."""
+    Each distinct row of a coordinate is evaluated once, over the box.  The
+    tables and row indices are read-only, as the memo (_last) holds them."""
 
     def __init__(self, kern, S, ab):
         self.rows, self.tables = [], []
@@ -864,6 +913,7 @@ class _Images:
                 + [np.empty((0, S.n), dtype=pos.dtype)])
             self.rows.append(inverse)
             self.tables.append((table, math.prod(S.sizes[i + 1:])))
+            _read_only(inverse, table)
 
     @staticmethod
     def _values(kern, S, rows):
@@ -890,23 +940,26 @@ class _Images:
                    for inverse, (table, stride) in zip(self.rows, self.tables))
 
 
-def _stabilizer_images(kern, S, ab):
-    """The _Images of the maps of ab, memoized for the last S (_last); a map
-    that does not permute S raises ValueError (_checked_images)."""
-    last = _last(ab)
+def _stabilizer_images(kern, S, ab, last=None):
+    """The _Images of the maps of ab, memoized for the last S in the memo
+    entry last of ab (_last(ab) when not given); a map that does not
+    permute S raises ValueError (_checked_images)."""
+    last = _last(ab) if last is None else last
     if last.images is None or last.images[0] != S:
-        last.images = (S, _checked_images(kern, S, ab))
+        last.images = (S, _checked_images(kern, S, ab, last))
     return last.images[1]
 
 
-def _checked_images(kern, S, ab):
+def _checked_images(kern, S, ab, last):
     """The _Images of the maps of ab, each checked to permute S.  A map that
-    sends S into S permutes it when A is invertible; a singular one
-    (possible only on a one-point component) must have distinct image
-    indices."""
+    sends S into S permutes it when A is invertible, which is decided once
+    per linear part of the memo entry last of ab (a fresh _Last() for a
+    cold build); a singular one (possible only on a one-point component)
+    must have distinct image indices."""
     images = _Images(kern, S, ab)
     ok = images.inside()
-    singular = np.flatnonzero(ok & ~AffineMaps(S.field, ab).invertible())
+    linear, _, of_A = last.linear_parts(ab, kern.q)
+    singular = np.flatnonzero(ok & ~_invertible(kern, linear)[of_A])
     for k in _chunks(len(singular), S.n):
         pi = np.sort(images(singular[k]), axis=1)
         ok[singular[k]] = (pi == np.arange(S.n)).all(axis=1)
@@ -915,17 +968,39 @@ def _checked_images(kern, S, ab):
     return images
 
 
+def _generator_rows(kern, L, S):
+    """The generator matrix of the code of L on S, as codes.build_code
+    builds it (one row per monomial in graded-lex order, the points in the
+    order of S.points_ix()), as an (len(L), n) array: per component, the
+    powers of its elements up to the highest exponent of L there, then one
+    product gather per coordinate for all monomials at once, broadcast over
+    the box.  A monomial outside the exponent box is a ValueError first."""
+    exps = list(getattr(L, "monomials", L))
+    check_exponent_box(exps, S)
+    exps = np.array(sorted_monomials(exps), dtype=np.int64).reshape(-1, S.m)
+    rows = np.ones((len(exps),) + (1,) * S.m, dtype=np.uint16)
+    for j, comp in enumerate(S.components):
+        elements = np.array([x.ix for x in comp.elements], dtype=np.uint16)
+        # powers[d, t] = (t-th element)^d
+        powers = [np.ones(comp.n, dtype=np.uint16)]
+        for _ in range(int(exps[:, j].max(initial=0))):
+            powers.append(kern.mul[powers[-1], elements])
+        shape = (len(exps),) + tuple(comp.n if k == j else 1 for k in range(S.m))
+        rows = kern.vmul(rows, np.stack(powers)[exps[:, j]].reshape(shape))
+    return rows.reshape(len(exps), S.n)
+
+
 class _CodeRoute:
     """The code-level check: a map's induced permutation pi keeps the code of
     L exactly when every permuted generator row G[:, pi] has a zero residue
-    against the row-reduced generator matrix."""
+    against the row-reduced generator matrix.  G is built in batch
+    (_generator_rows) and reduced by the scalar GeneratorMatrix.rref."""
 
     def __init__(self, kern, L, S):
         self.kern = kern
-        code = build_code(L, S)
-        self.G = np.array([list(r) for r in code.rows], dtype=np.uint16).reshape(-1, S.n)
-        rref_rows, _, self.pivots = code.rref()
-        R = np.array([list(r) for r in rref_rows], dtype=np.uint16).reshape(-1, S.n)
+        self.G = _generator_rows(kern, L, S)
+        rref_rows, _, self.pivots = GeneratorMatrix(S.field, (), self.G.tolist()).rref()
+        R = np.array(rref_rows, dtype=np.uint16).reshape(-1, S.n)
         # a word w lies in the code exactly when w = sum_r w[c_r] R[r] over the
         # pivot columns c_r, i.e. when its residue w - sum_r w[c_r] R[r] is zero;
         # that residue vanishes at the pivot columns, so only the free ones are
@@ -1063,7 +1138,7 @@ def _translations(kern, S):
     return np.array(maps, dtype=np.uint16).reshape(-1, m, m + 1)
 
 
-def _routes_certified(kern, code, S, images, ab, span_ok):
+def _routes_certified(kern, code, S, images, ab, span_ok, last):
     """Whether the code route accepts exactly the maps the span route
     accepts, decided on generators and coset representatives (_cosets).
 
@@ -1084,19 +1159,20 @@ def _routes_certified(kern, code, S, images, ab, span_ok):
     (A, b) -> A is a homomorphism, so the argument above holds for the linear
     parts, with the code route run on the first listed map of each
     generator and representative.  The check reads the span verdicts only,
-    so the two routes stay independent."""
-    linear, first, of_map = _linear_parts(ab, kern.q)
+    so the two routes stay independent.  The linear parts, and the basis of
+    T_S with its images, come from the memo entry last of ab, so the draws
+    of L over one list compute them once."""
+    linear, first, of_map = last.linear_parts(ab, kern.q)
     linear_ok = np.zeros(len(linear), dtype=bool)
     linear_ok[of_map[span_ok]] = True
     on_linear = len(linear) < len(ab) and np.array_equal(linear_ok[of_map], span_ok)
     if on_linear:
-        shifts = _translations(kern, S)
-        on_linear = code.accepts(_Images(kern, S, shifts), np.arange(len(shifts))).all()
+        shifts, shift_images = last.translations(kern, S)
+        on_linear = code.accepts(shift_images, np.arange(len(shifts))).all()
     if on_linear:
         ab, span_ok = linear, linear_ok
     else:
         first = np.arange(len(ab))
-    del linear, of_map
     found = _cosets(kern, ab, span_ok)[0]
     if found is None:
         return False
@@ -1128,9 +1204,11 @@ def two_route_agreement(L, S, transforms):
     ab = _as_array(transforms, S.m, F)
     kern = F.np_tables()
     code = _CodeRoute(kern, L, S)
-    span_ok = _span_ok(kern, L, S, ab)
-    images = _stabilizer_images(kern, S, ab)
-    if _routes_certified(kern, code, S, images, ab, span_ok):
+    # one memo entry for the list, handed to each step
+    last = _last(ab)
+    span_ok = _span_ok(kern, L, S, ab, last)
+    images = _stabilizer_images(kern, S, ab, last)
+    if _routes_certified(kern, code, S, images, ab, span_ok, last):
         return True, []
     code_ok = code.accepts(images, np.arange(len(ab)))
     disagreements = [{"T": AffineMaps(F, ab)[t].to_json(), "span_route": bool(span_ok[t]),

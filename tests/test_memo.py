@@ -1,9 +1,13 @@
-"""The memo of span verdicts and point images (oracle._last): a hit equals
-a cold run of the kernels, every point set and monomial set gets its own
-verdict, returned masks are fresh, the memo holds the last map array only,
-and cartperm verify and the sweep's pair of calls run the span kernel once
-over the stabilizers: over their distinct linear parts when L is
-decreasing and some map has an offset, else over every map."""
+"""The memo of one map array (oracle._last): its span verdicts, point
+images, distinct linear parts and translation basis.  A hit equals a cold
+run of the kernels, every point set and monomial set gets its own verdict,
+returned masks are fresh and held arrays read-only, the memo holds the last
+map array only, and cartperm verify and the sweep's pair of calls run the
+span kernel once over the stabilizers: over their distinct linear parts
+when L is decreasing and some map has an offset, else over every map.  Over
+all of the sweep's draws on one list, its linear parts are keyed once and
+its translation basis found once, and a group-axioms report between the
+two calls, as cartperm verify makes it, evicts nothing."""
 
 import importlib.util
 import json
@@ -18,7 +22,8 @@ from cartperm.cli import main
 from cartperm.field import GF
 from cartperm.monomials import MonomialSet, divisibility_closure, random_decreasing_set
 from cartperm.oracle import (
-    AffineMaps, keeps_span, oracle_affine_perm_group, oracle_stabilizers, two_route_agreement,
+    AffineMaps, group_axioms_report, keeps_span, oracle_affine_perm_group, oracle_stabilizers,
+    two_route_agreement,
 )
 from cartperm.points import CartesianSet, full_component, mult_component
 
@@ -56,12 +61,33 @@ def image_builds(monkeypatch):
     calls = []
     build = oracle._checked_images
 
-    def counted(kern, S, ab):
+    def counted(kern, S, ab, last):
         calls.append(len(ab))
-        return build(kern, S, ab)
+        return build(kern, S, ab, last)
 
     monkeypatch.setattr(oracle, "_checked_images", counted)
     return calls
+
+
+def calls_of(monkeypatch, name, fact):
+    """fact(*args) of every call of the oracle function name."""
+    calls = []
+    call = getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(fact(*args))
+        return call(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def kernel_maps(ab):
@@ -123,7 +149,7 @@ def test_hit_equals_cold_call(name, monkeypatch):
         assert two_route_agreement(L, S, listed) == (True, [])
     # the draws on one list share its images
     assert builds == [len(stabs)]
-    cold = oracle._checked_images(kern, S, stabs.ab)
+    cold = oracle._checked_images(kern, S, stabs.ab, oracle._Last())
     for maps in (stabs, listed):
         images = oracle._stabilizer_images(kern, S, oracle._as_array(maps, S.m))
         assert images is oracle._stabilizer_images(kern, S, stabs.ab)
@@ -157,7 +183,8 @@ def test_each_point_set_and_monomial_set_has_its_own_entry():
     for _ in range(2):
         for S in (full, torus):
             images[S] = oracle._stabilizer_images(kern, S, ab)
-            assert same_images(images[S], oracle._checked_images(kern, S, ab), len(ab))
+            assert same_images(images[S], oracle._checked_images(kern, S, ab, oracle._Last()),
+                               len(ab))
     assert not np.array_equal(images[full](np.arange(len(ab))),
                               images[torus](np.arange(len(ab))))
 
@@ -239,9 +266,7 @@ def test_verify_runs_the_span_kernel_once(tmp_path, monkeypatch):
 
 
 def test_sweep_draw_runs_the_span_kernel_once(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     S = CartesianSet([full_component(GF(2))] * 3)
     stabs = list(oracle_stabilizers(S))      # as the sweep holds them
     calls = kernel_calls(monkeypatch)
@@ -271,3 +296,79 @@ def test_lists_without_offsets_or_decreasing_L_run_the_kernel_on_every_map():
         assert calls == [(len(stabs), None)]
     assert not oracle_stabilizers(torus).ab[:, :, 2].any()
     assert kernel_maps(oracle_stabilizers(full).ab) == 48 < 432
+
+
+def test_sweep_finds_each_lists_linear_parts_and_translations_once(monkeypatch):
+    # every draw on a list, through the sweep's own pair of calls: the
+    # linear parts are keyed once per list, the translation basis found
+    # once per point set
+    workloads = bench_workloads()
+    parts = calls_of(monkeypatch, "_linear_parts", lambda ab, q: len(ab))
+    shifts = calls_of(monkeypatch, "_translations", lambda kern, S: S)
+    sets = []
+    for name in sorted(SWEEP_SETS):
+        make, count, linear = SWEEP_SETS[name]
+        S = make()
+        sets.append(S)
+        stabs = list(oracle_stabilizers(S))      # as the sweep holds them
+        # iterating the scan's AffineMaps keys its linear parts, outside the memo
+        assert parts == [len(stabs)]
+        del parts[:]
+        for L in sweep_draws(S, count, name):
+            assert workloads.sweep_draw(L, S, stabs)["two_route"] is True
+        assert parts == [len(stabs)]
+        del parts[:]
+        assert len(oracle._LAST.linear[0]) == linear
+    assert shifts == sets
+
+
+def test_axioms_report_between_the_calls_evicts_nothing(monkeypatch):
+    # cartperm verify's order: the group over the list, the axioms of the
+    # group, then the two routes over the list.  AffineMaps.invertible of
+    # the axioms report keys the group's linear parts outside the memo
+    S = CartesianSet([full_component(GF(4))] * 2)
+    stabs = oracle_stabilizers(S)
+    calls = kernel_calls(monkeypatch)
+    builds = image_builds(monkeypatch)
+    parts = calls_of(monkeypatch, "_linear_parts", lambda ab, q: len(ab))
+    shifts = calls_of(monkeypatch, "_translations", lambda kern, S: S)
+    groups = []
+    for L in sweep_draws(S, 4, "axioms"):
+        group = oracle_affine_perm_group(L, S, stabilizers=stabs)
+        report = group_axioms_report(S.field, group)
+        assert report["closed_under_composition"] and report["closed_under_inverse"]
+        assert two_route_agreement(L, S, stabs) == (True, [])
+        assert oracle._LAST.key == (stabs.ab.dtype.str, stabs.ab.shape, stabs.ab.tobytes())
+        groups.append(len(group))
+    assert len(stabs) not in groups
+    assert full_runs(calls) == [kernel_maps(stabs.ab)] * 4 == [180] * 4
+    assert builds == [len(stabs)]
+    assert parts == [len(stabs)] + groups
+    assert shifts == [S]
+
+
+def test_what_the_memo_holds_is_read_only():
+    # no write into an array the memo hands out can change a later result:
+    # span masks are fresh copies, every held array is read-only
+    S = CartesianSet([full_component(GF(4))] * 2)
+    stabs = oracle_stabilizers(S)
+    kern = S.field.np_tables()
+    L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
+    want = two_route_agreement(L, S, stabs)
+    span = cold_span(S, L, stabs.ab)
+    last = oracle._last(stabs.ab)
+    assert last is oracle._LAST and last.span is not None
+    shifts, shift_images = last.translations(kern, S)
+    images = oracle._stabilizer_images(kern, S, stabs.ab)
+    held = [*last.linear_parts(stabs.ab, kern.q), shifts, last.span[1]]
+    for im in (images, shift_images):
+        held += [*im.rows, *(table for table, _ in im.tables)]
+    assert all(len(x) for x in held)
+    for x in held:
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+    got = oracle._span_ok(kern, L, S, stabs.ab)
+    got[:] = ~got
+    assert two_route_agreement(L, S, stabs) == want == (True, [])
+    assert np.array_equal(oracle._span_ok(kern, L, S, stabs.ab), span)
+    assert same_images(images, oracle._Images(kern, S, stabs.ab), len(stabs))

@@ -1,5 +1,6 @@
 """The two-route check by generators and coset representatives, of the maps
-or of their linear parts, against the per-map reference, the basis of the
+or of their linear parts, against the per-map reference, the code route's
+batched generator matrix against codes.build_code, the basis of the
 translations that keep S against brute force, the per-coordinate point
 images against the scalar induced permutation, the two kinds of map keys,
 and bulk iteration of AffineMaps."""
@@ -90,6 +91,61 @@ def test_coset_route_matches_per_map_reference(name):
         assert two_route_agreement(draws[0], S, maps) == per_map_reference(draws[0], S, maps)
 
 
+GF8 = Field(2, 3, irreducible=(1, 0, 1, 1))
+
+# the point sets of SETS, an additive component, GF(8) under a custom
+# irreducible, and GF(9)
+GENERATOR_SETS = {
+    **SETS,
+    "gf4 additive x mu3": lambda: CartesianSet([additive_component(GF(4), [GF(4).one]),
+                                                mult_component(GF(4), 3)]),
+    "custom gf8 full x {0,1,2,7}": lambda: CartesianSet([full_component(GF8),
+                                                         explicit(GF8, [0, 1, 2, 7])]),
+    "gf9 mu4 x full": lambda: CartesianSet([mult_component(GF(9), 4), full_component(GF(9))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_batched_generator_matrix_matches_build_code(name):
+    # rows, their graded-lex order, the reduced rows (as the code route
+    # holds them: minus[r, c] = -c R[r] on the free columns) and the pivots
+    S = GENERATOR_SETS[name]()
+    kern = S.field.np_tables()
+    rng = random.Random(f"generator:{name}")
+    top = tuple(n - 1 for n in S.sizes)
+    draws = [
+        MonomialSet(S.m, [(0,) * S.m], bound=S.sizes),                  # L = {1}
+        divisibility_closure(MonomialSet(S.m, [top], bound=S.sizes)),   # the whole box
+        MonomialSet(S.m, [top, (0,) * (S.m - 1) + (top[-1],)], bound=S.sizes),
+        MonomialSet(S.m, [], bound=S.sizes),
+    ] + [random_decreasing_set(rng, S.sizes) for _ in range(3)]
+    for L in draws:
+        code = build_code(L, S)
+        rows = oracle._generator_rows(kern, L, S)
+        assert rows.dtype == np.uint16 and rows.shape == (len(code.rows), S.n)
+        assert tuple(map(tuple, rows.tolist())) == code.rows
+        route = oracle._CodeRoute(kern, L, S)
+        reduced, _, pivots = code.rref()
+        free = [c for c in range(S.n) if c not in pivots]
+        R = np.array(reduced, dtype=np.uint16).reshape(-1, S.n)
+        assert route.pivots == pivots and route.free == free
+        assert np.array_equal(route.G, rows)
+        assert np.array_equal(route.minus, kern.vmul(kern.neg[:, None], R[:, None, free]))
+
+
+@pytest.mark.parametrize("monomials", [[(1,)], [(0, 0), (1, 2, 0)], [(3, 0)], [(0, 5)]],
+                         ids=["arity 1", "arity 3", "x1^3", "x2^5"])
+def test_malformed_L_raises_like_build_code(monomials):
+    # the exponent box of GF(3) x mu2 is 3 x 2
+    S = SETS["gf3 full x mu2"]()
+    with pytest.raises(ValueError) as want:
+        build_code(monomials, S)
+    for route in (oracle._generator_rows, oracle._CodeRoute):
+        with pytest.raises(ValueError) as got:
+            route(S.field.np_tables(), monomials, S)
+        assert str(got.value) == str(want.value)
+
+
 def linear_generators(F, ab):
     """The generators the walk picks among the distinct linear parts of ab,
     every one accepted."""
@@ -122,16 +178,31 @@ def test_code_route_checks_generators_and_one_map_per_coset(monkeypatch):
 
 
 def test_trivial_span_group_makes_every_map_a_coset(monkeypatch):
-    # the identity and maps outside the group: each map is its own coset
+    # the identity and the maps outside the group: each map is its own
+    # coset.  With closure{x1} the 24 maps outside share 8 linear parts, 3
+    # each, so the walk runs over the linear parts after the code route
+    # checks the one basis translation of GF(3) x {1, 2}; with one map per
+    # linear part it runs over the maps.  With closure{x1x2} the group is
+    # every stabilizer, so the identity is the only map.  Per case: the top
+    # monomial of L, the maps outside the group, and the code route's call
+    # sizes on all of them and on one per linear part
     F, S = GF(3), SETS["gf3 full x mu2"]()
-    L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
     stabs = oracle_stabilizers(S)
-    group = set(oracle_affine_perm_group(L, S, stabilizers=stabs))
-    outside = [T for T in stabs if T not in group]
-    maps = [AffineTransformation.identity(F, 2)] + outside
+    identity = AffineTransformation.identity(F, 2)
     sizes = code_route_sizes(monkeypatch)
-    assert two_route_agreement(L, S, maps) == (True, []) == per_map_reference(L, S, maps)
-    assert sizes[0] == len(outside)
+    for top, count, walked in [((1, 1), 0, ([0], [0])), ((1, 0), 24, ([1, 8], [8]))]:
+        L = divisibility_closure(MonomialSet(2, [top], bound=S.sizes))
+        group = set(oracle_affine_perm_group(L, S, stabilizers=stabs))
+        outside = [T for T in stabs if T not in group]
+        assert (len(stabs), len(group), len(outside)) == (36, 36 - count, count)
+        firsts = {}
+        for T in outside:
+            firsts.setdefault(T.A, T)
+        assert len(firsts) == count // 3
+        for maps, want in zip(([identity] + outside, [identity] + list(firsts.values())), walked):
+            sizes.clear()
+            assert two_route_agreement(L, S, maps) == (True, []) == per_map_reference(L, S, maps)
+            assert sizes == want
 
 
 def linear_subgroup(group):
@@ -270,8 +341,8 @@ def test_span_route_rejecting_a_linear_part_is_named_like_the_reference(name, mo
     dropped = next(A for A in linear if (A != np.eye(m, dtype=np.uint16)).any())
     span_ok = oracle._span_ok
 
-    def fake(kern, L, S, ab):
-        return span_ok(kern, L, S, ab) & (ab[:, :, :m] != dropped).any(axis=(1, 2))
+    def fake(kern, L, S, ab, *args):
+        return span_ok(kern, L, S, ab, *args) & (ab[:, :, :m] != dropped).any(axis=(1, 2))
 
     monkeypatch.setattr(oracle, "_span_ok", fake)
     want = per_map_reference(L, S, stabs)
