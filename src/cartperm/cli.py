@@ -7,10 +7,12 @@ summary on stdout; re-running a config reproduces every report byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import pathlib
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -273,8 +275,7 @@ def task_oracle_verify(F, S, L, budget):
             "disagreements": disagreements[:5],
         }
         if len(group) <= 512:
-            report["affine_permutation_group"]["members"] = \
-                [T.to_json() for T in group]
+            report["affine_permutation_group"]["members"] = group.to_json()
         ok = ok and agree and axioms["has_identity"] \
             and axioms["closed_under_inverse"] and axioms["closed_under_composition"]
         try:
@@ -512,9 +513,88 @@ TASK_FUNCS = {
 }
 
 
+_INF = float("inf")
+
+
+def _scalar_text(x):
+    """The JSON text of a number, a bool or None, and a str as it is: how
+    json writes a dict key before escaping it."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        return "Infinity" if x == _INF else "-Infinity" if x == -_INF else float.__repr__(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(x).__name__}")
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for the
+    plain report types (dict, list, tuple, str, int, float, bool, None),
+    without json's pure-Python indenting encoder: strings go through its C
+    escaper, dict items are sorted by their original keys, and whatever json
+    rejects is a TypeError.  Items of exact type int or str are written
+    inline, without a call."""
+    out = []
+    put = out.append
+
+    def write(o, indent):
+        if isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = indent + "  "
+            lead, sep = "[" + inner, "," + inner
+            for v in o:
+                t = type(v)
+                if t is int:
+                    put(lead + int.__repr__(v))
+                elif t is str:
+                    put(lead + _escape(v))
+                else:
+                    put(lead)
+                    write(v, inner)
+                lead = sep
+            put(indent + "]")
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = indent + "  "
+            lead, sep = "{" + inner, "," + inner
+            for k, v in sorted(o.items()):
+                lead += _escape(_scalar_text(k)) + ": "
+                t = type(v)
+                if t is int:
+                    put(lead + int.__repr__(v))
+                elif t is str:
+                    put(lead + _escape(v))
+                else:
+                    put(lead)
+                    write(v, inner)
+                lead = sep
+            put(indent + "}")
+        elif isinstance(o, str):
+            put(_escape(o))
+        elif isinstance(o, (int, float)) or o is None:   # a bool is an int
+            put(_scalar_text(o))
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(obj, "\n")
+    return "".join(out)
+
+
 def _dump(path: pathlib.Path, obj):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json_text(obj) + "\n")
 
 
 def run_config(cfg, out_dir, budget=None):
@@ -547,13 +627,19 @@ def run_config(cfg, out_dir, budget=None):
     lines = []
     for t in tasks:
         report, ok = TASK_FUNCS[t](F, S, L, budget)
+        if not lines:   # the first report: no directory for a config that fails before it
+            out_dir.mkdir(parents=True, exist_ok=True)
         _dump(out_dir / f"{t}.json", report)
         all_ok = all_ok and ok
         lines.append(f"{t}: {'ok' if ok else 'FAIL'} -> {out_dir / (t + '.json')}")
     return (EXIT_OK if all_ok else EXIT_VERIFICATION), lines
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser, built once per process on the first main();
+    parse_args leaves it as it was, so no argument of one call reaches the
+    next."""
     ap = argparse.ArgumentParser(
         prog="cartperm",
         description="Monomial Cartesian codes: affine permutation toolkit")
@@ -580,8 +666,11 @@ def main(argv=None) -> int:
 
     p_group = sub.add_parser("group", help="affine permutation group of a config")
     p_group.add_argument("config", type=pathlib.Path)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             cfg = _read_json(args.config)
@@ -591,7 +680,9 @@ def main(argv=None) -> int:
 
         if args.command == "examples":
             report, ok = task_examples(None, None, None, _budget(args.budget))
-            _dump(pathlib.Path(args.out) / "examples.json", report)
+            out = pathlib.Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            _dump(out / "examples.json", report)
             for ex in report["examples"]:
                 for a in ex["assertions"]:
                     print(f"{ex['name']}: {a['name']}: {a['status'].upper()}")
@@ -601,9 +692,11 @@ def main(argv=None) -> int:
 
         if args.command == "graph":
             L, p = load_monomial_file(_read_json(args.monomials), args.p)
-            g = p_borel_graph(L, p)
-            _dump(pathlib.Path(args.out) / "graph.json", g.to_json())
-            print(json.dumps(g.to_json(), indent=2, sort_keys=True))
+            report = p_borel_graph(L, p).to_json()
+            out = pathlib.Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            _dump(out / "graph.json", report)
+            print(json_text(report))
             return EXIT_OK
 
         if args.command == "group":

@@ -150,16 +150,18 @@ def default_irreducible(p: int, k: int) -> tuple:
 
 
 def _digitwise_tables(p, k):
-    """The q x q addition table and the negation table of GF(p^k) on element
-    indices: coordinate vectors add digit by digit modulo p."""
+    """The q x q addition table, the negation table and the q x k table of
+    coordinate vectors (digits) of GF(p^k) on element indices: coordinate
+    vectors add digit by digit modulo p."""
     ix = np.arange(p ** k, dtype=np.uint16)
     add = np.zeros((len(ix), len(ix)), dtype=np.uint16)
     neg = np.zeros_like(ix)
+    digits = np.zeros((len(ix), k), dtype=np.uint16)
     for t in range(k):
-        digit = ix // p ** t % p
+        digits[:, t] = digit = ix // p ** t % p
         add += (digit[:, None] + digit) % p * p ** t
         neg += (p - digit) % p * p ** t
-    return add, neg
+    return add, neg, digits
 
 
 def _digits(n, p, width):
@@ -178,11 +180,13 @@ class FieldError(ValueError):
 
 class Tables:
     """The lookup tables of one field on element indices, as uint16 arrays:
-    mul and add (q x q), neg and inv (q; inv[0] = 0), and the vectorized
+    mul and add (q x q), neg and inv (q; inv[0] = 0), digits (q x k, each
+    element's coefficient vector, constant term first), and the vectorized
     arithmetic over them; sums are XOR in characteristic 2."""
 
-    def __init__(self, F, mul, add, neg, inv):
+    def __init__(self, F, mul, add, neg, inv, digits):
         self.q, self.mul, self.add, self.neg, self.inv = F.q, mul, add, neg, inv
+        self.digits = digits
         # flat indices x * q + y < q * q fit the uint16 of the elements up
         # to q = 256
         self.ix = np.uint16 if F.q <= 256 else np.uint32
@@ -465,8 +469,8 @@ class Field:
         mul[0] = mul[:, 0] = 0
         inv = exp[q - 1 - log]
         inv[0] = 0
-        add, neg = _digitwise_tables(self.p, self.k)
-        self._tables = Tables(self, mul, add, neg, inv)
+        add, neg, digits = _digitwise_tables(self.p, self.k)
+        self._tables = Tables(self, mul, add, neg, inv, digits)
         self._mul, self._add, self._neg, self._inv = (
             memoryview(t.ravel()) for t in (mul, add, neg, inv))
 

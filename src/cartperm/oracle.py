@@ -201,6 +201,14 @@ class AffineMaps(Sequence):
         for a, b, row in zip(of_A.tolist(), of_b.tolist(), _rows(self.ab)):
             yield AffineTransformation.of_ix(F, As[a], bs[b], row)
 
+    def to_json(self):
+        """[T.to_json() for T in self], read from the array: the coefficient
+        vectors of every entry in one gather (Tables.digits) and one tolist,
+        so each entry holds lists of its own."""
+        m = self.ab.shape[1]
+        return [{"A": [row[:m] for row in x], "b": [row[m] for row in x]}
+                for x in self.field.np_tables().digits[self.ab].tolist()]
+
     def invertible(self):
         """Whether each map's linear part A is invertible: one batched
         Gauss-Jordan elimination (_invert) per distinct A.  It never reads

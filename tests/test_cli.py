@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cartperm import cli
 from cartperm.cli import (
     EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, ConfigError,
     gf9_lower_triangular, load_field, load_monomials, load_set, main, run_config,
 )
+from cartperm.monomials import MonomialSet, p_borel_graph
 from cartperm.oracle import reduced_pullbacks
 from cartperm.points import CartesianSet, full_component
 from cartperm.poly import Polynomial, substitute_affine
@@ -323,6 +325,81 @@ def test_negative_budget_flag_is_a_config_error(tmp_path, capsys):
     # a budget of 0 is valid: the row pass is the first phase to exceed it
     assert main(["--out", str(tmp_path / "r"), "--budget", "0", "verify", path]) == EXIT_BUDGET
     assert "row pass of 27 candidates exceeds budget 0" in capsys.readouterr().err
+
+
+def parse_exit(argv, capsys):
+    """The exit code and the output of an argv that argparse ends."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    return exit_.value.code, capsys.readouterr()
+
+
+def test_parser_is_built_once_and_keeps_no_arguments(tmp_path, capsys):
+    """main() parses with one parser per process: a --budget given to one
+    call does not reach the next, and --help and a usage error print what
+    a fresh parser prints."""
+    path = write_json(tmp_path / "cfg.json", {**BASE_CONFIG, "tasks": ["oracle-verify"]})
+    cli._parser.cache_clear()
+    fresh = {argv[0]: parse_exit(argv, capsys) for argv in (["--help"], ["--nope", "examples"])}
+    first = tmp_path / "first"
+    assert main(["--out", str(first), "verify", path]) == EXIT_OK
+    assert main(["--budget", "10", "--out", str(tmp_path / "capped"), "verify", path]) == EXIT_BUDGET
+    again = tmp_path / "again"
+    assert main(["--out", str(again), "verify", path]) == EXIT_OK
+    assert (again / "oracle-verify.json").read_bytes() == (first / "oracle-verify.json").read_bytes()
+    for argv in (["--help"], ["--nope", "examples"]):
+        assert parse_exit(argv, capsys) == fresh[argv[0]]
+    assert fresh["--help"][0] == 0 and fresh["--help"][1].out.startswith("usage: cartperm ")
+    assert fresh["--nope"][0] == EXIT_CONFIG
+    assert fresh["--nope"][1].err.startswith("usage: cartperm ")
+    assert "unrecognized arguments: --nope" in fresh["--nope"][1].err
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_parser_is_not_built_at_import():
+    code = "import cartperm.cli as cli; print(cli._parser.cache_info().currsize)"
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"
+
+
+def canonical(text):
+    """text as the standard library writes its JSON: the report bytes."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("config", sorted(
+    str(path.relative_to(ROOT / "bench" / "configs"))
+    for path in (ROOT / "bench" / "configs").glob("**/*.json")) + ["examples"])
+def test_reports_are_the_standard_library_text(tmp_path, config):
+    """Every report of the benchmark configs (read, never written) and of
+    examples is the text json.dumps(indent=2, sort_keys=True) gives."""
+    out = tmp_path / "reports"
+    argv = ["examples"] if config == "examples" else [
+        "verify", str(ROOT / "bench" / "configs" / config)]
+    assert main(["--out", str(out), *argv]) == EXIT_OK
+    reports = sorted(out.glob("*.json"))
+    assert reports
+    for path in reports:
+        text = path.read_text()
+        assert text == canonical(text), path.name
+
+
+def test_graph_stdout_is_the_standard_library_text(tmp_path, capsys):
+    L = {"p": 3, "bound": [4, 3],
+         "monomials": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [3, 0], [2, 1]]}
+    path = write_json(tmp_path / "L.json", L)
+    out = tmp_path / "reports"
+    assert main(["--out", str(out), "graph", path]) == EXIT_OK
+    want = json.dumps(p_borel_graph(MonomialSet(2, [tuple(u) for u in L["monomials"]],
+                                                L["bound"]), 3).to_json(),
+                      indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == want
+    assert (out / "graph.json").read_text() == want
 
 
 def test_seed_flag_is_gone(capsys):

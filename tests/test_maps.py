@@ -272,6 +272,27 @@ def test_iteration_shares_tuples(name, monkeypatch):
         assert (U.A, U.b, U.row, U.m, U.field) == (T.A, T.b, T.row, T.m, T.field)
 
 
+@pytest.mark.parametrize("name", list(ROUND_TRIPS))
+def test_to_json_reads_the_array(name):
+    """AffineMaps.to_json is the to_json of each map, on every component
+    kind and over GF(9), GF(16) and a GF(8) with its own irreducible, and no
+    two entries share a list.  Reports list at most 512 members: about 512
+    maps, spread over the array, are checked."""
+    maps = ROUND_TRIPS[name]()
+    maps = maps[::len(maps) // 512 + 1]
+    got = maps.to_json()
+    assert got == [T.to_json() for T in maps]
+
+    def lists(x):
+        if isinstance(x, list):
+            yield x
+            for y in x:
+                yield from lists(y)
+
+    every = [x for entry in got for part in entry.values() for x in lists(part)]
+    assert len({id(x) for x in every}) == len(every)
+
+
 def test_empty_round_trip():
     for m in (1, 2, 3):
         got = oracle._as_array([], m)

@@ -4,7 +4,8 @@ module-private top-level function or class is used somewhere in the
 package, so a helper left behind by a removed caller shows up here; no
 module imports another module's private name; only the scalar callers
 (codes, affine, points) import the scalar row reducer; no family calls
-another family's members(); and one function raises BudgetExceeded."""
+another family's members(); one function raises BudgetExceeded; and one writer
+encodes reports."""
 
 import ast
 import pathlib
@@ -113,3 +114,16 @@ def test_one_budget_guard():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BudgetExceeded"}
     assert len(sites) == 1, sorted(sites)
+
+
+def test_reports_have_one_writer():
+    # every report goes through cli.json_text: no json.dump, json.dumps or
+    # JSONEncoder call with indent, whose pure-Python encoder json_text
+    # replaces, is left beside it
+    calls = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("dump", "dumps", "JSONEncoder")
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert calls == []
