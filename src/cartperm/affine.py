@@ -5,7 +5,7 @@ monomial span preserved)."""
 
 from __future__ import annotations
 
-from .codes import check_exponent_box, rank_ix, rref_ix
+from .codes import exponent_set, rank_ix, rref_ix
 from .field import Field, FieldElement, FieldError
 from .poly import Polynomial, affine_pullback, grlex_key, substitute_affine
 
@@ -151,7 +151,7 @@ def point_walk(T: AffineTransformation, S):
     """Image index of each point of S under T, in point order, and the first
     point whose image leaves S or repeats an earlier image (None when T
     permutes S).  A map over another ambient escapes at the first point."""
-    if T.field != S.field or T.m != S.m:
+    if not _same_ambient(T, S):
         return (), S.points()[0]
     images = []
     seen = set()
@@ -165,6 +165,11 @@ def point_walk(T: AffineTransformation, S):
         seen.add(ix)
         images.append(ix)
     return tuple(images), None
+
+
+def _same_ambient(T: AffineTransformation, S) -> bool:
+    """Whether T acts on the space of S: the same field and dimension."""
+    return T.field == S.field and T.m == S.m
 
 
 def stabilizes_set(T: AffineTransformation, S) -> bool:
@@ -195,10 +200,8 @@ class SpanChecker:
 
     def __init__(self, L, S):
         self.S = S
-        monos = frozenset(getattr(L, "monomials", L))
-        check_exponent_box(monos, S)
-        self.members = sorted(monos, key=lambda e: (sum(e), e))
-        self.allowed = monos
+        self.allowed = exponent_set(L, S)
+        self.members = sorted(self.allowed, key=lambda e: (sum(e), e))
 
     def witness_ix(self, A, b):
         """First (member, monomial) pair, members in (degree, exponent) order,
@@ -217,7 +220,9 @@ class SpanChecker:
         return self.witness_ix(A, b) is None
 
     def check(self, T: AffineTransformation) -> bool:
-        return self.check_ix(T.A, T.b)
+        """False for a map over another field or dimension, as for
+        stabilizes_set."""
+        return _same_ambient(T, self.S) and self.check_ix(T.A, T.b)
 
 
 def stabilizes_monomial_span(T: AffineTransformation, L, S) -> bool:
@@ -227,16 +232,21 @@ def stabilizes_monomial_span(T: AffineTransformation, L, S) -> bool:
 
 
 def is_affine_permutation(T: AffineTransformation, L, S) -> bool:
-    return stabilizes_set(T, S) and stabilizes_monomial_span(T, L, S)
+    """Both membership conditions; L is read and checked whatever T is."""
+    span = SpanChecker(L, S)
+    return stabilizes_set(T, S) and span.check(T)
 
 
 def membership_report(T: AffineTransformation, L, S) -> dict:
     """Both membership conditions for one transformation, with the first
-    offending point or (member, monomial) pair as a witness."""
+    offending point or (member, monomial) pair as a witness.  A map over
+    another field or dimension keeps neither, with its escape point."""
     escape = point_walk(T, S)[1]
-    bad = SpanChecker(L, S).witness_ix(T.A, T.b)
+    span = SpanChecker(L, S)
+    foreign = not _same_ambient(T, S)
+    bad = None if foreign else span.witness_ix(T.A, T.b)
     report = {"T": T.to_json(), "stabilizes_set": escape is None,
-              "stabilizes_span": bad is None, "witness": None}
+              "stabilizes_span": not foreign and bad is None, "witness": None}
     if escape is not None:
         report["witness"] = {"point": [x.to_json() for x in escape]}
     elif bad is not None:

@@ -100,22 +100,23 @@ class GeneratorMatrix:
         return f"GeneratorMatrix({len(self.rows)} x {self.n} over GF({self.field.q}))"
 
 
-def check_exponent_box(exps, S):
-    """Raise ValueError unless every monomial has the arity of S and lies in
-    its exponent box: exponent j below the size of component j."""
-    for e in exps:
+def exponent_set(L, S) -> frozenset:
+    """The members of L, a MonomialSet or any iterable of exponent vectors
+    read once, as a frozenset of tuples; the first, in L's order, of the wrong
+    arity or outside the exponent box of S (e_j < n_j) is a ValueError."""
+    members = tuple(map(tuple, getattr(L, "monomials", L)))
+    for e in members:
         if len(e) != S.m:
             raise ValueError(f"monomial {e} has wrong arity")
         if any(e[j] >= S.sizes[j] for j in range(S.m)):
             raise ValueError(f"monomial {e} outside the exponent box of the set")
+    return frozenset(members)
 
 
 def build_code(L, S) -> GeneratorMatrix:
     """Generator matrix of the monomial Cartesian code of L on S."""
-    exps = list(getattr(L, "monomials", L))
     F = S.field
-    check_exponent_box(exps, S)
-    exps = sorted_monomials(exps)
+    exps = sorted_monomials(exponent_set(L, S))
     rows = [tuple(x.ix for x in evaluate_on_set(Polynomial.monomial(F, e), S))
             for e in exps]
     return GeneratorMatrix(F, exps, rows, S)

@@ -102,7 +102,7 @@ from itertools import chain
 import numpy as np
 
 from .affine import AffineTransformation, induced_permutation, stabilizes_set
-from .codes import GeneratorMatrix, build_code, check_exponent_box, codes_equal
+from .codes import GeneratorMatrix, build_code, codes_equal, exponent_set
 from .field import Field
 from .monomials import MonomialSet, divisor_closed
 from .points import CartesianSet
@@ -476,7 +476,9 @@ def reduced_pullbacks(S: CartesianSet, maps, monomials):
     """The reduced pullbacks modulo I(S) of the monomials under each map, as
     one (N, len(monomials), n_1, ..., n_m) array of coefficients (element
     indices) over the box basis: entry [t, k, e] is the coefficient of x^e in
-    the pullback of monomials[k] under map t.  One batch, for few maps."""
+    the pullback of monomials[k] under map t.  One batch, for few maps;
+    monomials may be any iterable, read once."""
+    monomials = list(monomials)
     ab = _as_array(maps, S.m, S.field)
     forms = _Forms(S.field.np_tables(), S)
     pulled = {}
@@ -488,7 +490,7 @@ def reduced_pullbacks(S: CartesianSet, maps, monomials):
 
 def keeps_span(L, S: CartesianSet, maps):
     """Whether each map keeps the span of L, by the batched span route."""
-    return _span_ok(S.field.np_tables(), L, S, _as_array(maps, S.m, S.field))
+    return _span_ok(S.field.np_tables(), exponent_set(L, S), S, _as_array(maps, S.m, S.field))
 
 
 class _Last:
@@ -539,11 +541,11 @@ def _read_only(*arrays):
     return arrays
 
 
-def _span_ok(kern, L, S, ab, last=None):
+def _span_ok(kern, members, S, ab, last=None):
     """Whether each map of an (N, m, m + 1) array [A | b] keeps the span of
-    L, by the batched kernel _span_scan, memoized in the memo entry last of
-    ab (_last(ab) when not given).  It returns a fresh mask, which a caller
-    may change.
+    the members of L (codes.exponent_set), by the batched kernel _span_scan,
+    memoized in the memo entry last of ab (_last(ab) when not given).  It
+    returns a fresh mask, which a caller may change.
 
     A decreasing L keeps its span under x -> Ax + b exactly when it does
     under x -> Ax: x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), every
@@ -551,10 +553,8 @@ def _span_ok(kern, L, S, ab, last=None):
     reduction modulo I(S) is linear.  So when L is divisor-closed and some
     map has an offset, the kernel runs once per distinct A (the entry's
     linear parts), with b = 0, and each map takes the verdict of its A."""
-    members = frozenset(getattr(L, "monomials", L))
     last = _last(ab) if last is None else last
     if last.span is None or last.span[0] != (S, members):
-        check_exponent_box(members, S)
         m = ab.shape[1]
         if ab[:, :, m].any() and divisor_closed(members):
             linear, _, inverse = last.linear_parts(ab, kern.q)
@@ -565,10 +565,11 @@ def _span_ok(kern, L, S, ab, last=None):
     return last.span[1].copy()
 
 
-def _span_scan(kern, L, S, ab, check=None):
+def _span_scan(kern, members, S, ab, check=None):
     """Whether each map x -> Ax + b of an (N, m, m + 1) array [A | b] keeps
-    the span of L: the reduced pullback modulo I(S) of every member of L, or
-    of every member of the subset check, is supported on L.
+    the span of the members of L (codes.exponent_set): the reduced pullback
+    modulo I(S) of every member, or of every member of the subset check, is
+    supported on L.
 
     The pullbacks of a chunk of maps are coefficient arrays (_Forms), built
     along _walk, p_v = p_(v - e_i) * l_i: the checked members in decreasing
@@ -584,8 +585,6 @@ def _span_scan(kern, L, S, ab, check=None):
     map of each group.  When maps leave, every grouping and every held
     array is compacted to the groups that keep a map; a node's array is
     freed once its last child is built."""
-    members = frozenset(getattr(L, "monomials", L))
-    check_exponent_box(members, S)
     check = members if check is None else frozenset(check)
     walk = _walk(check)
     # the support of each node, and the walk position of its last child
@@ -742,8 +741,7 @@ def _group_search(L, S, budget=None):
     sharing a prefix."""
     F, m, q = S.field, S.m, S.field.q
     check_budget(q ** (m + 1), budget, "stabilizer row pass of {} candidates")
-    members = frozenset(getattr(L, "monomials", L))
-    check_exponent_box(members, S)
+    members = exponent_set(L, S)
     kern = F.np_tables()
     rows = _surviving_rows(kern, S)
     alone, mixed = [[] for _ in range(m)], [[] for _ in range(m)]
@@ -763,7 +761,7 @@ def _group_search(L, S, budget=None):
             r = r[(r[:, banned] == 0).all(axis=1)]
             ab = np.repeat(eye[None], len(r), axis=0)
             ab[:, j] = r
-            r = r[_span_scan(kern, L, S, ab, check=alone[j])]
+            r = r[_span_scan(kern, members, S, ab, check=alone[j])]
         total = len(prefix) * len(r)
         check_budget(total, budget, f"row-prefix step {j + 1} (coordinate x{j + 1}) "
                                     "of {} candidates")
@@ -797,7 +795,7 @@ def _group_search(L, S, budget=None):
                 keep = ok[head[p], last[t]]
                 p, t = p[keep], t[keep]
             ab = extend(p, t)
-            return ab[_span_scan(kern, L, S, ab, check=mixed[j])] if mixed[j] else ab
+            return ab[_span_scan(kern, members, S, ab, check=mixed[j])] if mixed[j] else ab
 
         prefix = np.concatenate([grow(k) for k in _chunks(total, cells, _SPAN_CELLS)]
                                 + [np.empty((0, m, m + 1), dtype=np.uint16)])
@@ -814,7 +812,7 @@ def oracle_affine_perm_group(L: MonomialSet, S: CartesianSet, budget=None,
     if stabilizers is None:
         return AffineMaps(S.field, _group_search(L, S, budget))
     ab = _as_array(stabilizers, S.m, S.field)
-    return AffineMaps(S.field, ab[_span_ok(S.field.np_tables(), L, S, ab)])
+    return AffineMaps(S.field, ab[_span_ok(S.field.np_tables(), exponent_set(L, S), S, ab)])
 
 
 def group_axioms_report(F: Field, transforms):
@@ -976,16 +974,14 @@ def _checked_images(kern, S, ab, last):
     return images
 
 
-def _generator_rows(kern, L, S):
-    """The generator matrix of the code of L on S, as codes.build_code
-    builds it (one row per monomial in graded-lex order, the points in the
-    order of S.points_ix()), as an (len(L), n) array: per component, the
-    powers of its elements up to the highest exponent of L there, then one
-    product gather per coordinate for all monomials at once, broadcast over
-    the box.  A monomial outside the exponent box is a ValueError first."""
-    exps = list(getattr(L, "monomials", L))
-    check_exponent_box(exps, S)
-    exps = np.array(sorted_monomials(exps), dtype=np.int64).reshape(-1, S.m)
+def _generator_rows(kern, members, S):
+    """The generator matrix of the code of L on S, given by its members
+    (codes.exponent_set), as codes.build_code builds it (one row per member
+    in graded-lex order, the points in the order of S.points_ix()), as a
+    (len(members), n) array: per component, the powers of its elements up
+    to the highest exponent of L there, then one product gather per
+    coordinate for all members at once, broadcast over the box."""
+    exps = np.array(sorted_monomials(members), dtype=np.int64).reshape(-1, S.m)
     rows = np.ones((len(exps),) + (1,) * S.m, dtype=np.uint16)
     for j, comp in enumerate(S.components):
         elements = np.array([x.ix for x in comp.elements], dtype=np.uint16)
@@ -1004,9 +1000,9 @@ class _CodeRoute:
     against the row-reduced generator matrix.  G is built in batch
     (_generator_rows) and reduced by the scalar GeneratorMatrix.rref."""
 
-    def __init__(self, kern, L, S):
+    def __init__(self, kern, members, S):
         self.kern = kern
-        self.G = _generator_rows(kern, L, S)
+        self.G = _generator_rows(kern, members, S)
         rref_rows, _, self.pivots = GeneratorMatrix(S.field, (), self.G.tolist()).rref()
         R = np.array(rref_rows, dtype=np.uint16).reshape(-1, S.n)
         # a word w lies in the code exactly when w = sum_r w[c_r] R[r] over the
@@ -1211,10 +1207,11 @@ def two_route_agreement(L, S, transforms):
     F = S.field
     ab = _as_array(transforms, S.m, F)
     kern = F.np_tables()
-    code = _CodeRoute(kern, L, S)
-    # one memo entry for the list, handed to each step
+    # one read of L and one memo entry for the list, handed to each route
+    members = exponent_set(L, S)
+    code = _CodeRoute(kern, members, S)
     last = _last(ab)
-    span_ok = _span_ok(kern, L, S, ab, last)
+    span_ok = _span_ok(kern, members, S, ab, last)
     images = _stabilizer_images(kern, S, ab, last)
     if _routes_certified(kern, code, S, images, ab, span_ok, last):
         return True, []

@@ -243,3 +243,16 @@ def test_membership_report_witnesses():
     assert rep3["stabilizes_set"] is True
     assert rep3["stabilizes_span"] is False
     assert rep3["witness"] == {"member": [0, 1], "monomial": [1, 0]}
+
+
+def test_shape_errors():
+    F = GF(3)
+    with pytest.raises(ValueError, match="matrix must be square"):
+        AffineTransformation(F, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="offset length mismatch"):
+        AffineTransformation(F, [[1, 0], [0, 1]], [1])
+    T = AffineTransformation.identity(F, 2)
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        T.apply_point((1, 2, 0))
+    with pytest.raises(FieldError, match="different ambients"):
+        T.compose(AffineTransformation.identity(GF(5), 2))

@@ -680,3 +680,8 @@ def test_mutated_configs_exit_cleanly(path, value):
                 code = None
     assert "Traceback" not in err.getvalue(), (cfg, err.getvalue())
     assert code in (EXIT_OK, EXIT_VERIFICATION, EXIT_CONFIG, EXIT_BUDGET)
+
+
+def test_json_text_of_a_bare_string():
+    text = 'a "b"\n'
+    assert cli.json_text(text) == '"a \\"b\\"\\n"' == json.dumps(text, indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ from cartperm.affine import (
 from cartperm.families import (
     AdditiveHeteroPattern, AdditivePowerFamily, BorelClaimedFamily,
     MixedFullTorusFamily, MixedGeneralFamily, MultProductFamily,
-    enumerate_LTA, enumerate_ML_invertible, gl_count,
+    describe, enumerate_LTA, enumerate_ML_invertible, gl_count,
     is_lower_triangular_invertible, lta_count,
 )
 from cartperm.field import GF, FieldError
@@ -307,3 +307,31 @@ def test_one_point_torus_has_no_mixed_family():
         MixedFullTorusFamily(S)
     with pytest.raises(FieldError):
         MixedGeneralFamily(S)
+
+
+def test_describe_names_the_monomials_of_a_claimed_family():
+    S = CartesianSet([full_component(GF(2))] * 2)
+    L = MonomialSet(2, [(1, 0), (0, 0)], bound=S.sizes)
+    params = describe(BorelClaimedFamily(S, L))["params"]
+    assert params["monomials"] == {"monomials": [[0, 0], [1, 0]], "bound": [2, 2]}
+
+
+def test_contains_refuses_maps_outside_the_family():
+    # GF(5) full x mu2, mu2 = {1, 4}: the full block is row 1, column 1
+    F = GF(5)
+    mixed = MixedGeneralFamily(CartesianSet([full_component(F), mult_component(F, 2)]))
+    assert mixed.m0 == 1
+    assert mixed.contains(AffineTransformation(F, [[2, 3], [0, 4]], [1, 0]))
+    # a singular full block
+    assert not mixed.contains(AffineTransformation(F, [[0, 3], [0, 4]]))
+    # a tail row whose one entry 2 lies outside mu2, one with two nonzero
+    # entries, and one whose entry sits in the full column
+    for tail in ([0, 2], [1, 4], [4, 0]):
+        assert not mixed.contains(AffineTransformation(F, [[2, 3], tail]))
+    # the additive subgroup {0, 1} of GF(4), squared: b must lie in it, and
+    # index 2, the class of x, does not
+    F4 = GF(4)
+    G = additive_component(F4, [F4.one])
+    power = AdditivePowerFamily(CartesianSet([G, G]))
+    assert power.contains(AffineTransformation(F4, [[1, 0], [0, 1]], [1, 0]))
+    assert not power.contains(AffineTransformation(F4, [[1, 0], [0, 1]], [2, 0]))

@@ -328,3 +328,25 @@ def test_irreducibility_search_is_bounded():
         assert time.perf_counter() - t0 < 1.0
     with pytest.raises(FieldError, match="trial divisors"):
         GF((2 ** 61 - 1) ** 3)
+
+
+def test_element_reflected_subtraction_division_and_repr():
+    F = GF(5)
+    e = F(3)
+    # 2 - 3 = -1 = 4; 2^-1 = 3, so 3 / 2 = 3 * 3 = 9 = 4
+    assert 2 - e == F(4)
+    assert e / F(2) == F(4)
+    # GF(9) = GF(3)[a]: an index holds its digits base 3, the constant
+    # first, so 6 = 2a and 8 = 2 + 2a
+    G = GF(9)
+    assert repr(G(6)) == "2*a" and repr(G(8)) == "2+2*a" and repr(G(0)) == "0"
+
+
+def test_inverse_past_the_table_limit_builds_no_tables():
+    # GF(8192) = GF(2^13) is past TABLE_LIMIT: the inverse is a power,
+    # a^(q - 2), by the table-free product
+    F = GF(8192)
+    assert F.q > TABLE_LIMIT
+    for a in (1, 2, 4097, 8191):
+        assert F.mul_ix(a, F.inv_ix(a)) == 1
+    assert F._tables is None

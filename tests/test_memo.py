@@ -19,6 +19,7 @@ import pytest
 
 from cartperm import oracle
 from cartperm.cli import main
+from cartperm.codes import exponent_set
 from cartperm.field import GF
 from cartperm.monomials import MonomialSet, divisibility_closure, random_decreasing_set
 from cartperm.oracle import (
@@ -106,7 +107,12 @@ def full_runs(calls):
 
 
 def cold_span(S, L, ab):
-    return oracle._span_scan(S.field.np_tables(), L, S, ab)
+    return oracle._span_scan(S.field.np_tables(), exponent_set(L, S), S, ab)
+
+
+def span_ok(kern, L, S, ab):
+    """The memoized span verdicts of the members of L on ab."""
+    return oracle._span_ok(kern, exponent_set(L, S), S, ab)
 
 
 def same_images(a, b, n):
@@ -141,7 +147,7 @@ def test_hit_equals_cold_call(name, monkeypatch):
         # AffineMaps and object lists pack to the same bytes: one kernel run
         for maps in (stabs, listed, stabs, listed):
             assert np.array_equal(keeps_span(L, S, maps), want)
-            assert np.array_equal(oracle._span_ok(kern, L, S, oracle._as_array(maps, S.m)), want)
+            assert np.array_equal(span_ok(kern, L, S, oracle._as_array(maps, S.m)), want)
         assert list(oracle_affine_perm_group(L, S, stabilizers=listed)) \
             == list(oracle_affine_perm_group(L, S, stabilizers=stabs)) \
             == list(AffineMaps(S.field, stabs.ab[want]))
@@ -175,10 +181,10 @@ def test_each_point_set_and_monomial_set_has_its_own_entry():
     for _ in range(2):
         for L in (L1, L2):
             for S in (full, torus):
-                assert np.array_equal(oracle._span_ok(kern, L, S, ab), wants[S, L])
+                assert np.array_equal(span_ok(kern, L, S, ab), wants[S, L])
         for S in (full, torus):
             for L in (L1, L2):
-                assert np.array_equal(oracle._span_ok(kern, L, S, ab), wants[S, L])
+                assert np.array_equal(span_ok(kern, L, S, ab), wants[S, L])
     images = {}
     for _ in range(2):
         for S in (full, torus):
@@ -195,12 +201,12 @@ def test_returned_masks_are_fresh():
     ab = oracle_stabilizers(S).ab
     kern = S.field.np_tables()
     want = cold_span(S, L, ab)
-    got = oracle._span_ok(kern, L, S, ab)
+    got = span_ok(kern, L, S, ab)
     got[:] = ~got
-    again = oracle._span_ok(kern, L, S, ab)
+    again = span_ok(kern, L, S, ab)
     assert np.array_equal(again, want) and again is not got
     again[0] = not again[0]
-    assert np.array_equal(oracle._span_ok(kern, L, S, ab), want)
+    assert np.array_equal(span_ok(kern, L, S, ab), want)
     assert len(oracle_affine_perm_group(L, S, stabilizers=AffineMaps(S.field, ab))) \
         == int(want.sum()) == 72
 
@@ -214,23 +220,23 @@ def test_memo_holds_the_last_array_only(monkeypatch):
     calls = kernel_calls(monkeypatch)
     # many monomial sets over one array: the verdict of the last one is kept
     for L in draws:
-        assert np.array_equal(oracle._span_ok(kern, L, S, stabs.ab), cold_span(S, L, stabs.ab))
+        assert np.array_equal(span_ok(kern, L, S, stabs.ab), cold_span(S, L, stabs.ab))
     assert oracle._LAST.span[0] == (S, frozenset(draws[-1].monomials))
     del calls[:]
-    oracle._span_ok(kern, draws[-1], S, stabs.ab)
-    oracle._span_ok(kern, draws[0], S, stabs.ab)
+    span_ok(kern, draws[-1], S, stabs.ab)
+    span_ok(kern, draws[0], S, stabs.ab)
     assert calls == [(kernel_maps(stabs.ab), None)] == [(180, None)]
     # many arrays: only the last one's bytes are kept, and an earlier one
     # runs the kernel again
     L = draws[0]
     for k in range(12):
         sub = stabs.ab[k:k + 100]
-        assert np.array_equal(oracle._span_ok(kern, L, S, sub), cold_span(S, L, sub))
+        assert np.array_equal(span_ok(kern, L, S, sub), cold_span(S, L, sub))
         oracle._stabilizer_images(kern, S, sub)
         assert oracle._LAST.key == (sub.dtype.str, sub.shape, sub.tobytes())
     del calls[:]
-    oracle._span_ok(kern, L, S, stabs.ab[11:111])
-    oracle._span_ok(kern, L, S, stabs.ab[:100])
+    span_ok(kern, L, S, stabs.ab[11:111])
+    span_ok(kern, L, S, stabs.ab[:100])
     # the first 180 maps, in counter order, have no offset
     assert calls == [(kernel_maps(stabs.ab[:100]), None)] == [(100, None)]
     assert oracle._LAST.images is None
@@ -367,8 +373,8 @@ def test_what_the_memo_holds_is_read_only():
     for x in held:
         with pytest.raises(ValueError, match="read-only"):
             x[...] = 0
-    got = oracle._span_ok(kern, L, S, stabs.ab)
+    got = span_ok(kern, L, S, stabs.ab)
     got[:] = ~got
     assert two_route_agreement(L, S, stabs) == want == (True, [])
-    assert np.array_equal(oracle._span_ok(kern, L, S, stabs.ab), span)
+    assert np.array_equal(span_ok(kern, L, S, stabs.ab), span)
     assert same_images(images, oracle._Images(kern, S, stabs.ab), len(stabs))

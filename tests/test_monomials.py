@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cartperm.monomials import (
-    MonomialSet, borel_movements, borel_property_witness,
+    MonomialSet, PBorelGraph, StableMatrixPattern, borel_movements, borel_property_witness,
     divisibility_closure, divisor_closed, has_borel_property, is_decreasing, p_borel_graph,
     p_borel_movements, random_borel_set, random_decreasing_set,
     stable_pattern, valid_p_borel_reachable,
@@ -201,3 +201,29 @@ def test_bound_violations_rejected():
         MonomialSet(2, [(2, 0)], bound=(2, 2))
     with pytest.raises(ValueError):
         MonomialSet(2, [(1, 0, 0)])
+
+
+def test_monomial_set_iterates_in_graded_lex_order():
+    L = MonomialSet(2, [(0, 2), (1, 1), (0, 0), (2, 0), (1, 0)])
+    # degree first, ties with the larger x1 exponent first
+    assert list(L) == [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2)]
+    assert (1, 1) in L and [1, 1] in L and (0, 1) not in L
+
+
+def test_graph_and_pattern_equality_and_repr():
+    # a graph is its m, p and edges; the witnesses of absent edges do not count
+    g = PBorelGraph(2, 2, [(0, 1)])
+    assert g == PBorelGraph(2, 2, {(0, 1)}, {(1, 0): ((0, 1), 1)})
+    assert g != PBorelGraph(3, 2, [(0, 1)]) and g != PBorelGraph(2, 3, [(0, 1)])
+    assert g != PBorelGraph(2, 2, []) and g != "graph"
+    assert repr(g) == "PBorelGraph(m=2, edges=[(0, 1)])"
+    P = StableMatrixPattern(2, [[1, 1], [0, 1]])
+    assert P == StableMatrixPattern(2, [[True, 5], [0, True]])
+    assert P != StableMatrixPattern(2, [[1, 0], [0, 1]]) and P != "pattern"
+    assert repr(P) == "StableMatrixPattern(11, 01)"
+
+
+def test_reachable_needs_a_graph_or_a_prime():
+    L = divisibility_closure(MonomialSet(2, [(1, 1)]))
+    with pytest.raises(ValueError, match="need either a graph or a prime"):
+        valid_p_borel_reachable(L, (1, 1))

@@ -15,7 +15,7 @@ from cartperm.affine import (
     AffineTransformation, SpanChecker, is_affine_permutation, membership_report,
     stabilizes_monomial_span, stabilizes_set,
 )
-from cartperm.codes import build_code
+from cartperm.codes import build_code, exponent_set
 from cartperm.families import (
     BorelClaimedFamily, MultProductFamily, enumerate_LTA, gl_count,
 )
@@ -24,9 +24,9 @@ from cartperm.monomials import (
     MonomialSet, divisibility_closure, p_borel_graph, random_decreasing_set,
 )
 from cartperm.oracle import (
-    BudgetExceeded, affine_space_size, code_permutation_check, enumerate_all_affine,
-    group_axioms_report, keeps_span, oracle_affine_perm_group, oracle_stabilizers,
-    two_route_agreement, verify_characterization, verify_containment,
+    BudgetExceeded, VerificationReport, affine_space_size, code_permutation_check,
+    enumerate_all_affine, group_axioms_report, keeps_span, oracle_affine_perm_group,
+    oracle_stabilizers, two_route_agreement, verify_characterization, verify_containment,
 )
 from cartperm.points import (
     CartesianSet, additive_component, explicit_component, full_component,
@@ -411,7 +411,7 @@ def test_span_scan_builds_on_distinct_row_tuples(monkeypatch):
     monkeypatch.setattr(oracle._Forms, "times_form", counted)
     # one chunk for all maps
     monkeypatch.setattr(oracle, "_SPAN_CELLS", len(ab) * S.n * len(L))
-    assert oracle._span_scan(F.np_tables(), L, S, ab).all()
+    assert oracle._span_scan(F.np_tables(), exponent_set(L, S), S, ab).all()
     walk = oracle._walk(L)
     assert len(calls) == len(walk) - 1
     sizes = {}
@@ -804,3 +804,8 @@ def test_monomials_outside_the_exponent_box_are_rejected():
                  lambda: oracle_affine_perm_group(closed, S, stabilizers=stabs)):
         with pytest.raises(ValueError, match=r"monomial \([45], 0\) outside the exponent box"):
             call()
+
+
+def test_verification_report_repr():
+    rep = VerificationReport("gf4 square", "equal", 12, 12)
+    assert repr(rep) == "VerificationReport('gf4 square', equal, oracle=12, family=12)"

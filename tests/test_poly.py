@@ -272,3 +272,26 @@ def _monomial_value(F, point, u):
     for x, d in zip(point, u):
         v = v * x ** d
     return v
+
+
+def test_polynomial_operations_and_repr():
+    # over GF(3) in two variables: (x1 + 1)^2 = x1^2 + 2 x1 + 1, printed in
+    # graded-lex order, a coefficient other than 1 in parentheses
+    F = GF(3)
+    x1, x2 = Polynomial.variable(F, 2, 0), Polynomial.variable(F, 2, 1)
+    one = Polynomial.constant(F, 2, 1)
+    square = (x1 + one) ** 2
+    assert square == Polynomial(F, 2, {(2, 0): 1, (1, 0): 2, (0, 0): 1})
+    assert len(square) == 3 and bool(square)
+    assert repr(square) == "1 + (2)*x1 + x1^2"
+    assert repr(Polynomial.monomial(F, (1, 2), 2)) == "(2)*x1*x2^2"
+    assert (x1 + x2) ** 0 == one
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        x1 ** -1
+    assert (x1 + x2) - x2 == x1
+    zero = x1 - x1
+    assert zero == Polynomial.zero(F, 2) and not zero and len(zero) == 0
+    assert repr(zero) == "0" and repr(Polynomial.constant(F, 2, 2)) == "2"
+    assert (x1 + one).scale(2) == Polynomial(F, 2, {(1, 0): 2, (0, 0): 2})
+    # 3 is 0 in GF(3)
+    assert (x1 + one).scale(3) == zero

@@ -4,8 +4,8 @@ module-private top-level function or class is used somewhere in the
 package, so a helper left behind by a removed caller shows up here; no
 module imports another module's private name; only the scalar callers
 (codes, affine, points) import the scalar row reducer; no family calls
-another family's members(); one function raises BudgetExceeded; and one writer
-encodes reports."""
+another family's members(); one function raises BudgetExceeded; one writer
+encodes reports; and one reader (codes.exponent_set) reads a monomial set."""
 
 import ast
 import pathlib
@@ -126,4 +126,16 @@ def test_reports_have_one_writer():
              and getattr(node.func, "id", getattr(node.func, "attr", None))
              in ("dump", "dumps", "JSONEncoder")
              and any(k.arg == "indent" for k in node.keywords)]
+    assert calls == []
+
+
+def test_monomial_sets_have_one_reader():
+    # every route reads L through codes.exponent_set, which unwraps a
+    # MonomialSet and checks the exponent box once: no other module reads
+    # getattr(L, "monomials", ...) beside it
+    calls = [f"{name}:{node.lineno}" for name, tree in MODULES.items() if name != "codes.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+             and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+             and node.args[1].value == "monomials"]
     assert calls == []

@@ -12,7 +12,7 @@ import pytest
 
 from cartperm import oracle
 from cartperm.affine import AffineTransformation, induced_permutation, stabilizes_set
-from cartperm.codes import build_code
+from cartperm.codes import build_code, exponent_set
 from cartperm.field import GF, Field
 from cartperm.monomials import MonomialSet, divisibility_closure, random_decreasing_set
 from cartperm.oracle import (
@@ -29,7 +29,7 @@ def per_map_reference(L, S, transforms):
     """The per-map comparison: the span route and the scalar code route
     (code_permutation_check) on every map; disagreements in input order."""
     maps = list(transforms)
-    span = oracle._span_ok(S.field.np_tables(), L, S, oracle._as_array(maps, S.m))
+    span = oracle._span_ok(S.field.np_tables(), exponent_set(L, S), S, oracle._as_array(maps, S.m))
     code = build_code(L, S)
     dis = []
     for T, s in zip(maps, span):
@@ -121,10 +121,10 @@ def test_batched_generator_matrix_matches_build_code(name):
     ] + [random_decreasing_set(rng, S.sizes) for _ in range(3)]
     for L in draws:
         code = build_code(L, S)
-        rows = oracle._generator_rows(kern, L, S)
+        rows = oracle._generator_rows(kern, exponent_set(L, S), S)
         assert rows.dtype == np.uint16 and rows.shape == (len(code.rows), S.n)
         assert tuple(map(tuple, rows.tolist())) == code.rows
-        route = oracle._CodeRoute(kern, L, S)
+        route = oracle._CodeRoute(kern, exponent_set(L, S), S)
         reduced, _, pivots = code.rref()
         free = [c for c in range(S.n) if c not in pivots]
         R = np.array(reduced, dtype=np.uint16).reshape(-1, S.n)
@@ -136,14 +136,14 @@ def test_batched_generator_matrix_matches_build_code(name):
 @pytest.mark.parametrize("monomials", [[(1,)], [(0, 0), (1, 2, 0)], [(3, 0)], [(0, 5)]],
                          ids=["arity 1", "arity 3", "x1^3", "x2^5"])
 def test_malformed_L_raises_like_build_code(monomials):
-    # the exponent box of GF(3) x mu2 is 3 x 2
+    # the exponent box of GF(3) x mu2 is 3 x 2.  The code route takes the
+    # members its entry point read, so L is checked there, before any route
     S = SETS["gf3 full x mu2"]()
     with pytest.raises(ValueError) as want:
         build_code(monomials, S)
-    for route in (oracle._generator_rows, oracle._CodeRoute):
-        with pytest.raises(ValueError) as got:
-            route(S.field.np_tables(), monomials, S)
-        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as got:
+        two_route_agreement(monomials, S, oracle_stabilizers(S))
+    assert str(got.value) == str(want.value)
 
 
 def linear_generators(F, ab):
