@@ -45,26 +45,34 @@ decreasing L most often fails before the low-degree pullbacks are built for
 it.  The pullback of x^v reads only the rows in the support of v, so it is
 held once per distinct tuple of those rows among the live maps.
 affine.SpanChecker is its scalar reference and the witness finder of
-membership_report.  A check of all of L goes through _span_ok.  For a
-decreasing L (closed under division) the verdict of x -> Ax + b does not
-depend on b: x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), with every
-u <= v in L, the identity with -b gives the converse, and reduction modulo
-I(S) is linear.  So _span_ok runs the kernel once per distinct linear part
-of a list with offsets, with b = 0; the code route and SpanChecker do not
-use that, so the two-route check tests it.  _span_ok memoizes its
-verdicts in the one memo (_last), which the point images of the code route
-(_stabilizer_images) and the facts of a list that do not depend on L share.
-It holds one map array, the last one seen, keyed by its dtype, shape and
-exact bytes: its distinct linear parts, its images for the last point set
-S, the basis of the translations that keep that S with their images, and
-its verdicts for the last S and members of L, every array read-only.  So
-oracle_affine_perm_group and two_route_agreement over one stabilizer list
-run the span kernel once, later draws of L on that list reuse its linear
-parts, images and translations, two_route_agreement keys the array once
-and hands the entry to each step, and a caller that replaces _span_ok
-still sees its replacement.  AffineMaps.invertible and iteration never
-read the memo, so the group-axioms check of another array between two
-calls on a list evicts nothing.
+membership_report.  A check of all of L goes through _span_ok.  Two lemmas
+cut the maps it checks.  Row scaling: x^v(diag(lambda) y) = lambda^v x^v(y),
+so T and diag(lambda) T have proportional reduced pullbacks for every
+invertible diagonal lambda, whether or not it keeps S, and keep the same
+spans; the kernel (_span_scan) and reduced_pullbacks run on the monic
+representatives (_monic: each row divided by its first nonzero entry), one
+per class under row scaling.  Offsets: for a decreasing L (closed under
+division) the verdict of x -> Ax + b does not depend on b: x^v(Ax + b) = sum
+over u <= v of c_u(b) x^u(Ax), with every u <= v in L, the identity with -b
+gives the converse, and reduction modulo I(S) is linear.  So _span_ok runs
+the kernel once per class of the maps, or, for a decreasing L and a list
+with offsets, once per class of their distinct linear parts, with b = 0.
+The code route and SpanChecker use neither lemma, so the two-route check and
+the scalar tests test both.  _span_ok memoizes its verdicts in the one memo
+(_last), which the point images of the code route (_stabilizer_images) and
+the facts of a list that do not depend on L share.  It holds one map array,
+the last one seen, keyed by its dtype, shape and exact bytes: its distinct
+linear parts, the classes of its maps and of those linear parts under row
+scaling (per field, whose inverses make the rows monic), its images for the
+last point set S, the basis of the translations that keep that S with their
+images, and its verdicts for the last S and members of L, every array
+read-only.  So oracle_affine_perm_group and
+two_route_agreement over one stabilizer list run the span kernel once, later
+draws of L on that list reuse its linear parts, classes, images and
+translations, two_route_agreement keys the array once and hands the entry to
+each step, and a caller that replaces _span_ok still sees its replacement.
+AffineMaps.invertible and iteration never read the memo, so the group-axioms
+check of another array between two calls on a list evicts nothing.
 
 The code group never needs the stabilizer list: the pullback of x^u reads
 only the rows i with u_i > 0, so a row-prefix search (_group_search) filters
@@ -345,6 +353,15 @@ def _linear_parts(ab, q):
     return linear, first, inverse
 
 
+def _monic(kern, ab):
+    """Each row of an (N, m, c) array [A | b] divided by its first nonzero
+    entry, and that entry (N, m): the monic representative M of the map's
+    class T = diag(lead) M under row scaling.  A zero row stays as it is,
+    with lead 0, since Tables.inv[0] = 0."""
+    lead = np.take_along_axis(ab, (ab != 0).argmax(axis=2)[:, :, None], axis=2)
+    return kern.mul.take(kern.flat(kern.inv[lead], ab)), lead[:, :, 0]
+
+
 def _invertible(kern, ab):
     """Whether the A of each map of an (N, m, m + 1) array [A | b] is
     invertible, by _invert in batches of at most _PAIR_CELLS cells."""
@@ -477,14 +494,34 @@ def reduced_pullbacks(S: CartesianSet, maps, monomials):
     one (N, len(monomials), n_1, ..., n_m) array of coefficients (element
     indices) over the box basis: entry [t, k, e] is the coefficient of x^e in
     the pullback of monomials[k] under map t.  One batch, for few maps;
-    monomials may be any iterable, read once."""
+    monomials may be any iterable, read once, and none gives an
+    (N, 0, n_1, ..., n_m) array.
+
+    The forms run once per distinct monic map M (_monic): a map
+    T = diag(lambda) M has the pullback lambda^u times that of M, since
+    x^u(diag(lambda) y) = lambda^u x^u(y), so each map's pullbacks are its
+    class's, scaled by one gather."""
     monomials = list(monomials)
     ab = _as_array(maps, S.m, S.field)
-    forms = _Forms(S.field.np_tables(), S)
+    kern = S.field.np_tables()
+    monic, lead = _monic(kern, ab)
+    first, of_class = _distinct(_row_keys(monic, kern.q))
+    reps = monic[first]
+    forms = _Forms(kern, S)
     pulled = {}
     for v, parent, i in _walk(monomials):
-        pulled[v] = forms.one(len(ab)) if i is None else forms.times_form(pulled[parent], ab, i)
-    return np.stack([pulled[u] for u in monomials], axis=1).reshape(
+        pulled[v] = (forms.one(len(reps)) if i is None
+                     else forms.times_form(pulled[parent], reps, i))
+    # P[:, k] the pullbacks of u = monomials[k] under the classes, and
+    # scale[t, k] = lambda^u of map t (0^0 = 1)
+    P = np.empty((len(reps), len(monomials), S.n), dtype=np.uint16)
+    scale = np.ones((len(ab), len(monomials)), dtype=np.uint16)
+    for k, u in enumerate(monomials):
+        P[:, k] = pulled[u]
+        for i, d in enumerate(u):
+            for _ in range(d):
+                scale[:, k] = kern.mul[scale[:, k], lead[:, i]]
+    return kern.mul.take(kern.flat(scale[:, :, None], P[of_class])).reshape(
         len(ab), len(monomials), *S.sizes)
 
 
@@ -495,23 +532,38 @@ def keeps_span(L, S: CartesianSet, maps):
 
 class _Last:
     """The memo of one map array, the last one seen, keyed by its dtype,
-    shape and exact bytes: its distinct linear parts (_linear_parts), its
-    _Images for the last point set, the basis of the translations that keep
-    that set (_translations) with the basis maps' _Images, and its span
-    verdicts for the last point set and members of L.  A miss makes a new
-    entry, so an entry handed down keeps describing its own array; every
-    array an entry holds is read-only, so a caller cannot change a later
-    result by writing into what it was handed."""
+    shape and exact bytes: its distinct linear parts (_linear_parts), the
+    classes under row scaling of its maps and of those linear parts, per
+    field (classes), its _Images for the last point set, the basis of the
+    translations that keep that set (_translations) with the basis maps'
+    _Images, and its span verdicts for the last point set and members of
+    L.  A miss makes a new entry, so an entry handed down keeps describing
+    its own array; every array an entry holds is read-only, so a caller
+    cannot change a later result by writing into what it was handed."""
 
     def __init__(self, key=None):
         self.key = key
         self.linear = self.images = self.shifts = self.span = None
+        self.monic = {}
 
     def linear_parts(self, ab, q):
         """_linear_parts of the entry's array ab, computed once."""
         if self.linear is None:
             self.linear = _read_only(*_linear_parts(ab, q))
         return self.linear
+
+    def classes(self, kern, ab, linear):
+        """The distinct monic maps (_monic) of the entry's array ab, or of
+        its linear parts when linear, in key order, and for each map, or
+        linear part, the index of its class under row scaling among them.
+        Computed once per field (its Tables kern, whose inverses make the
+        rows monic) and flag."""
+        key = (kern, linear)
+        if key not in self.monic:
+            monic = _monic(kern, self.linear_parts(ab, kern.q)[0] if linear else ab)[0]
+            first, of_class = _distinct(_row_keys(monic, kern.q))
+            self.monic[key] = _read_only(monic[first], of_class)
+        return self.monic[key]
 
     def translations(self, kern, S):
         """_translations of S with their _Images, computed once per S."""
@@ -547,20 +599,22 @@ def _span_ok(kern, members, S, ab, last=None):
     memoized in the memo entry last of ab (_last(ab) when not given).  It
     returns a fresh mask, which a caller may change.
 
-    A decreasing L keeps its span under x -> Ax + b exactly when it does
-    under x -> Ax: x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), every
-    such u is in L, the same identity with -b gives the converse, and
-    reduction modulo I(S) is linear.  So when L is divisor-closed and some
-    map has an offset, the kernel runs once per distinct A (the entry's
-    linear parts), with b = 0, and each map takes the verdict of its A."""
+    T and diag(lambda) T keep the same spans for every invertible diagonal
+    lambda, since x^v(diag(lambda) y) = lambda^v x^v(y); and a decreasing L
+    keeps its span under x -> Ax + b exactly when it does under x -> Ax:
+    x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), every such u is in L,
+    the same identity with -b gives the converse, and reduction modulo I(S)
+    is linear.  So the kernel runs once per class of the entry's maps under
+    row scaling (_Last.classes), and each map takes its class's verdict:
+    when L is divisor-closed and some map has an offset, the classes of
+    the distinct linear parts, with b = 0."""
     last = _last(ab) if last is None else last
     if last.span is None or last.span[0] != (S, members):
-        m = ab.shape[1]
-        if ab[:, :, m].any() and divisor_closed(members):
-            linear, _, inverse = last.linear_parts(ab, kern.q)
-            ok = _span_scan(kern, members, S, linear)[inverse]
-        else:
-            ok = _span_scan(kern, members, S, ab)
+        linear = bool(ab[:, :, ab.shape[1]].any()) and divisor_closed(members)
+        classes, of_class = last.classes(kern, ab, linear)
+        ok = _span_scan(kern, members, S, classes)[of_class]
+        if linear:
+            ok = ok[last.linear_parts(ab, kern.q)[2]]
         last.span = ((S, members), _read_only(ok)[0])
     return last.span[1].copy()
 
@@ -584,7 +638,12 @@ def _span_scan(kern, members, S, ab, check=None):
     coefficient row per group of its support, and times_form runs on one
     map of each group.  When maps leave, every grouping and every held
     array is compacted to the groups that keep a map; a node's array is
-    freed once its last child is built."""
+    freed once its last child is built.
+
+    Each chunk is first divided row by row by its leads (_monic): scaling
+    row i by lambda_i scales the pullback of x^v by lambda^v, which leaves
+    its support as it is, so the verdicts stay, and rows that differ by a
+    scaling fall into one group."""
     check = members if check is None else frozenset(check)
     walk = _walk(check)
     # the support of each node, and the walk position of its last child
@@ -634,7 +693,7 @@ def _span_scan(kern, members, S, ab, check=None):
 
     ok = np.zeros(len(ab), dtype=bool)
     for k in _chunks(len(ab), S.n * max(1, len(walk)), _SPAN_CELLS):
-        ok[k[scan(ab[k])]] = True
+        ok[k[scan(_monic(kern, ab[k])[0])]] = True
     return ok
 
 
@@ -738,7 +797,7 @@ def _group_search(L, S, budget=None):
 
     The checks call _span_scan, not the memo of _span_ok, in chunks of
     _SPAN_CELLS cells: its row groups pay off only on chunks of many maps
-    sharing a prefix."""
+    sharing a prefix, and rows that differ by a scaling share a group."""
     F, m, q = S.field, S.m, S.field.q
     check_budget(q ** (m + 1), budget, "stabilizer row pass of {} candidates")
     members = exponent_set(L, S)

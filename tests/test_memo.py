@@ -1,13 +1,14 @@
 """The memo of one map array (oracle._last): its span verdicts, point
 images, distinct linear parts and translation basis.  A hit equals a cold
 run of the kernels, every point set and monomial set gets its own verdict,
-returned masks are fresh and held arrays read-only, the memo holds the last
-map array only, and cartperm verify and the sweep's pair of calls run the
-span kernel once over the stabilizers: over their distinct linear parts
-when L is decreasing and some map has an offset, else over every map.  Over
-all of the sweep's draws on one list, its linear parts are keyed once and
-its translation basis found once, and a group-axioms report between the
-two calls, as cartperm verify makes it, evicts nothing."""
+every field its own classes under row scaling, returned masks are fresh
+and held arrays read-only, the memo holds the last map array only, and
+cartperm verify and the sweep's pair of calls run the span kernel once over
+the stabilizers' classes under row scaling: the classes of their distinct
+linear parts when L is decreasing and some map has an offset, else of their
+maps.  Over all of the sweep's draws on one list, its linear parts are
+keyed once and its translation basis found once, and a group-axioms report
+between the two calls, as cartperm verify makes it, evicts nothing."""
 
 import importlib.util
 import json
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from cartperm import oracle
+from cartperm.affine import SpanChecker
 from cartperm.cli import main
 from cartperm.codes import exponent_set
 from cartperm.field import GF
@@ -27,14 +29,19 @@ from cartperm.oracle import (
     two_route_agreement,
 )
 from cartperm.points import CartesianSet, full_component, mult_component
+from test_scaling import monic_row
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
-# the sweep's point sets, draws per set, and distinct linear parts of
-# their stabilizers
+# the sweep's point sets, draws per set, distinct linear parts of their
+# stabilizers, and the classes of those under row scaling.  The rows of an
+# invertible A are nonzero, so the scalings diag(lambda), lambda in (F*)^m,
+# act freely: GL(2, 4) has 180 elements and 180 / |F4*|^2 = 20 classes,
+# the ordered pairs of distinct points of the projective line over GF(4)
+# (5 * 4 = 20); over GF(2) every class is one map, 168 = |GL(3, 2)|
 SWEEP_SETS = {
-    "gf4^2": (lambda: CartesianSet([full_component(GF(4))] * 2), 4, 180),
-    "gf2^3": (lambda: CartesianSet([full_component(GF(2))] * 3), 3, 168),
+    "gf4^2": (lambda: CartesianSet([full_component(GF(4))] * 2), 4, 180, 20),
+    "gf2^3": (lambda: CartesianSet([full_component(GF(2))] * 3), 3, 168, 168),
 }
 
 
@@ -91,14 +98,19 @@ def bench_workloads():
     return workloads
 
 
-def kernel_maps(ab):
+def linear_parts(ab):
+    """The number of distinct linear parts A of ab, from their bytes."""
+    return len({A.tobytes() for A in np.ascontiguousarray(ab[:, :, :ab.shape[1]])})
+
+
+def kernel_maps(F, ab):
     """The number of maps a span kernel run over ab takes for a decreasing
-    L: its distinct linear parts A when some map has an offset b, else all
-    of its maps.  Counted from the bytes of the blocks."""
+    L: the classes under row scaling of its distinct linear parts A when
+    some map has an offset b, else of its maps, each class one tuple of
+    monic rows."""
     m = ab.shape[1]
-    if not ab[:, :, m].any():
-        return len(ab)
-    return len({A.tobytes() for A in np.ascontiguousarray(ab[:, :, :m])})
+    blocks = ab[:, :, :m] if ab[:, :, m].any() else ab
+    return len({tuple(monic_row(F, row) for row in x) for x in blocks.tolist()})
 
 
 def full_runs(calls):
@@ -133,12 +145,13 @@ def sweep_draws(S, count, seed):
 
 @pytest.mark.parametrize("name", sorted(SWEEP_SETS))
 def test_hit_equals_cold_call(name, monkeypatch):
-    make, count, linear = SWEEP_SETS[name]
+    make, count, linear, classes = SWEEP_SETS[name]
     S = make()
     kern = S.field.np_tables()
     stabs = oracle_stabilizers(S)
     listed = list(stabs)
-    assert kernel_maps(stabs.ab) == linear < len(stabs)
+    assert kernel_maps(S.field, stabs.ab) == classes <= linear_parts(stabs.ab) == linear \
+        < len(stabs)
     calls = kernel_calls(monkeypatch)
     builds = image_builds(monkeypatch)
     for L in sweep_draws(S, count, name):
@@ -151,7 +164,7 @@ def test_hit_equals_cold_call(name, monkeypatch):
         assert list(oracle_affine_perm_group(L, S, stabilizers=listed)) \
             == list(oracle_affine_perm_group(L, S, stabilizers=stabs)) \
             == list(AffineMaps(S.field, stabs.ab[want]))
-        assert calls == [(linear, None)]
+        assert calls == [(classes, None)]
         assert two_route_agreement(L, S, listed) == (True, [])
     # the draws on one list share its images
     assert builds == [len(stabs)]
@@ -195,6 +208,25 @@ def test_each_point_set_and_monomial_set_has_its_own_entry():
                               images[torus](np.arange(len(ab))))
 
 
+def test_each_field_has_its_own_classes():
+    # the rows of T = (2 x1 + x2, x1 + 2 x2) become monic by the field's
+    # inverses: over GF(3) the class is (x1 + 2 x2, x1 + 2 x2), over GF(5)
+    # (x1 + 3 x2, x1 + 3 x2).  Over GF(5) x1 x2 pulls back under T to
+    # 2 x1^2 + 5 x1 x2 + 2 x2^2 = 4 on mu2 x mu2, outside span{x1 x2}, while
+    # the GF(3) class pulls it back to (x1 + 2 x2)^2 = 4 x1 x2 there, so a
+    # class kept from GF(3) would answer True
+    ab = np.array([[[2, 1, 0], [1, 2, 0]]], dtype=np.uint16)
+    sets = [CartesianSet([full_component(GF(3))] * 2),
+            CartesianSet([mult_component(GF(5), 2)] * 2)]
+    L = [(1, 1)]
+    for order in (sets, sets[::-1]):
+        oracle._LAST = oracle._Last()
+        for S in order:
+            T = next(iter(AffineMaps(S.field, ab)))
+            assert keeps_span(L, S, AffineMaps(S.field, ab)).tolist() == [False]
+            assert SpanChecker(L, S).check(T) is False
+
+
 def test_returned_masks_are_fresh():
     S = CartesianSet([full_component(GF(3))] * 2)
     L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
@@ -225,7 +257,8 @@ def test_memo_holds_the_last_array_only(monkeypatch):
     del calls[:]
     span_ok(kern, draws[-1], S, stabs.ab)
     span_ok(kern, draws[0], S, stabs.ab)
-    assert calls == [(kernel_maps(stabs.ab), None)] == [(180, None)]
+    # 180 linear parts, 180 / |F4*|^2 = 20 classes (SWEEP_SETS)
+    assert calls == [(kernel_maps(S.field, stabs.ab), None)] == [(20, None)]
     # many arrays: only the last one's bytes are kept, and an earlier one
     # runs the kernel again
     L = draws[0]
@@ -237,8 +270,15 @@ def test_memo_holds_the_last_array_only(monkeypatch):
     del calls[:]
     span_ok(kern, L, S, stabs.ab[11:111])
     span_ok(kern, L, S, stabs.ab[:100])
-    # the first 180 maps, in counter order, have no offset
-    assert calls == [(kernel_maps(stabs.ab[:100]), None)] == [(100, None)]
+    # the first 180 maps, in counter order, have no offset, so the kernel
+    # takes the classes of the first 100 maps.  Their A = (a b; c d) come
+    # in order of d, then b, c, a: 36 with d = 0, whose second row is a
+    # point (1:0) of the projective line over GF(4) and first row any of
+    # the 4 others; 48 with d = 1, whose second row is any of the other 4
+    # points and first row any of the 4 points besides it; and 16 with
+    # d = 2 in classes met before.  So 4 + 4 * 4 = 20, every class of
+    # GL(2, 4)
+    assert calls == [(kernel_maps(S.field, stabs.ab[:100]), None)] == [(20, None)]
     assert oracle._LAST.images is None
 
 
@@ -268,7 +308,24 @@ def test_verify_runs_the_span_kernel_once(tmp_path, monkeypatch):
     assert report["affine_permutation_group"]["two_route_agreement"] is True
     stabs = oracle_stabilizers(CartesianSet([full_component(GF(4))] * 2))
     assert len(stabs) == report["stabilizer_count"]
-    assert full_runs(calls) == [kernel_maps(stabs.ab)] == [180]
+    # 180 linear parts, 180 / |F4*|^2 = 20 classes (SWEEP_SETS)
+    assert full_runs(calls) == [kernel_maps(GF(4), stabs.ab)] == [20]
+
+
+def test_gf16_list_runs_the_kernel_once_per_class_of_linear_parts(monkeypatch):
+    """The 921,600 stabilizers of GF(16) full x mu5 x mu3 have 57,600
+    linear parts: a first row a.x with a_1 != 0, 15 * 16 * 16 = 3,840 of
+    them, times a x2 and a' x3 with a in mu5 and a' in mu3, 15 pairs.
+    Monic, the first rows are 16 * 16 = 256 and the other two one, so the
+    decreasing closure{x1^3 x2 x3} runs the kernel on 256 maps."""
+    F = GF(16)
+    S = CartesianSet([full_component(F), mult_component(F, 5), mult_component(F, 3)])
+    L = divisibility_closure(MonomialSet(3, [(3, 1, 1)], bound=S.sizes))
+    stabs = oracle_stabilizers(S)
+    calls = kernel_calls(monkeypatch)
+    assert len(oracle_affine_perm_group(L, S, stabilizers=stabs)) == 3600
+    assert (len(stabs), linear_parts(stabs.ab)) == (921_600, 57_600)
+    assert full_runs(calls) == [256]
 
 
 def test_sweep_draw_runs_the_span_kernel_once(monkeypatch):
@@ -281,27 +338,35 @@ def test_sweep_draw_runs_the_span_kernel_once(monkeypatch):
         got = workloads.sweep_draw(L, S, stabs)
         assert got["two_route"] is True
         assert two_route_agreement(L, S, stabs) == (True, [])
-        assert full_runs(calls) == [kernel_maps(oracle._as_array(stabs, S.m))] == [168]
+        assert full_runs(calls) == [kernel_maps(S.field, oracle._as_array(stabs, S.m))] == [168]
 
 
-def test_lists_without_offsets_or_decreasing_L_run_the_kernel_on_every_map():
-    # no stabilizer of GF(5) mu4 x mu2 has an offset, so a decreasing L is
-    # checked on every map; L = {x1} is not decreasing, so on GF(3)^2 it is
-    # checked on every map though they have offsets
+def test_lists_without_offsets_or_decreasing_L_run_the_kernel_on_every_class():
+    """No stabilizer of GF(5) mu4 x mu2 has an offset, so a decreasing L is
+    checked on the classes of the maps.  A row a1 x1 + a2 x2 + c onto
+    mu4 = F5* has a1 != 0, and its image F5 - {a2 x2 + c} for x2 = 1 and
+    for x2 = -1 omits 0 only if a2 = c = 0.  A row onto mu2 takes two
+    values, so a1 = 0, and a2 + c = -(-a2 + c) gives c = 0.  So the 8
+    stabilizers are the diagonal maps, 1 class.
+    L = {x1} is not decreasing, so on GF(3)^2 it is checked on the classes
+    of the maps though they have offsets: the 432 maps of AGL(2, 3), each
+    row nonzero, in 432 / |F3*|^2 = 108 classes."""
     torus = CartesianSet([mult_component(GF(5), 4), mult_component(GF(5), 2)])
     full = CartesianSet([full_component(GF(3))] * 2)
-    cases = [(torus, divisibility_closure(MonomialSet(2, [(2, 1)], bound=torus.sizes))),
-             (full, MonomialSet(2, [(1, 0)], bound=full.sizes))]
-    for S, L in cases:
+    cases = [(torus, divisibility_closure(MonomialSet(2, [(2, 1)], bound=torus.sizes)), 8, 1),
+             (full, MonomialSet(2, [(1, 0)], bound=full.sizes), 432, 108)]
+    for S, L, size, classes in cases:
         stabs = oracle_stabilizers(S)
         want = cold_span(S, L, stabs.ab)
         with pytest.MonkeyPatch.context() as patch:
             calls = kernel_calls(patch)
             assert np.array_equal(keeps_span(L, S, stabs), want)
             assert two_route_agreement(L, S, list(stabs)) == (True, [])
-        assert calls == [(len(stabs), None)]
+        assert len(stabs) == size
+        assert calls == [(len({tuple(monic_row(S.field, row) for row in x)
+                               for x in stabs.ab.tolist()}), None)] == [(classes, None)]
     assert not oracle_stabilizers(torus).ab[:, :, 2].any()
-    assert kernel_maps(oracle_stabilizers(full).ab) == 48 < 432
+    assert linear_parts(oracle_stabilizers(full).ab) == 48 < 432
 
 
 def test_sweep_finds_each_lists_linear_parts_and_translations_once(monkeypatch):
@@ -313,7 +378,7 @@ def test_sweep_finds_each_lists_linear_parts_and_translations_once(monkeypatch):
     shifts = calls_of(monkeypatch, "_translations", lambda kern, S: S)
     sets = []
     for name in sorted(SWEEP_SETS):
-        make, count, linear = SWEEP_SETS[name]
+        make, count, linear, _ = SWEEP_SETS[name]
         S = make()
         sets.append(S)
         stabs = list(oracle_stabilizers(S))      # as the sweep holds them
@@ -347,7 +412,8 @@ def test_axioms_report_between_the_calls_evicts_nothing(monkeypatch):
         assert oracle._LAST.key == (stabs.ab.dtype.str, stabs.ab.shape, stabs.ab.tobytes())
         groups.append(len(group))
     assert len(stabs) not in groups
-    assert full_runs(calls) == [kernel_maps(stabs.ab)] * 4 == [180] * 4
+    # 180 linear parts, 180 / |F4*|^2 = 20 classes (SWEEP_SETS)
+    assert full_runs(calls) == [kernel_maps(S.field, stabs.ab)] * 4 == [20] * 4
     assert builds == [len(stabs)]
     assert parts == [len(stabs)] + groups
     assert shifts == [S]
@@ -366,7 +432,8 @@ def test_what_the_memo_holds_is_read_only():
     assert last is oracle._LAST and last.span is not None
     shifts, shift_images = last.translations(kern, S)
     images = oracle._stabilizer_images(kern, S, stabs.ab)
-    held = [*last.linear_parts(stabs.ab, kern.q), shifts, last.span[1]]
+    held = [*last.linear_parts(stabs.ab, kern.q), *last.classes(kern, stabs.ab, True), shifts,
+            last.span[1]]
     for im in (images, shift_images):
         held += [*im.rows, *(table for table, _ in im.tables)]
     assert all(len(x) for x in held)

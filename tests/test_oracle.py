@@ -33,6 +33,7 @@ from cartperm.points import (
     mult_component, torus_component,
 )
 from test_poly import components
+from test_scaling import monic_row
 
 
 def full_square(q):
@@ -393,10 +394,14 @@ def test_walk_skips_divisors_on_no_chain():
 
 
 def test_span_scan_builds_on_distinct_row_tuples(monkeypatch):
-    """times_form runs on one map per distinct tuple of the rows a node
-    reads.  The second and third rows of the 3,456 stabilizers of GF(4)
-    full x mu3 x mu3 take 6 values each and 18 together, so the nodes
-    without x1 run on 6 or 18 maps.  L is the whole box: no map drops."""
+    """times_form runs on one map per distinct tuple of the monic rows (each
+    divided by its first nonzero entry) a node reads.  The 3,456
+    stabilizers of GF(4) full x mu3 x mu3 are 192 first rows a.x + c with
+    a_1 != 0 times 18 pairs of second and third rows (a x2, a' x3) or
+    (a x3, a' x2), a, a' in mu3.  Monic, the first rows take 4^3 = 64
+    values, the second and third 2 each and 2 together, so the nodes
+    without x1 run on 2 maps and those with x1 on 64 or 64 * 2 = 128.  L is
+    the whole box: no map drops."""
     F = GF(4)
     S = CartesianSet([full_component(F), mult_component(F, 3), mult_component(F, 3)])
     ab = oracle_stabilizers(S).ab
@@ -414,15 +419,16 @@ def test_span_scan_builds_on_distinct_row_tuples(monkeypatch):
     assert oracle._span_scan(F.np_tables(), exponent_set(L, S), S, ab).all()
     walk = oracle._walk(L)
     assert len(calls) == len(walk) - 1
+    monic = [[monic_row(F, row) for row in x] for x in ab.tolist()]
     sizes = {}
     for (v, _, _), sub in zip(walk[1:], calls):
         support = [k for k, e in enumerate(v) if e]
         got = [tuple(r) for r in sub[:, support].reshape(len(sub), -1).tolist()]
-        want = {tuple(r) for r in ab[:, support].reshape(len(ab), -1).tolist()}
+        want = {sum((x[k] for k in support), ()) for x in monic}
         assert len(got) == len(set(got)) and set(got) == want
         sizes[tuple(support)] = len(sub)
-    assert sizes == {(0,): 192, (1,): 6, (2,): 6, (0, 1): 1152, (0, 2): 1152,
-                     (1, 2): 18, (0, 1, 2): 3456}
+    assert sizes == {(0,): 64, (1,): 2, (2,): 2, (0, 1): 128, (0, 2): 128,
+                     (1, 2): 2, (0, 1, 2): 128}
 
 
 @pytest.mark.parametrize("F", [GF(2), GF(4), GF(16), GF(256), Field(2, 3, (1, 0, 1, 1)),

@@ -5,7 +5,9 @@ package, so a helper left behind by a removed caller shows up here; no
 module imports another module's private name; only the scalar callers
 (codes, affine, points) import the scalar row reducer; no family calls
 another family's members(); one function raises BudgetExceeded; one writer
-encodes reports; and one reader (codes.exponent_set) reads a monomial set."""
+encodes reports; one reader (codes.exponent_set) reads a monomial set; and
+one function (oracle._monic) divides the rows of a map array by their
+first nonzero entries."""
 
 import ast
 import pathlib
@@ -139,3 +141,32 @@ def test_monomial_sets_have_one_reader():
              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
              and node.args[1].value == "monomials"]
     assert calls == []
+
+
+def row_lead_sites(tree):
+    """The calls of a tree that find the first nonzero entry of each row of
+    an (N, m, c) array: (x != 0).argmax over the last axis (axis=2 or -1),
+    and take_along_axis, which reads one entry per row."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "take_along_axis":
+            yield node
+        elif name == "argmax" and isinstance(node.func, ast.Attribute):
+            seen = node.func.value
+            axis = [k.value for k in node.keywords if k.arg == "axis"]
+            if (isinstance(seen, ast.Compare) and isinstance(seen.ops[0], ast.NotEq)
+                    and axis and isinstance(axis[0], (ast.Constant, ast.UnaryOp))
+                    and ast.literal_eval(axis[0]) in (2, -1)):
+                yield node
+
+
+def test_one_diagonal_normalization():
+    # the span route and reduced_pullbacks take one map per class under row
+    # scaling through oracle._monic: no other function divides the rows of
+    # a map array by their leads, so the classes have one definition
+    leads = {id(node) for tree in MODULES.values() for node in row_lead_sites(tree)}
+    sites = {f"{name}: {func}" for name, tree in MODULES.items()
+             for node, func in enclosing_functions(tree) if id(node) in leads}
+    assert sites == {"oracle.py: _monic"}, sorted(sites)
