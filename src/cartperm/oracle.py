@@ -42,33 +42,32 @@ coefficient arrays over the box basis of F[x]/I(S), built by shift-and-reduce
 (_Forms, shared with reduced_pullbacks) along the chains of parents of the
 members of L, top degree first (_walk), so a map leaves at the members a
 decreasing L most often fails before the low-degree pullbacks are built for
-it.  The pullback of x^v reads only the rows in the support of v, so it is
-held once per distinct tuple of those rows among the live maps.
-affine.SpanChecker is its scalar reference and the witness finder of
+it.  affine.SpanChecker is its scalar reference and the witness finder of
 membership_report.  A check of all of L goes through _span_ok.  Two lemmas
 cut the maps it checks.  Row scaling: x^v(diag(lambda) y) = lambda^v x^v(y),
 so T and diag(lambda) T have proportional reduced pullbacks for every
 invertible diagonal lambda, whether or not it keeps S, and keep the same
-spans; the kernel (_span_scan) and reduced_pullbacks run on the monic
-representatives (_monic: each row divided by its first nonzero entry), one
-per class under row scaling.  Offsets: for a decreasing L (closed under
-division) the verdict of x -> Ax + b does not depend on b: x^v(Ax + b) = sum
-over u <= v of c_u(b) x^u(Ax), with every u <= v in L, the identity with -b
-gives the converse, and reduction modulo I(S) is linear.  So _span_ok runs
-the kernel once per class of the maps, or, for a decreasing L and a list
-with offsets, once per class of their distinct linear parts, with b = 0.
-The code route and SpanChecker use neither lemma, so the two-route check and
-the scalar tests test both.  _span_ok memoizes its verdicts in the one memo
+spans.  So the kernel reduces its input once, at its entry, to the distinct
+monic maps (_scaling_classes; _monic divides each row by its first nonzero
+entry), walks one map per class under row scaling and hands each map its
+class's verdict, and reduced_pullbacks builds its forms once per class by
+the same reduction and scales them by lambda^u: one element per coset of a
+known subgroup, as in Leon's backtrack search (1991).  Offsets: for a
+decreasing L (closed under division) the verdict of x -> Ax + b does not
+depend on b: x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), with every
+u <= v in L, the identity with -b gives the converse, and reduction modulo
+I(S) is linear.  So _span_ok hands the kernel the maps, or, for a decreasing
+L and a list with offsets, their distinct linear parts, with b = 0.  The
+code route and SpanChecker use neither lemma, so the two-route check and the
+scalar tests test both.  _span_ok memoizes its verdicts in the one memo
 (_last), which the point images of the code route (_stabilizer_images) and
 the facts of a list that do not depend on L share.  It holds one map array,
 the last one seen, keyed by its dtype, shape and exact bytes: its distinct
-linear parts, the classes of its maps and of those linear parts under row
-scaling (per field, whose inverses make the rows monic), its images for the
-last point set S, the basis of the translations that keep that S with their
-images, and its verdicts for the last S and members of L, every array
-read-only.  So oracle_affine_perm_group and
-two_route_agreement over one stabilizer list run the span kernel once, later
-draws of L on that list reuse its linear parts, classes, images and
+linear parts, its images for the last point set S, the basis of the
+translations that keep that S with their images, and its verdicts for the
+last S and members of L, every array read-only.  So oracle_affine_perm_group
+and two_route_agreement over one stabilizer list run the span kernel once,
+later draws of L on that list reuse its linear parts, images and
 translations, two_route_agreement keys the array once and hands the entry to
 each step, and a caller that replaces _span_ok still sees its replacement.
 AffineMaps.invertible and iteration never read the memo, so the group-axioms
@@ -80,14 +79,14 @@ each coordinate's surviving rows by the members in that variable alone, then
 grows products of rows one coordinate at a time and checks each mixed
 member as soon as its last row is chosen; a failing prefix is never
 extended.  Its checks of subsets of L call the span kernel directly, in
-chunks large enough for the candidates to share most of their rows.  With
-no member to check, the same search lists the stabilizers
-(oracle_stabilizers).  A stabilizer list supplied by the caller is filtered
-by _span_ok instead.  The code route stays independent of both: a permuted
-generator matrix must have a zero residue against the row-reduced one.  Its
-generator matrix is built in batch from per-component power tables
-(_generator_rows), the rows codes.build_code builds one point at a time,
-and reduced by the scalar GeneratorMatrix.rref.
+chunks large enough that many candidates fall into one class under row
+scaling, which the kernel walks once.  With no member to check, the same
+search lists the stabilizers (oracle_stabilizers).  A stabilizer list
+supplied by the caller is filtered by _span_ok instead.  The code route
+stays independent of both: a permuted generator matrix must have a zero
+residue against the row-reduced one.  Its generator matrix is built in batch
+from per-component power tables (_generator_rows), the rows codes.build_code
+builds one point at a time, and reduced by the scalar GeneratorMatrix.rref.
 
 The two routes are compared on generators and coset representatives
 (two_route_agreement): point images come from per-coordinate position
@@ -362,6 +361,16 @@ def _monic(kern, ab):
     return kern.mul.take(kern.flat(kern.inv[lead], ab)), lead[:, :, 0]
 
 
+def _scaling_classes(kern, ab):
+    """The classes under row scaling of the maps of an (N, m, c) array
+    [A | b]: their distinct monic representatives (_monic), in key order,
+    the class of each map among them, and each map's leads, so that map t
+    is diag(lead[t]) reps[of_class[t]]."""
+    monic, lead = _monic(kern, ab)
+    first, of_class = _distinct(_row_keys(monic, kern.q))
+    return monic[first], of_class, lead
+
+
 def _invertible(kern, ab):
     """Whether the A of each map of an (N, m, m + 1) array [A | b] is
     invertible, by _invert in batches of at most _PAIR_CELLS cells."""
@@ -497,16 +506,15 @@ def reduced_pullbacks(S: CartesianSet, maps, monomials):
     monomials may be any iterable, read once, and none gives an
     (N, 0, n_1, ..., n_m) array.
 
-    The forms run once per distinct monic map M (_monic): a map
+    The forms run once per class under row scaling, on its monic map M
+    (_scaling_classes, the span kernel's reduction): a map
     T = diag(lambda) M has the pullback lambda^u times that of M, since
     x^u(diag(lambda) y) = lambda^u x^u(y), so each map's pullbacks are its
     class's, scaled by one gather."""
     monomials = list(monomials)
     ab = _as_array(maps, S.m, S.field)
     kern = S.field.np_tables()
-    monic, lead = _monic(kern, ab)
-    first, of_class = _distinct(_row_keys(monic, kern.q))
-    reps = monic[first]
+    reps, of_class, lead = _scaling_classes(kern, ab)
     forms = _Forms(kern, S)
     pulled = {}
     for v, parent, i in _walk(monomials):
@@ -532,38 +540,23 @@ def keeps_span(L, S: CartesianSet, maps):
 
 class _Last:
     """The memo of one map array, the last one seen, keyed by its dtype,
-    shape and exact bytes: its distinct linear parts (_linear_parts), the
-    classes under row scaling of its maps and of those linear parts, per
-    field (classes), its _Images for the last point set, the basis of the
-    translations that keep that set (_translations) with the basis maps'
-    _Images, and its span verdicts for the last point set and members of
-    L.  A miss makes a new entry, so an entry handed down keeps describing
-    its own array; every array an entry holds is read-only, so a caller
-    cannot change a later result by writing into what it was handed."""
+    shape and exact bytes: its distinct linear parts (_linear_parts), its
+    _Images for the last point set, the basis of the translations that keep
+    that set (_translations) with the basis maps' _Images, and its span
+    verdicts for the last point set and members of L.  A miss makes a new
+    entry, so an entry handed down keeps describing its own array; every
+    array an entry holds is read-only, so a caller cannot change a later
+    result by writing into what it was handed."""
 
     def __init__(self, key=None):
         self.key = key
         self.linear = self.images = self.shifts = self.span = None
-        self.monic = {}
 
     def linear_parts(self, ab, q):
         """_linear_parts of the entry's array ab, computed once."""
         if self.linear is None:
             self.linear = _read_only(*_linear_parts(ab, q))
         return self.linear
-
-    def classes(self, kern, ab, linear):
-        """The distinct monic maps (_monic) of the entry's array ab, or of
-        its linear parts when linear, in key order, and for each map, or
-        linear part, the index of its class under row scaling among them.
-        Computed once per field (its Tables kern, whose inverses make the
-        rows monic) and flag."""
-        key = (kern, linear)
-        if key not in self.monic:
-            monic = _monic(kern, self.linear_parts(ab, kern.q)[0] if linear else ab)[0]
-            first, of_class = _distinct(_row_keys(monic, kern.q))
-            self.monic[key] = _read_only(monic[first], of_class)
-        return self.monic[key]
 
     def translations(self, kern, S):
         """_translations of S with their _Images, computed once per S."""
@@ -599,22 +592,21 @@ def _span_ok(kern, members, S, ab, last=None):
     memoized in the memo entry last of ab (_last(ab) when not given).  It
     returns a fresh mask, which a caller may change.
 
-    T and diag(lambda) T keep the same spans for every invertible diagonal
-    lambda, since x^v(diag(lambda) y) = lambda^v x^v(y); and a decreasing L
-    keeps its span under x -> Ax + b exactly when it does under x -> Ax:
-    x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), every such u is in L,
-    the same identity with -b gives the converse, and reduction modulo I(S)
-    is linear.  So the kernel runs once per class of the entry's maps under
-    row scaling (_Last.classes), and each map takes its class's verdict:
-    when L is divisor-closed and some map has an offset, the classes of
-    the distinct linear parts, with b = 0."""
+    A decreasing L keeps its span under x -> Ax + b exactly when it does
+    under x -> Ax: x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), every
+    such u is in L, the same identity with -b gives the converse, and
+    reduction modulo I(S) is linear.  So when L is divisor-closed and some
+    map has an offset, the kernel runs on the entry's distinct linear parts,
+    with b = 0, and each map takes its linear part's verdict; otherwise it
+    runs on the maps.  Either way the kernel itself walks one map per class
+    under row scaling."""
     last = _last(ab) if last is None else last
     if last.span is None or last.span[0] != (S, members):
-        linear = bool(ab[:, :, ab.shape[1]].any()) and divisor_closed(members)
-        classes, of_class = last.classes(kern, ab, linear)
-        ok = _span_scan(kern, members, S, classes)[of_class]
-        if linear:
-            ok = ok[last.linear_parts(ab, kern.q)[2]]
+        if ab[:, :, ab.shape[1]].any() and divisor_closed(members):
+            linear, _, of_A = last.linear_parts(ab, kern.q)
+            ok = _span_scan(kern, members, S, linear)[of_A]
+        else:
+            ok = _span_scan(kern, members, S, ab)
         last.span = ((S, members), _read_only(ok)[0])
     return last.span[1].copy()
 
@@ -625,29 +617,22 @@ def _span_scan(kern, members, S, ab, check=None):
     modulo I(S) of every member, or of every member of the subset check, is
     supported on L.
 
-    The pullbacks of a chunk of maps are coefficient arrays (_Forms), built
-    along _walk, p_v = p_(v - e_i) * l_i: the checked members in decreasing
-    degree, each after the chain of parents it still needs.  A map leaves
-    its chunk at the first checked node with a coefficient outside L; a
+    The input is first reduced, once, to its classes under row scaling
+    (_scaling_classes): scaling row i by lambda_i scales the pullback of x^v
+    by lambda^v, which leaves its support as it is, so the kernel walks the
+    distinct monic maps only and hands each map its class's verdict.
+
+    The pullbacks of a chunk of those maps are coefficient arrays (_Forms),
+    built along _walk, p_v = p_(v - e_i) * l_i: the checked members in
+    decreasing degree, each after the chain of parents it still needs.  A
+    map leaves its chunk at the first checked node with a coefficient
+    outside L, and every held array is compacted to the maps that stay; a
     decreasing L loses maps at its high-degree members, so they leave
-    before the pullbacks of the other chains are built for them.
-
-    The pullback of x^v reads only the rows of a map in the support of v,
-    and those rows repeat.  So the live maps are grouped by the tuple of
-    their rows in each support (_distinct of _row_keys), a node holds one
-    coefficient row per group of its support, and times_form runs on one
-    map of each group.  When maps leave, every grouping and every held
-    array is compacted to the groups that keep a map; a node's array is
-    freed once its last child is built.
-
-    Each chunk is first divided row by row by its leads (_monic): scaling
-    row i by lambda_i scales the pullback of x^v by lambda^v, which leaves
-    its support as it is, so the verdicts stay, and rows that differ by a
-    scaling fall into one group."""
+    before the pullbacks of the other chains are built for them.  A node's
+    array is freed once its last child is built."""
     check = members if check is None else frozenset(check)
     walk = _walk(check)
-    # the support of each node, and the walk position of its last child
-    support = {v: tuple(j for j, e in enumerate(v) if e) for v, _, _ in walk}
+    # the walk position of each node's last child
     last = {parent: k for k, (_, parent, _) in enumerate(walk)}
     inside = np.zeros(S.sizes, dtype=bool)
     for u in members:
@@ -658,56 +643,30 @@ def _span_scan(kern, members, S, ab, check=None):
     def scan(sub):
         # the indices of the maps of the chunk that keep the span
         live = np.arange(len(sub))
-        # support -> (one live map of each group, the group of each live
-        # map); node -> its coefficients, one row per group
-        groups, pulled = {}, {}
+        pulled = {}
         for k, (v, parent, i) in enumerate(walk):
-            s = support[v]
-            if s not in groups:
-                groups[s] = _distinct(_row_keys(sub[:, list(s)], kern.q))
-            reps, inverse = groups[s]
             if i is None:
-                P = forms.one(len(reps))
+                P = forms.one(len(sub))
             else:
-                P = pulled[parent]
-                if support[parent] != s:
-                    # the parent's row for the map that stands for each group
-                    P = P[groups[support[parent]][1][reps]]
-                P = forms.times_form(P, sub[reps], i)
+                P = forms.times_form(pulled[parent], sub, i)
                 if last[parent] == k:
                     del pulled[parent]
             if v in last:
                 pulled[v] = P
             if v in check:
-                bad = (P[:, outside] != 0).any(axis=1)
-                if bad.any():
-                    keep = ~bad[inverse]
+                keep = ~(P[:, outside] != 0).any(axis=1)
+                if not keep.all():
                     if not keep.any():
                         return live[:0]
                     live, sub = live[keep], sub[keep]
-                    alive = {}
-                    for t, (one_map, of_map) in groups.items():
-                        alive[t], groups[t] = _regroup(of_map[keep], len(one_map))
-                    pulled = {w: Q[alive[support[w]]] for w, Q in pulled.items()}
+                    pulled = {w: Q[keep] for w, Q in pulled.items()}
         return live
 
-    ok = np.zeros(len(ab), dtype=bool)
-    for k in _chunks(len(ab), S.n * max(1, len(walk)), _SPAN_CELLS):
-        ok[k[scan(_monic(kern, ab[k])[0])]] = True
-    return ok
-
-
-def _regroup(inverse, count):
-    """The groups, of count, that keep a map of the group array inverse, and
-    that grouping renumbered to them: (one map of each group, the group of
-    each map), as _distinct gives them."""
-    alive = np.zeros(count, dtype=bool)
-    alive[inverse] = True
-    inverse = (np.cumsum(alive) - 1)[inverse]
-    reps = np.empty(np.count_nonzero(alive), dtype=np.int64)
-    # any map of a group will do
-    reps[inverse] = np.arange(len(inverse))
-    return alive, (reps, inverse)
+    reps, of_class, _ = _scaling_classes(kern, ab)
+    ok = np.zeros(len(reps), dtype=bool)
+    for k in _chunks(len(reps), S.n * max(1, len(walk)), _SPAN_CELLS):
+        ok[k[scan(reps[k])]] = True
+    return ok[of_class]
 
 
 def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1) -> AffineMaps:
@@ -796,8 +755,8 @@ def _group_search(L, S, budget=None):
     candidates, prefixes times rows, before they are built.
 
     The checks call _span_scan, not the memo of _span_ok, in chunks of
-    _SPAN_CELLS cells: its row groups pay off only on chunks of many maps
-    sharing a prefix, and rows that differ by a scaling share a group."""
+    _SPAN_CELLS cells: the candidates of a chunk share a prefix, so many of
+    them differ by a row scaling only, and the kernel walks one per class."""
     F, m, q = S.field, S.m, S.field.q
     check_budget(q ** (m + 1), budget, "stabilizer row pass of {} candidates")
     members = exponent_set(L, S)

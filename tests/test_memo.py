@@ -1,12 +1,12 @@
 """The memo of one map array (oracle._last): its span verdicts, point
 images, distinct linear parts and translation basis.  A hit equals a cold
 run of the kernels, every point set and monomial set gets its own verdict,
-every field its own classes under row scaling, returned masks are fresh
-and held arrays read-only, the memo holds the last map array only, and
-cartperm verify and the sweep's pair of calls run the span kernel once over
-the stabilizers' classes under row scaling: the classes of their distinct
-linear parts when L is decreasing and some map has an offset, else of their
-maps.  Over all of the sweep's draws on one list, its linear parts are
+every field its own classes under row scaling (no memo holds them), returned
+masks are fresh and held arrays read-only, the memo holds the last map array
+only, and cartperm verify and the sweep's pair of calls run the span kernel
+once, which walks the stabilizers' classes under row scaling: the classes of
+their distinct linear parts when L is decreasing and some map has an offset,
+else of their maps.  Over all of the sweep's draws on one list, its linear parts are
 keyed once and its translation basis found once, and a group-axioms report
 between the two calls, as cartperm verify makes it, evicts nothing."""
 
@@ -52,14 +52,24 @@ def fresh_memo(monkeypatch):
 
 
 def kernel_calls(monkeypatch):
-    """The (len(ab), check) of every call of the unmemoized span kernel."""
-    calls = []
-    scan = oracle._span_scan
+    """The (maps walked, check) of every call of the unmemoized span
+    kernel.  The maps are counted where the walk of each chunk starts, at
+    _Forms.one, so they are the classes under row scaling the kernel walks,
+    not the maps it is handed."""
+    calls, walked = [], []
+    scan, one = oracle._span_scan, oracle._Forms.one
+
+    def counted_one(self, count):
+        walked.append(count)
+        return one(self, count)
 
     def counted(kern, L, S, ab, check=None):
-        calls.append((len(ab), check))
-        return scan(kern, L, S, ab, check)
+        del walked[:]
+        ok = scan(kern, L, S, ab, check)
+        calls.append((sum(walked), check))
+        return ok
 
+    monkeypatch.setattr(oracle._Forms, "one", counted_one)
     monkeypatch.setattr(oracle, "_span_scan", counted)
     return calls
 
@@ -104,7 +114,7 @@ def linear_parts(ab):
 
 
 def kernel_maps(F, ab):
-    """The number of maps a span kernel run over ab takes for a decreasing
+    """The number of maps a span kernel run over ab walks for a decreasing
     L: the classes under row scaling of its distinct linear parts A when
     some map has an offset b, else of its maps, each class one tuple of
     monic rows."""
@@ -432,8 +442,7 @@ def test_what_the_memo_holds_is_read_only():
     assert last is oracle._LAST and last.span is not None
     shifts, shift_images = last.translations(kern, S)
     images = oracle._stabilizer_images(kern, S, stabs.ab)
-    held = [*last.linear_parts(stabs.ab, kern.q), *last.classes(kern, stabs.ab, True), shifts,
-            last.span[1]]
+    held = [*last.linear_parts(stabs.ab, kern.q), shifts, last.span[1]]
     for im in (images, shift_images):
         held += [*im.rows, *(table for table, _ in im.tables)]
     assert all(len(x) for x in held)

@@ -393,15 +393,16 @@ def test_walk_skips_divisors_on_no_chain():
         (0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (2, 1)]
 
 
-def test_span_scan_builds_on_distinct_row_tuples(monkeypatch):
-    """times_form runs on one map per distinct tuple of the monic rows (each
-    divided by its first nonzero entry) a node reads.  The 3,456
-    stabilizers of GF(4) full x mu3 x mu3 are 192 first rows a.x + c with
-    a_1 != 0 times 18 pairs of second and third rows (a x2, a' x3) or
-    (a x3, a' x2), a, a' in mu3.  Monic, the first rows take 4^3 = 64
-    values, the second and third 2 each and 2 together, so the nodes
-    without x1 run on 2 maps and those with x1 on 64 or 64 * 2 = 128.  L is
-    the whole box: no map drops."""
+def test_span_scan_walks_one_map_per_scaling_class(monkeypatch):
+    """_span_scan reduces its input once, at its entry, to the distinct
+    monic maps (each row divided by its first nonzero entry), and every
+    times_form call runs on exactly those.  The 3,456 stabilizers of GF(4)
+    full x mu3 x mu3 are 192 first rows a.x + c with a_1 != 0 times 18
+    pairs of second and third rows (a x2, a' x3) or (a x3, a' x2), a, a' in
+    mu3.  Monic, the first rows take 4^3 = 64 values and the second and
+    third rows the 2 pairs (x2, x3) and (x3, x2), so every call runs on
+    64 * 2 = 128 maps, no two of which differ by a row scaling.  L is the
+    whole box: no map drops."""
     F = GF(4)
     S = CartesianSet([full_component(F), mult_component(F, 3), mult_component(F, 3)])
     ab = oracle_stabilizers(S).ab
@@ -410,25 +411,19 @@ def test_span_scan_builds_on_distinct_row_tuples(monkeypatch):
     times_form = oracle._Forms.times_form
 
     def counted(self, P, sub, i):
-        calls.append(sub)
+        calls.append(sub.tolist())
         return times_form(self, P, sub, i)
 
     monkeypatch.setattr(oracle._Forms, "times_form", counted)
     # one chunk for all maps
     monkeypatch.setattr(oracle, "_SPAN_CELLS", len(ab) * S.n * len(L))
     assert oracle._span_scan(F.np_tables(), exponent_set(L, S), S, ab).all()
-    walk = oracle._walk(L)
-    assert len(calls) == len(walk) - 1
-    monic = [[monic_row(F, row) for row in x] for x in ab.tolist()]
-    sizes = {}
-    for (v, _, _), sub in zip(walk[1:], calls):
-        support = [k for k, e in enumerate(v) if e]
-        got = [tuple(r) for r in sub[:, support].reshape(len(sub), -1).tolist()]
-        want = {sum((x[k] for k in support), ()) for x in monic}
-        assert len(got) == len(set(got)) and set(got) == want
-        sizes[tuple(support)] = len(sub)
-    assert sizes == {(0,): 64, (1,): 2, (2,): 2, (0, 1): 128, (0, 2): 128,
-                     (1, 2): 2, (0, 1, 2): 128}
+    assert len(calls) == len(oracle._walk(L)) - 1
+    classes = {tuple(monic_row(F, row) for row in x) for x in ab.tolist()}
+    assert {len(sub) for sub in calls} == {len(classes)} == {128}
+    for sub in calls:
+        assert {tuple(monic_row(F, row) for row in x) for x in sub} == classes
+        assert {tuple(map(tuple, x)) for x in sub} == classes
 
 
 @pytest.mark.parametrize("F", [GF(2), GF(4), GF(16), GF(256), Field(2, 3, (1, 0, 1, 1)),

@@ -5,9 +5,11 @@ package, so a helper left behind by a removed caller shows up here; no
 module imports another module's private name; only the scalar callers
 (codes, affine, points) import the scalar row reducer; no family calls
 another family's members(); one function raises BudgetExceeded; one writer
-encodes reports; one reader (codes.exponent_set) reads a monomial set; and
-one function (oracle._monic) divides the rows of a map array by their
-first nonzero entries."""
+encodes reports; one reader (codes.exponent_set) reads a monomial set; one
+function (oracle._monic) divides the rows of a map array by their first
+nonzero entries; and one function (oracle._scaling_classes) reduces a map
+array to its classes under row scaling, called by the span kernel and
+reduced_pullbacks alone."""
 
 import ast
 import pathlib
@@ -162,6 +164,15 @@ def row_lead_sites(tree):
                 yield node
 
 
+def call_sites(name):
+    """The functions of the package that call the function name, each as
+    "module: function"."""
+    return {f"{module}: {func}" for module, tree in MODULES.items()
+            for node, func in enclosing_functions(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name}
+
+
 def test_one_diagonal_normalization():
     # the span route and reduced_pullbacks take one map per class under row
     # scaling through oracle._monic: no other function divides the rows of
@@ -170,3 +181,15 @@ def test_one_diagonal_normalization():
     sites = {f"{name}: {func}" for name, tree in MODULES.items()
              for node, func in enclosing_functions(tree) if id(node) in leads}
     assert sites == {"oracle.py: _monic"}, sorted(sites)
+    # and the classes (_monic, then _distinct of the monic maps) are taken
+    # in one function, at the span kernel's entry and in reduced_pullbacks:
+    # a second layer that dedups the kernel's maps by class, as a memo of
+    # the classes would, calls _monic or the reduction from elsewhere
+    defined = [f"{name}: {node.name}" for name, tree in MODULES.items()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == "_scaling_classes"]
+    assert defined == ["oracle.py: _scaling_classes"]
+    assert call_sites("_monic") == {"oracle.py: _scaling_classes"}
+    assert call_sites("_scaling_classes") == {"oracle.py: _span_scan",
+                                              "oracle.py: reduced_pullbacks"}
