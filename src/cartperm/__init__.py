@@ -26,9 +26,8 @@ from .monomials import (
 )
 from .oracle import (
     AffineMaps, BudgetExceeded, VerificationReport, code_permutation_check,
-    enumerate_all_affine, group_axioms_report, oracle_affine_perm_group,
-    oracle_stabilizers, two_route_agreement, verify_characterization,
-    verify_containment,
+    group_axioms_report, oracle_affine_perm_group, oracle_stabilizers,
+    two_route_agreement, verify_characterization, verify_containment,
 )
 from .points import (
     CartesianSet, SetComponent, additive_component, classify_subset,

@@ -43,33 +43,34 @@ coefficient arrays over the box basis of F[x]/I(S), built by shift-and-reduce
 members of L, top degree first (_walk), so a map leaves at the members a
 decreasing L most often fails before the low-degree pullbacks are built for
 it.  affine.SpanChecker is its scalar reference and the witness finder of
-membership_report.  A check of all of L goes through _span_ok.  Two lemmas
-cut the maps it checks.  Row scaling: x^v(diag(lambda) y) = lambda^v x^v(y),
-so T and diag(lambda) T have proportional reduced pullbacks for every
-invertible diagonal lambda, whether or not it keeps S, and keep the same
-spans.  So the kernel reduces its input once, at its entry, to the distinct
-monic maps (_scaling_classes; _monic divides each row by its first nonzero
-entry), walks one map per class under row scaling and hands each map its
+membership_report.  The kernel reduces its input once, at its entry, by
+two lemmas, and walks one map per coset of a known subgroup, as in Leon's
+backtrack search (1991).  Offsets: when 1 is in L and the checked members C
+together with 1 are closed under division (a decreasing L, or the members
+of one in x_1 .. x_j), the verdict of x -> Ax + b on C does not depend on b:
+x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), every u <= v is in C or
+is 1, the identity with -b gives the converse, and reduction modulo I(S) is
+linear.  So the maps are replaced by their distinct linear parts, with
+b = 0.  Row scaling: x^v(diag(lambda) y) = lambda^v x^v(y), so T and
+diag(lambda) T have proportional reduced pullbacks for every invertible
+diagonal lambda, whether or not it keeps S, and keep the same spans.  So
+the kernel then walks the distinct monic maps only (_scaling_classes;
+_monic divides each row by its first nonzero entry) and hands each map its
 class's verdict, and reduced_pullbacks builds its forms once per class by
-the same reduction and scales them by lambda^u: one element per coset of a
-known subgroup, as in Leon's backtrack search (1991).  Offsets: for a
-decreasing L (closed under division) the verdict of x -> Ax + b does not
-depend on b: x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), with every
-u <= v in L, the identity with -b gives the converse, and reduction modulo
-I(S) is linear.  So _span_ok hands the kernel the maps, or, for a decreasing
-L and a list with offsets, their distinct linear parts, with b = 0.  The
-code route and SpanChecker use neither lemma, so the two-route check and the
-scalar tests test both.  _span_ok memoizes its verdicts in the one memo
-(_last), which the point images of the code route (_stabilizer_images) and
-the facts of a list that do not depend on L share.  It holds one map array,
+the same reduction and scales them by lambda^u.  The code route,
+SpanChecker and reduced_pullbacks use no offset lemma, so the two-route
+check and the scalar tests test it.  A check of all of L goes through
+_span_ok, which memoizes its verdicts in the one memo (_last), which the
+point images of the code route (_stabilizer_images) and the facts of a list
+that do not depend on L share.  It holds one map array,
 the last one seen, keyed by its dtype, shape and exact bytes: its distinct
 linear parts, its images for the last point set S, the basis of the
 translations that keep that S with their images, and its verdicts for the
 last S and members of L, every array read-only.  So oracle_affine_perm_group
 and two_route_agreement over one stabilizer list run the span kernel once,
-later draws of L on that list reuse its linear parts, images and
-translations, two_route_agreement keys the array once and hands the entry to
-each step, and a caller that replaces _span_ok still sees its replacement.
+later draws of L on that list reuse its images and translations and, in the
+two-route walk, its linear parts, two_route_agreement keys the array once
+and hands the entry to each step, and a caller that replaces _span_ok still sees its replacement.
 AffineMaps.invertible and iteration never read the memo, so the group-axioms
 check of another array between two calls on a list evicts nothing.
 
@@ -78,10 +79,12 @@ only the rows i with u_i > 0, so a row-prefix search (_group_search) filters
 each coordinate's surviving rows by the members in that variable alone, then
 grows products of rows one coordinate at a time and checks each mixed
 member as soon as its last row is chosen; a failing prefix is never
-extended.  Its checks of subsets of L call the span kernel directly, in
-chunks large enough that many candidates fall into one class under row
-scaling, which the kernel walks once.  With no member to check, the same
-search lists the stabilizers (oracle_stabilizers).  A stabilizer list
+extended.  Its checks call the span kernel directly, in chunks large
+enough that many candidates share a class, which the kernel walks once: a
+step with a new mixed member checks every member in the variables chosen so
+far, a set closed under division when L is, so the candidates' offsets and
+row scalings both collapse at the kernel's entry.  With no member to check,
+the same search lists the stabilizers (oracle_stabilizers).  A stabilizer list
 supplied by the caller is filtered by _span_ok instead.  The code route
 stays independent of both: a permuted generator matrix must have a zero
 residue against the row-reduced one.  Its generator matrix is built in batch
@@ -140,24 +143,6 @@ def check_budget(size, budget, what):
 
 def affine_space_size(F: Field, m: int) -> int:
     return F.q ** (m * m + m)
-
-
-def enumerate_all_affine(F: Field, m: int, budget=None, invertible_only=False):
-    """Every pair (A, b) exactly once, in base-q counter order."""
-    total = affine_space_size(F, m)
-    check_budget(total, budget, "affine space of size {}")
-    q = F.q
-    for counter in range(total):
-        c = counter
-        ent = []
-        for _ in range(m * m + m):
-            ent.append(c % q)
-            c //= q
-        A = [[ent[col * m + row] for col in range(m)] for row in range(m)]
-        T = AffineTransformation(F, A, ent[m * m:])
-        if invertible_only and not T.is_invertible():
-            continue
-        yield T
 
 
 def _chunks(total, cells, limit=_CHUNK_CELLS):
@@ -590,24 +575,10 @@ def _span_ok(kern, members, S, ab, last=None):
     """Whether each map of an (N, m, m + 1) array [A | b] keeps the span of
     the members of L (codes.exponent_set), by the batched kernel _span_scan,
     memoized in the memo entry last of ab (_last(ab) when not given).  It
-    returns a fresh mask, which a caller may change.
-
-    A decreasing L keeps its span under x -> Ax + b exactly when it does
-    under x -> Ax: x^v(Ax + b) = sum over u <= v of c_u(b) x^u(Ax), every
-    such u is in L, the same identity with -b gives the converse, and
-    reduction modulo I(S) is linear.  So when L is divisor-closed and some
-    map has an offset, the kernel runs on the entry's distinct linear parts,
-    with b = 0, and each map takes its linear part's verdict; otherwise it
-    runs on the maps.  Either way the kernel itself walks one map per class
-    under row scaling."""
+    returns a fresh mask, which a caller may change."""
     last = _last(ab) if last is None else last
     if last.span is None or last.span[0] != (S, members):
-        if ab[:, :, ab.shape[1]].any() and divisor_closed(members):
-            linear, _, of_A = last.linear_parts(ab, kern.q)
-            ok = _span_scan(kern, members, S, linear)[of_A]
-        else:
-            ok = _span_scan(kern, members, S, ab)
-        last.span = ((S, members), _read_only(ok)[0])
+        last.span = ((S, members), _read_only(_span_scan(kern, members, S, ab))[0])
     return last.span[1].copy()
 
 
@@ -617,10 +588,14 @@ def _span_scan(kern, members, S, ab, check=None):
     modulo I(S) of every member, or of every member of the subset check, is
     supported on L.
 
-    The input is first reduced, once, to its classes under row scaling
-    (_scaling_classes): scaling row i by lambda_i scales the pullback of x^v
-    by lambda^v, which leaves its support as it is, so the kernel walks the
-    distinct monic maps only and hands each map its class's verdict.
+    The input is first reduced, once, by the two lemmas of the module
+    docstring.  Offsets: when 1 is in L, some map has an offset and the
+    checked members together with 1 are divisor-closed, the verdict of
+    x -> Ax + b is that of x -> Ax, so the maps are replaced by their
+    distinct linear parts (_linear_parts, with b = 0).  Row scaling: scaling
+    row i by lambda_i scales the pullback of x^v by lambda^v, which leaves
+    its support as it is, so the kernel walks the distinct monic maps only
+    (_scaling_classes).  Each map is handed the verdict of its class.
 
     The pullbacks of a chunk of those maps are coefficient arrays (_Forms),
     built along _walk, p_v = p_(v - e_i) * l_i: the checked members in
@@ -662,11 +637,14 @@ def _span_scan(kern, members, S, ab, check=None):
                     pulled = {w: Q[keep] for w, Q in pulled.items()}
         return live
 
+    m, of_A = ab.shape[1], slice(None)
+    if (0,) * m in members and ab[:, :, m].any() and divisor_closed({(0,) * m, *check}):
+        ab, _, of_A = _linear_parts(ab, kern.q)
     reps, of_class, _ = _scaling_classes(kern, ab)
     ok = np.zeros(len(reps), dtype=bool)
     for k in _chunks(len(reps), S.n * max(1, len(walk)), _SPAN_CELLS):
         ok[k[scan(reps[k])]] = True
-    return ok[of_class]
+    return ok[of_class[of_A]]
 
 
 def oracle_stabilizers(S: CartesianSet, budget=None, jobs=1) -> AffineMaps:
@@ -743,20 +721,23 @@ def _group_search(L, S, budget=None):
     x_j^e, e < n_k: the reduced pullback (a.x + c)^e has the coefficient
     a_k^e at x_k^e, since every other term of degree e that reduces keeps a
     variable besides x_k.  Prefixes of rows then grow one coordinate at a
-    time; at coordinate j the mixed members whose last coordinate is j are
-    checked.  At the last coordinate only the invertible products are built:
-    the prefixes are grouped by the linear parts of their first m - 1 rows
-    and the rows by their linear part (_distinct of _row_keys), one product
-    per pair of groups is eliminated (_invert, in batches of at most
-    _PAIR_CELLS cells), and a product is built, in the order of the
-    candidates, when its pair is invertible.  With no members
+    time; a coordinate j that is the last variable of some mixed member
+    checks the prefixes (below).  At the last coordinate only the
+    invertible products are built: the prefixes are grouped by the linear
+    parts of their first m - 1 rows and the rows by their linear part
+    (_distinct of _row_keys), one product per pair of groups is eliminated
+    (_invert, in batches of at most _PAIR_CELLS cells), and a product is
+    built, in the order of the candidates, when its pair is invertible.  With no members
     (oracle_stabilizers) the steps build every invertible product of
     surviving rows.  The budget caps the row pass and then each step's
     candidates, prefixes times rows, before they are built.
 
     The checks call _span_scan, not the memo of _span_ok, in chunks of
     _SPAN_CELLS cells: the candidates of a chunk share a prefix, so many of
-    them differ by a row scaling only, and the kernel walks one per class."""
+    them differ by offsets and row scalings only, and the kernel walks one
+    per class.  So a step with a new mixed member checks every member in
+    x_1 .. x_(j+1), not only the new ones: for a decreasing L that set and
+    1 are closed under division, which lets the kernel drop the offsets."""
     F, m, q = S.field, S.m, S.field.q
     check_budget(q ** (m + 1), budget, "stabilizer row pass of {} candidates")
     members = exponent_set(L, S)
@@ -783,6 +764,7 @@ def _group_search(L, S, budget=None):
         total = len(prefix) * len(r)
         check_budget(total, budget, f"row-prefix step {j + 1} (coordinate x{j + 1}) "
                                     "of {} candidates")
+        upto = [u for u in members if not any(u[j + 1:])]
 
         # extend, pairs and grow run within their own step: the step's prefix
         # is freed once the next one is built
@@ -813,7 +795,7 @@ def _group_search(L, S, budget=None):
                 keep = ok[head[p], last[t]]
                 p, t = p[keep], t[keep]
             ab = extend(p, t)
-            return ab[_span_scan(kern, members, S, ab, check=mixed[j])] if mixed[j] else ab
+            return ab[_span_scan(kern, members, S, ab, check=upto)] if mixed[j] else ab
 
         prefix = np.concatenate([grow(k) for k in _chunks(total, cells, _SPAN_CELLS)]
                                 + [np.empty((0, m, m + 1), dtype=np.uint16)])

@@ -1,7 +1,8 @@
-"""Scalar reference enumerators of the structural families: one
-AffineTransformation per member, built by nested loops over the entries in
-the order that the array enumerators of cartperm.families must reproduce.
-Test-only: the library builds every family as one [A | b] array."""
+"""Scalar reference enumerators of the whole affine space and of the
+structural families: one AffineTransformation per member, built by nested
+loops over the entries in the order that the array enumerators of
+cartperm.oracle and cartperm.families must reproduce.  Test-only: the
+library builds every stabilizer list and family as one [A | b] array."""
 
 import itertools
 
@@ -9,8 +10,28 @@ from cartperm.affine import AffineTransformation
 from cartperm.codes import rank_ix
 from cartperm.families import MultProductFamily
 from cartperm.monomials import stable_pattern
-from cartperm.oracle import BudgetExceeded
+from cartperm.oracle import BudgetExceeded, affine_space_size, check_budget
 from cartperm.points import CartesianSet
+
+
+def enumerate_all_affine(F, m, budget=None, invertible_only=False):
+    """Every pair (A, b) exactly once, in base-q counter order: the
+    counter digits, least significant first, are [A | b] in column-major
+    order."""
+    total = affine_space_size(F, m)
+    check_budget(total, budget, "affine space of size {}")
+    q = F.q
+    for counter in range(total):
+        c = counter
+        ent = []
+        for _ in range(m * m + m):
+            ent.append(c % q)
+            c //= q
+        A = [[ent[col * m + row] for col in range(m)] for row in range(m)]
+        T = AffineTransformation(F, A, ent[m * m:])
+        if invertible_only and not T.is_invertible():
+            continue
+        yield T
 
 
 def lower_triangular(values, s):

@@ -17,8 +17,9 @@ import numpy as np
 
 from cartperm.field import GF
 from cartperm.monomials import MonomialSet
-from cartperm.oracle import AffineMaps, enumerate_all_affine
+from cartperm.oracle import AffineMaps
 from cartperm.points import CartesianSet, full_component
+from family_reference import enumerate_all_affine
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 

@@ -17,11 +17,12 @@ from cartperm.families import (
 )
 from cartperm.field import GF, FieldError
 from cartperm.monomials import MonomialSet, divisibility_closure, random_borel_set
-from cartperm.oracle import BudgetExceeded, enumerate_all_affine
+from cartperm.oracle import BudgetExceeded
 from cartperm.points import (
     CartesianSet, additive_component, full_component, mult_component,
     torus_component,
 )
+from family_reference import enumerate_all_affine
 
 
 def test_lta_counts():

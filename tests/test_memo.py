@@ -6,9 +6,9 @@ masks are fresh and held arrays read-only, the memo holds the last map array
 only, and cartperm verify and the sweep's pair of calls run the span kernel
 once, which walks the stabilizers' classes under row scaling: the classes of
 their distinct linear parts when L is decreasing and some map has an offset,
-else of their maps.  Over all of the sweep's draws on one list, its linear parts are
-keyed once and its translation basis found once, and a group-axioms report
-between the two calls, as cartperm verify makes it, evicts nothing."""
+else of their maps.  Over all of the sweep's draws on one list, the memo's
+linear parts and its translation basis are found once, and a group-axioms
+report between the two calls, as cartperm verify makes it, evicts nothing."""
 
 import importlib.util
 import json
@@ -293,15 +293,22 @@ def test_memo_holds_the_last_array_only(monkeypatch):
 
 
 def test_row_prefix_search_leaves_the_memo_empty(monkeypatch):
-    # closure{x1 x2} over GF(3)^2: x1 and x2 filter the rows, x1 x2 the
-    # products, each a subset check that runs the kernel directly
+    # closure{x1 x2} over GF(3)^2: x1 and x2 filter the rows, and the new
+    # mixed member x1 x2 makes step 2 check every member in x1, x2, each a
+    # subset check that runs the kernel directly.  The 24 rows a.x + c of
+    # each filter have 8 linear parts, 4 of them monic (the points of the
+    # projective line over GF(3)); the 432 invertible products at step 2
+    # have 48 linear parts, 48 / |F3*|^2 = 12 monic: the kernel drops the
+    # offsets of every check, since each checked set with 1 is closed under
+    # division
     S = CartesianSet([full_component(GF(3))] * 2)
     L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
     calls = kernel_calls(monkeypatch)
     for _ in range(2):
         assert len(oracle_affine_perm_group(L, S)) == 72
         assert len(oracle_stabilizers(S)) == 432
-    assert [sorted(check) for _, check in calls] == [[(1, 0)], [(0, 1)], [(1, 1)]] * 2
+    assert [(walked, sorted(check)) for walked, check in calls] == [
+        (4, [(1, 0)]), (4, [(0, 1)]), (12, [(0, 0), (0, 1), (1, 0), (1, 1)])] * 2
     assert oracle._LAST.key is None
 
 
@@ -381,8 +388,9 @@ def test_lists_without_offsets_or_decreasing_L_run_the_kernel_on_every_class():
 
 def test_sweep_finds_each_lists_linear_parts_and_translations_once(monkeypatch):
     # every draw on a list, through the sweep's own pair of calls: the
-    # linear parts are keyed once per list, the translation basis found
-    # once per point set
+    # memo's linear parts, which the two-route walk reads, are found once per
+    # list, the translation basis once per point set.  The span kernel keys
+    # the linear parts at its entry too, once per draw (its offset lemma)
     workloads = bench_workloads()
     parts = calls_of(monkeypatch, "_linear_parts", lambda ab, q: len(ab))
     shifts = calls_of(monkeypatch, "_translations", lambda kern, S: S)
@@ -395,11 +403,13 @@ def test_sweep_finds_each_lists_linear_parts_and_translations_once(monkeypatch):
         # iterating the scan's AffineMaps keys its linear parts, outside the memo
         assert parts == [len(stabs)]
         del parts[:]
+        held = []
         for L in sweep_draws(S, count, name):
             assert workloads.sweep_draw(L, S, stabs)["two_route"] is True
-        assert parts == [len(stabs)]
+            held.append(oracle._LAST.linear)
+        assert all(x is held[0] for x in held) and len(held[0][0]) == linear
+        assert parts == [len(stabs)] * (count + 1)
         del parts[:]
-        assert len(oracle._LAST.linear[0]) == linear
     assert shifts == sets
 
 
@@ -425,7 +435,10 @@ def test_axioms_report_between_the_calls_evicts_nothing(monkeypatch):
     # 180 linear parts, 180 / |F4*|^2 = 20 classes (SWEEP_SETS)
     assert full_runs(calls) == [kernel_maps(S.field, stabs.ab)] * 4 == [20] * 4
     assert builds == [len(stabs)]
-    assert parts == [len(stabs)] + groups
+    # per draw the kernel keys the list's linear parts (its offset lemma)
+    # and the axioms report the group's; the memo keys the list's once
+    assert parts == [len(stabs), groups[0], len(stabs)] + [
+        size for g in groups[1:] for size in (len(stabs), g)]
     assert shifts == [S]
 
 

@@ -25,13 +25,14 @@ from cartperm.monomials import (
 )
 from cartperm.oracle import (
     BudgetExceeded, VerificationReport, affine_space_size, code_permutation_check,
-    enumerate_all_affine, group_axioms_report, keeps_span, oracle_affine_perm_group,
-    oracle_stabilizers, two_route_agreement, verify_characterization, verify_containment,
+    group_axioms_report, keeps_span, oracle_affine_perm_group, oracle_stabilizers,
+    two_route_agreement, verify_characterization, verify_containment,
 )
 from cartperm.points import (
     CartesianSet, additive_component, explicit_component, full_component,
     mult_component, torus_component,
 )
+from family_reference import enumerate_all_affine
 from test_poly import components
 from test_scaling import monic_row
 
@@ -395,18 +396,22 @@ def test_walk_skips_divisors_on_no_chain():
 
 def test_span_scan_walks_one_map_per_scaling_class(monkeypatch):
     """_span_scan reduces its input once, at its entry, to the distinct
-    monic maps (each row divided by its first nonzero entry), and every
-    times_form call runs on exactly those.  The 3,456 stabilizers of GF(4)
-    full x mu3 x mu3 are 192 first rows a.x + c with a_1 != 0 times 18
-    pairs of second and third rows (a x2, a' x3) or (a x3, a' x2), a, a' in
-    mu3.  Monic, the first rows take 4^3 = 64 values and the second and
-    third rows the 2 pairs (x2, x3) and (x3, x2), so every call runs on
-    64 * 2 = 128 maps, no two of which differ by a row scaling.  L is the
-    whole box: no map drops."""
+    monic maps (each row divided by its first nonzero entry), after dropping
+    the offsets when the checked members with 1 are closed under division,
+    and every times_form call runs on exactly those.  The 3,456 stabilizers
+    of GF(4) full x mu3 x mu3 are 192 first rows a.x + c with a_1 != 0 times
+    18 pairs of second and third rows (a x2, a' x3) or (a x3, a' x2), a, a'
+    in mu3.  Monic, the first rows take 4^3 = 64 values and the second and
+    third rows the 2 pairs (x2, x3) and (x3, x2), so a check of the mixed
+    members, not closed under division, runs every call on 64 * 2 = 128
+    maps, no two of which differ by a row scaling.  A check of the whole
+    box runs on the monic linear parts: 4^2 first rows (1, a_2, a_3) times
+    the 2 pairs, 32 maps with b = 0.  L is the whole box: no map drops."""
     F = GF(4)
     S = CartesianSet([full_component(F), mult_component(F, 3), mult_component(F, 3)])
     ab = oracle_stabilizers(S).ab
     L = list(itertools.product(*[range(n) for n in S.sizes]))
+    mixed = [u for u in L if sum(map(bool, u)) > 1]
     calls = []
     times_form = oracle._Forms.times_form
 
@@ -417,13 +422,17 @@ def test_span_scan_walks_one_map_per_scaling_class(monkeypatch):
     monkeypatch.setattr(oracle._Forms, "times_form", counted)
     # one chunk for all maps
     monkeypatch.setattr(oracle, "_SPAN_CELLS", len(ab) * S.n * len(L))
-    assert oracle._span_scan(F.np_tables(), exponent_set(L, S), S, ab).all()
-    assert len(calls) == len(oracle._walk(L)) - 1
-    classes = {tuple(monic_row(F, row) for row in x) for x in ab.tolist()}
-    assert {len(sub) for sub in calls} == {len(classes)} == {128}
-    for sub in calls:
-        assert {tuple(monic_row(F, row) for row in x) for x in sub} == classes
-        assert {tuple(map(tuple, x)) for x in sub} == classes
+    linear = ab.copy()
+    linear[:, :, S.m] = 0
+    for check, maps, size in ((mixed, ab, 128), (None, linear, 32)):
+        del calls[:]
+        assert oracle._span_scan(F.np_tables(), exponent_set(L, S), S, ab, check=check).all()
+        assert len(calls) == len(oracle._walk(L if check is None else check)) - 1
+        classes = {tuple(monic_row(F, row) for row in x) for x in maps.tolist()}
+        assert {len(sub) for sub in calls} == {len(classes)} == {size}
+        for sub in calls:
+            assert {tuple(monic_row(F, row) for row in x) for x in sub} == classes
+            assert {tuple(map(tuple, x)) for x in sub} == classes
 
 
 @pytest.mark.parametrize("F", [GF(2), GF(4), GF(16), GF(256), Field(2, 3, (1, 0, 1, 1)),

@@ -7,9 +7,11 @@ module imports another module's private name; only the scalar callers
 another family's members(); one function raises BudgetExceeded; one writer
 encodes reports; one reader (codes.exponent_set) reads a monomial set; one
 function (oracle._monic) divides the rows of a map array by their first
-nonzero entries; and one function (oracle._scaling_classes) reduces a map
+nonzero entries; one function (oracle._scaling_classes) reduces a map
 array to its classes under row scaling, called by the span kernel and
-reduced_pullbacks alone."""
+reduced_pullbacks alone; and within oracle.py only the span kernel
+(oracle._span_scan) asks whether a monomial set is closed under division,
+for its offset lemma."""
 
 import ast
 import pathlib
@@ -193,3 +195,12 @@ def test_one_diagonal_normalization():
     assert call_sites("_monic") == {"oracle.py: _scaling_classes"}
     assert call_sites("_scaling_classes") == {"oracle.py: _span_scan",
                                               "oracle.py: reduced_pullbacks"}
+
+
+def test_one_offset_reduction():
+    # the span kernel drops the offsets at its entry when its checked
+    # members with 1 are closed under division: no other function of the
+    # oracle, such as the memo layer (_span_ok), asks for divisor_closed to
+    # hand the kernel the linear parts itself
+    sites = {site for site in call_sites("divisor_closed") if site.startswith("oracle.py: ")}
+    assert sites == {"oracle.py: _span_scan"}, sorted(sites)

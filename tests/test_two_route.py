@@ -242,11 +242,12 @@ def test_broken_span_route_is_named_like_the_reference(name, monkeypatch):
 
 
 def test_second_route_catches_a_wrong_decreasing_guard(monkeypatch):
-    # L = {x1} is not decreasing.  Taken for decreasing, the span route
-    # would judge x -> Ax + b by x -> Ax, and so accept the 72 stabilizers
-    # with a12 = 0 and b1 != 0, which the code route rejects
+    # L = {1, x1^2} is not decreasing: (a x1 + c)^2 has the term 2ac x1.
+    # Taken for decreasing, the span route would judge x -> Ax + b by
+    # x -> Ax, and so accept the 72 stabilizers with a12 = 0 and b1 != 0,
+    # which the code route rejects
     S = CartesianSet([full_component(GF(3))] * 2)
-    L = MonomialSet(2, [(1, 0)], bound=S.sizes)
+    L = MonomialSet(2, [(0, 0), (2, 0)], bound=S.sizes)
     stabs = oracle_stabilizers(S)
     monkeypatch.setattr(oracle, "_LAST", oracle._Last())
     assert two_route_agreement(L, S, stabs) == (True, [])
