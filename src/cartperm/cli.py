@@ -691,6 +691,7 @@ def main(argv=None) -> int:
             return EXIT_OK if ok else EXIT_VERIFICATION
 
         if args.command == "graph":
+            _budget(args.budget)    # validated as for the other commands, then unused
             L, p = load_monomial_file(_read_json(args.monomials), args.p)
             report = p_borel_graph(L, p).to_json()
             out = pathlib.Path(args.out)

@@ -60,19 +60,20 @@ class's verdict, and reduced_pullbacks builds its forms once per class by
 the same reduction and scales them by lambda^u.  The code route,
 SpanChecker and reduced_pullbacks use no offset lemma, so the two-route
 check and the scalar tests test it.  A check of all of L goes through
-_span_ok, which memoizes its verdicts in the one memo (_last), which the
-point images of the code route (_stabilizer_images) and the facts of a list
-that do not depend on L share.  It holds one map array,
-the last one seen, keyed by its dtype, shape and exact bytes: its distinct
-linear parts, its images for the last point set S, the basis of the
-translations that keep that S with their images, and its verdicts for the
-last S and members of L, every array read-only.  So oracle_affine_perm_group
-and two_route_agreement over one stabilizer list run the span kernel once,
-later draws of L on that list reuse its images and translations and, in the
-two-route walk, its linear parts, two_route_agreement keys the array once
-and hands the entry to each step, and a caller that replaces _span_ok still sees its replacement.
-AffineMaps.invertible and iteration never read the memo, so the group-axioms
-check of another array between two calls on a list evicts nothing.
+_span_ok.  Each fact of a stabilizer list is cached for the last inputs it
+read, one functools.lru_cache(maxsize=1) per fact: the span verdicts by
+(list, tables, members of L, S), the checked point images of the code route
+by (list, tables, S) (_stabilizer_images), the distinct linear parts by
+(list, q) (_list_linear_parts), and the basis of the translations that keep
+S with their images by (tables, S) alone (_translation_images), a fact of S
+and not of the list.  A list enters a key as an _ArrayKey, which holds the
+caller's array, not a copy of its bytes; every cached array is read-only.
+So oracle_affine_perm_group and two_route_agreement over one stabilizer list
+run the span kernel once, later draws of L on that list reuse its images,
+its linear parts and the translations, and a caller that replaces _span_ok
+still sees its replacement.  AffineMaps.invertible and iteration read no
+cache, so the group-axioms check of another array between two calls on a
+list evicts nothing.
 
 The code group never needs the stabilizer list: the pullback of x^u reads
 only the rows i with u_i > 0, so a row-prefix search (_group_search) filters
@@ -105,7 +106,9 @@ agreement does it run on every map, to name the disagreements.
 
 from __future__ import annotations
 
+import functools
 import math
+import zlib
 from collections.abc import Sequence
 from itertools import chain
 
@@ -203,8 +206,8 @@ class AffineMaps(Sequence):
 
     def invertible(self):
         """Whether each map's linear part A is invertible: one batched
-        Gauss-Jordan elimination (_invert) per distinct A.  It never reads
-        the memo (_last), so checking another array evicts nothing."""
+        Gauss-Jordan elimination (_invert) per distinct A.  It reads no
+        cache, so checking another array evicts nothing."""
         kern = self.field.np_tables()
         linear, _, inverse = _linear_parts(self.ab, kern.q)
         return _invertible(kern, linear)[inverse]
@@ -523,45 +526,21 @@ def keeps_span(L, S: CartesianSet, maps):
     return _span_ok(S.field.np_tables(), exponent_set(L, S), S, _as_array(maps, S.m, S.field))
 
 
-class _Last:
-    """The memo of one map array, the last one seen, keyed by its dtype,
-    shape and exact bytes: its distinct linear parts (_linear_parts), its
-    _Images for the last point set, the basis of the translations that keep
-    that set (_translations) with the basis maps' _Images, and its span
-    verdicts for the last point set and members of L.  A miss makes a new
-    entry, so an entry handed down keeps describing its own array; every
-    array an entry holds is read-only, so a caller cannot change a later
-    result by writing into what it was handed."""
+class _ArrayKey:
+    """A map array as a cache key: hashed once by its dtype, shape and
+    bytes, and equal to the key of the same array or of an equal one.  It
+    holds the caller's array, not a copy of its bytes."""
 
-    def __init__(self, key=None):
-        self.key = key
-        self.linear = self.images = self.shifts = self.span = None
+    def __init__(self, ab):
+        self.ab = ab
+        self._hash = hash((ab.dtype.str, ab.shape, zlib.crc32(np.ascontiguousarray(ab))))
 
-    def linear_parts(self, ab, q):
-        """_linear_parts of the entry's array ab, computed once."""
-        if self.linear is None:
-            self.linear = _read_only(*_linear_parts(ab, q))
-        return self.linear
+    def __hash__(self):
+        return self._hash
 
-    def translations(self, kern, S):
-        """_translations of S with their _Images, computed once per S."""
-        if self.shifts is None or self.shifts[0] != S:
-            shifts = _read_only(_translations(kern, S))[0]
-            self.shifts = (S, shifts, _Images(kern, S, shifts))
-        return self.shifts[1:]
-
-
-_LAST = _Last()
-
-
-def _last(ab):
-    """The memo entry of ab: the last one when ab is the last map array,
-    else a new, empty one that replaces it."""
-    global _LAST
-    key = (ab.dtype.str, ab.shape, ab.tobytes())
-    if _LAST.key != key:
-        _LAST = _Last(key)
-    return _LAST
+    def __eq__(self, other):
+        return self.ab is other.ab or (self.ab.dtype == other.ab.dtype
+                                       and np.array_equal(self.ab, other.ab))
 
 
 def _read_only(*arrays):
@@ -571,15 +550,24 @@ def _read_only(*arrays):
     return arrays
 
 
-def _span_ok(kern, members, S, ab, last=None):
+@functools.lru_cache(maxsize=1)
+def _span_verdicts(key, kern, members, S):
+    """_span_scan of the maps of key.ab, read-only, for the last inputs."""
+    return _read_only(_span_scan(kern, members, S, key.ab))[0]
+
+
+def _span_ok(kern, members, S, ab):
     """Whether each map of an (N, m, m + 1) array [A | b] keeps the span of
     the members of L (codes.exponent_set), by the batched kernel _span_scan,
-    memoized in the memo entry last of ab (_last(ab) when not given).  It
+    cached for the last list, tables, members and S (_span_verdicts).  It
     returns a fresh mask, which a caller may change."""
-    last = _last(ab) if last is None else last
-    if last.span is None or last.span[0] != (S, members):
-        last.span = ((S, members), _read_only(_span_scan(kern, members, S, ab))[0])
-    return last.span[1].copy()
+    return _span_verdicts(_ArrayKey(ab), kern, members, S).copy()
+
+
+@functools.lru_cache(maxsize=1)
+def _list_linear_parts(key, q):
+    """_linear_parts of key.ab, read-only, for the last list and q."""
+    return _read_only(*_linear_parts(key.ab, q))
 
 
 def _span_scan(kern, members, S, ab, check=None):
@@ -732,7 +720,7 @@ def _group_search(L, S, budget=None):
     surviving rows.  The budget caps the row pass and then each step's
     candidates, prefixes times rows, before they are built.
 
-    The checks call _span_scan, not the memo of _span_ok, in chunks of
+    The checks call _span_scan, not the cache of _span_ok, in chunks of
     _SPAN_CELLS cells: the candidates of a chunk share a prefix, so many of
     them differ by offsets and row scalings only, and the kernel walks one
     per class.  So a step with a new mixed member checks every member in
@@ -906,7 +894,7 @@ class _Images:
     q <= TABLE_LIMIT.  The image of x is then the point index
     sum_i pos_i * stride_i, in the itertools.product order of S.points_ix().
     Each distinct row of a coordinate is evaluated once, over the box.  The
-    tables and row indices are read-only, as the memo (_last) holds them."""
+    tables and row indices are read-only, as the caches hold them."""
 
     def __init__(self, kern, S, ab):
         self.rows, self.tables = [], []
@@ -946,25 +934,16 @@ class _Images:
                    for inverse, (table, stride) in zip(self.rows, self.tables))
 
 
-def _stabilizer_images(kern, S, ab, last=None):
-    """The _Images of the maps of ab, memoized for the last S in the memo
-    entry last of ab (_last(ab) when not given); a map that does not
-    permute S raises ValueError (_checked_images)."""
-    last = _last(ab) if last is None else last
-    if last.images is None or last.images[0] != S:
-        last.images = (S, _checked_images(kern, S, ab, last))
-    return last.images[1]
-
-
-def _checked_images(kern, S, ab, last):
-    """The _Images of the maps of ab, each checked to permute S.  A map that
-    sends S into S permutes it when A is invertible, which is decided once
-    per linear part of the memo entry last of ab (a fresh _Last() for a
-    cold build); a singular one (possible only on a one-point component)
-    must have distinct image indices."""
-    images = _Images(kern, S, ab)
+@functools.lru_cache(maxsize=1)
+def _stabilizer_images(key, kern, S):
+    """The _Images of the maps of key.ab, for the last list, tables and S,
+    each map checked to permute S (ValueError otherwise).  A map that sends
+    S into S permutes it when A is invertible, which is decided once per
+    linear part (_list_linear_parts); a singular one (possible only on a
+    one-point component) must have distinct image indices."""
+    images = _Images(kern, S, key.ab)
     ok = images.inside()
-    linear, _, of_A = last.linear_parts(ab, kern.q)
+    linear, _, of_A = _list_linear_parts(key, kern.q)
     singular = np.flatnonzero(ok & ~_invertible(kern, linear)[of_A])
     for k in _chunks(len(singular), S.n):
         pi = np.sort(images(singular[k]), axis=1)
@@ -1142,7 +1121,15 @@ def _translations(kern, S):
     return np.array(maps, dtype=np.uint16).reshape(-1, m, m + 1)
 
 
-def _routes_certified(kern, code, S, images, ab, span_ok, last):
+@functools.lru_cache(maxsize=1)
+def _translation_images(kern, S):
+    """_translations of S, read-only, with their _Images, for the last
+    tables and S: a fact of S, so a change of list keeps it."""
+    shifts = _read_only(_translations(kern, S))[0]
+    return shifts, _Images(kern, S, shifts)
+
+
+def _routes_certified(kern, code, S, images, key, span_ok):
     """Whether the code route accepts exactly the maps the span route
     accepts, decided on generators and coset representatives (_cosets).
 
@@ -1163,15 +1150,16 @@ def _routes_certified(kern, code, S, images, ab, span_ok, last):
     (A, b) -> A is a homomorphism, so the argument above holds for the linear
     parts, with the code route run on the first listed map of each
     generator and representative.  The check reads the span verdicts only,
-    so the two routes stay independent.  The linear parts, and the basis of
-    T_S with its images, come from the memo entry last of ab, so the draws
-    of L over one list compute them once."""
-    linear, first, of_map = last.linear_parts(ab, kern.q)
+    so the two routes stay independent.  The linear parts of the list key.ab
+    and the basis of T_S with its images are cached (_list_linear_parts,
+    _translation_images), so the draws of L over one list compute them once."""
+    ab = key.ab
+    linear, first, of_map = _list_linear_parts(key, kern.q)
     linear_ok = np.zeros(len(linear), dtype=bool)
     linear_ok[of_map[span_ok]] = True
     on_linear = len(linear) < len(ab) and np.array_equal(linear_ok[of_map], span_ok)
     if on_linear:
-        shifts, shift_images = last.translations(kern, S)
+        shifts, shift_images = _translation_images(kern, S)
         on_linear = code.accepts(shift_images, np.arange(len(shifts))).all()
     if on_linear:
         ab, span_ok = linear, linear_ok
@@ -1203,17 +1191,17 @@ def two_route_agreement(L, S, transforms):
     verdicts are too, since two stabilizers with one A differ by such a
     translation; then the generators and cosets are taken of the distinct
     linear parts, not of the maps.  Only when that fails to certify does it
-    run on every map, to name the disagreements."""
+    run on every map, to name the disagreements.  The list's facts that do
+    not depend on L are cached, so later calls on it rebuild only the rest."""
     F = S.field
     ab = _as_array(transforms, S.m, F)
     kern = F.np_tables()
-    # one read of L and one memo entry for the list, handed to each route
-    members = exponent_set(L, S)
+    # one read of L and one key of the list, handed to each route
+    members, key = exponent_set(L, S), _ArrayKey(ab)
     code = _CodeRoute(kern, members, S)
-    last = _last(ab)
-    span_ok = _span_ok(kern, members, S, ab, last)
-    images = _stabilizer_images(kern, S, ab, last)
-    if _routes_certified(kern, code, S, images, ab, span_ok, last):
+    span_ok = _span_ok(kern, members, S, ab)
+    images = _stabilizer_images(key, kern, S)
+    if _routes_certified(kern, code, S, images, key, span_ok):
         return True, []
     code_ok = code.accepts(images, np.arange(len(ab)))
     disagreements = [{"T": AffineMaps(F, ab)[t].to_json(), "span_route": bool(span_ok[t]),

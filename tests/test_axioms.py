@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from cartperm import cli, oracle
@@ -278,6 +278,9 @@ def affine_space_permutations(F, ts):
     return [Permutation(induced_permutation(T, space)) for T in ts]
 
 
+# pinned to the examples that derandomize=True drew from this test's
+# source before it was last edited, so an edit does not redraw them
+@seed(34470603221057266458316133273840647466874085599672827765411138153782889528445189434729954896239517033310164179937337)
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(certificate_cases())
 @example((GF(3), [AffineTransformation.identity(GF(3), 2)], True))

@@ -318,7 +318,8 @@ def test_claimed_subgroup_needs_a_decreasing_set(tmp_path):
 
 def test_negative_budget_flag_is_a_config_error(tmp_path, capsys):
     path = write_json(tmp_path / "cfg.json", {**BASE_CONFIG, "tasks": ["oracle-verify"]})
-    for argv in (["verify", path], ["examples"], ["group", path]):
+    mons = write_json(tmp_path / "L.json", {"p": 2, "monomials": [[1, 0]]})
+    for argv in (["verify", path], ["examples"], ["group", path], ["graph", mons]):
         assert main(["--out", str(tmp_path / "r"), "--budget", "-1", *argv]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == "config error: budget: expected a nonnegative integer, got -1\n"

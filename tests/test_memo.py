@@ -1,14 +1,18 @@
-"""The memo of one map array (oracle._last): its span verdicts, point
-images, distinct linear parts and translation basis.  A hit equals a cold
-run of the kernels, every point set and monomial set gets its own verdict,
-every field its own classes under row scaling (no memo holds them), returned
-masks are fresh and held arrays read-only, the memo holds the last map array
-only, and cartperm verify and the sweep's pair of calls run the span kernel
-once, which walks the stabilizers' classes under row scaling: the classes of
-their distinct linear parts when L is decreasing and some map has an offset,
-else of their maps.  Over all of the sweep's draws on one list, the memo's
-linear parts and its translation basis are found once, and a group-axioms
-report between the two calls, as cartperm verify makes it, evicts nothing."""
+"""The caches of the stabilizer-list facts (cartperm.oracle), one
+functools.lru_cache(maxsize=1) each: span verdicts (_span_verdicts), point
+images (_stabilizer_images), distinct linear parts (_list_linear_parts) and
+the translation basis of S (_translation_images).  A hit equals a cold run
+of the kernels, every point set and monomial set gets its own verdict,
+every field its own classes under row scaling (no cache holds them),
+returned masks are fresh and held arrays read-only, each cache holds the
+last inputs only, and cartperm verify and the sweep's pair of calls run the
+span kernel once, which walks the stabilizers' classes under row scaling:
+the classes of their distinct linear parts when L is decreasing and some
+map has an offset, else of their maps.  Over all of the sweep's draws on
+one list, its linear parts and the translation basis are found once, the
+basis survives a change of list on one S, and a group-axioms report
+between the two calls, as cartperm verify makes it, evicts nothing.  The
+caches start empty in each test (conftest.py)."""
 
 import importlib.util
 import json
@@ -29,6 +33,7 @@ from cartperm.oracle import (
     two_route_agreement,
 )
 from cartperm.points import CartesianSet, full_component, mult_component
+from conftest import LIST_CACHES
 from test_scaling import monic_row
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -43,12 +48,6 @@ SWEEP_SETS = {
     "gf4^2": (lambda: CartesianSet([full_component(GF(4))] * 2), 4, 180, 20),
     "gf2^3": (lambda: CartesianSet([full_component(GF(2))] * 3), 3, 168, 168),
 }
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo(monkeypatch):
-    """An empty memo for each test, put back afterwards."""
-    monkeypatch.setattr(oracle, "_LAST", oracle._Last())
 
 
 def kernel_calls(monkeypatch):
@@ -74,17 +73,9 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def image_builds(monkeypatch):
-    """The len(ab) of every call of the unmemoized images builder."""
-    calls = []
-    build = oracle._checked_images
-
-    def counted(kern, S, ab, last):
-        calls.append(len(ab))
-        return build(kern, S, ab, last)
-
-    monkeypatch.setattr(oracle, "_checked_images", counted)
-    return calls
+def misses(cache):
+    """The misses of one of the list caches so far."""
+    return cache.cache_info().misses
 
 
 def calls_of(monkeypatch, name, fact):
@@ -133,8 +124,18 @@ def cold_span(S, L, ab):
 
 
 def span_ok(kern, L, S, ab):
-    """The memoized span verdicts of the members of L on ab."""
+    """The cached span verdicts of the members of L on ab."""
     return oracle._span_ok(kern, exponent_set(L, S), S, ab)
+
+
+def images_of(kern, S, ab):
+    """The cached, checked point images of the maps of ab on S."""
+    return oracle._stabilizer_images(oracle._ArrayKey(ab), kern, S)
+
+
+def cold_images(kern, S, ab):
+    """The checked point images of the maps of ab on S, not cached."""
+    return oracle._stabilizer_images.__wrapped__(oracle._ArrayKey(ab), kern, S)
 
 
 def same_images(a, b, n):
@@ -163,7 +164,6 @@ def test_hit_equals_cold_call(name, monkeypatch):
     assert kernel_maps(S.field, stabs.ab) == classes <= linear_parts(stabs.ab) == linear \
         < len(stabs)
     calls = kernel_calls(monkeypatch)
-    builds = image_builds(monkeypatch)
     for L in sweep_draws(S, count, name):
         want = cold_span(S, L, stabs.ab)
         del calls[:]
@@ -177,12 +177,13 @@ def test_hit_equals_cold_call(name, monkeypatch):
         assert calls == [(classes, None)]
         assert two_route_agreement(L, S, listed) == (True, [])
     # the draws on one list share its images
-    assert builds == [len(stabs)]
-    cold = oracle._checked_images(kern, S, stabs.ab, oracle._Last())
+    assert misses(oracle._stabilizer_images) == 1
+    cold = cold_images(kern, S, stabs.ab)
     for maps in (stabs, listed):
-        images = oracle._stabilizer_images(kern, S, oracle._as_array(maps, S.m))
-        assert images is oracle._stabilizer_images(kern, S, stabs.ab)
+        images = images_of(kern, S, oracle._as_array(maps, S.m))
+        assert images is images_of(kern, S, stabs.ab)
         assert same_images(images, cold, len(stabs))
+    assert misses(oracle._stabilizer_images) == 1
 
 
 def test_each_point_set_and_monomial_set_has_its_own_entry():
@@ -211,9 +212,8 @@ def test_each_point_set_and_monomial_set_has_its_own_entry():
     images = {}
     for _ in range(2):
         for S in (full, torus):
-            images[S] = oracle._stabilizer_images(kern, S, ab)
-            assert same_images(images[S], oracle._checked_images(kern, S, ab, oracle._Last()),
-                               len(ab))
+            images[S] = images_of(kern, S, ab)
+            assert same_images(images[S], cold_images(kern, S, ab), len(ab))
     assert not np.array_equal(images[full](np.arange(len(ab))),
                               images[torus](np.arange(len(ab))))
 
@@ -230,7 +230,7 @@ def test_each_field_has_its_own_classes():
             CartesianSet([mult_component(GF(5), 2)] * 2)]
     L = [(1, 1)]
     for order in (sets, sets[::-1]):
-        oracle._LAST = oracle._Last()
+        oracle._span_verdicts.cache_clear()
         for S in order:
             T = next(iter(AffineMaps(S.field, ab)))
             assert keeps_span(L, S, AffineMaps(S.field, ab)).tolist() == [False]
@@ -263,20 +263,20 @@ def test_memo_holds_the_last_array_only(monkeypatch):
     # many monomial sets over one array: the verdict of the last one is kept
     for L in draws:
         assert np.array_equal(span_ok(kern, L, S, stabs.ab), cold_span(S, L, stabs.ab))
-    assert oracle._LAST.span[0] == (S, frozenset(draws[-1].monomials))
+    assert oracle._span_verdicts.cache_info()[1:] == (len(draws), 1, 1)
     del calls[:]
     span_ok(kern, draws[-1], S, stabs.ab)
     span_ok(kern, draws[0], S, stabs.ab)
     # 180 linear parts, 180 / |F4*|^2 = 20 classes (SWEEP_SETS)
     assert calls == [(kernel_maps(S.field, stabs.ab), None)] == [(20, None)]
-    # many arrays: only the last one's bytes are kept, and an earlier one
-    # runs the kernel again
+    # many arrays: only the last one is kept, and an earlier one runs the
+    # kernel again
     L = draws[0]
     for k in range(12):
         sub = stabs.ab[k:k + 100]
         assert np.array_equal(span_ok(kern, L, S, sub), cold_span(S, L, sub))
-        oracle._stabilizer_images(kern, S, sub)
-        assert oracle._LAST.key == (sub.dtype.str, sub.shape, sub.tobytes())
+        images_of(kern, S, sub)
+        assert oracle._stabilizer_images.cache_info()[1:] == (k + 1, 1, 1)
     del calls[:]
     span_ok(kern, L, S, stabs.ab[11:111])
     span_ok(kern, L, S, stabs.ab[:100])
@@ -289,7 +289,8 @@ def test_memo_holds_the_last_array_only(monkeypatch):
     # d = 2 in classes met before.  So 4 + 4 * 4 = 20, every class of
     # GL(2, 4)
     assert calls == [(kernel_maps(S.field, stabs.ab[:100]), None)] == [(20, None)]
-    assert oracle._LAST.images is None
+    # the span verdicts of other arrays build no images
+    assert misses(oracle._stabilizer_images) == 12
 
 
 def test_row_prefix_search_leaves_the_memo_empty(monkeypatch):
@@ -309,7 +310,7 @@ def test_row_prefix_search_leaves_the_memo_empty(monkeypatch):
         assert len(oracle_stabilizers(S)) == 432
     assert [(walked, sorted(check)) for walked, check in calls] == [
         (4, [(1, 0)]), (4, [(0, 1)]), (12, [(0, 0), (0, 1), (1, 0), (1, 1)])] * 2
-    assert oracle._LAST.key is None
+    assert [cache.cache_info().currsize for cache in LIST_CACHES] == [0] * 4
 
 
 def test_verify_runs_the_span_kernel_once(tmp_path, monkeypatch):
@@ -388,7 +389,7 @@ def test_lists_without_offsets_or_decreasing_L_run_the_kernel_on_every_class():
 
 def test_sweep_finds_each_lists_linear_parts_and_translations_once(monkeypatch):
     # every draw on a list, through the sweep's own pair of calls: the
-    # memo's linear parts, which the two-route walk reads, are found once per
+    # cached linear parts, which the two-route walk reads, are found once per
     # list, the translation basis once per point set.  The span kernel keys
     # the linear parts at its entry too, once per draw (its offset lemma)
     workloads = bench_workloads()
@@ -400,13 +401,13 @@ def test_sweep_finds_each_lists_linear_parts_and_translations_once(monkeypatch):
         S = make()
         sets.append(S)
         stabs = list(oracle_stabilizers(S))      # as the sweep holds them
-        # iterating the scan's AffineMaps keys its linear parts, outside the memo
+        # iterating the scan's AffineMaps keys its linear parts, outside the caches
         assert parts == [len(stabs)]
         del parts[:]
-        held = []
+        key, held = oracle._ArrayKey(oracle._as_array(stabs, S.m)), []
         for L in sweep_draws(S, count, name):
             assert workloads.sweep_draw(L, S, stabs)["two_route"] is True
-            held.append(oracle._LAST.linear)
+            held.append(oracle._list_linear_parts(key, S.field.q))
         assert all(x is held[0] for x in held) and len(held[0][0]) == linear
         assert parts == [len(stabs)] * (count + 1)
         del parts[:]
@@ -416,11 +417,10 @@ def test_sweep_finds_each_lists_linear_parts_and_translations_once(monkeypatch):
 def test_axioms_report_between_the_calls_evicts_nothing(monkeypatch):
     # cartperm verify's order: the group over the list, the axioms of the
     # group, then the two routes over the list.  AffineMaps.invertible of
-    # the axioms report keys the group's linear parts outside the memo
+    # the axioms report keys the group's linear parts outside the caches
     S = CartesianSet([full_component(GF(4))] * 2)
     stabs = oracle_stabilizers(S)
     calls = kernel_calls(monkeypatch)
-    builds = image_builds(monkeypatch)
     parts = calls_of(monkeypatch, "_linear_parts", lambda ab, q: len(ab))
     shifts = calls_of(monkeypatch, "_translations", lambda kern, S: S)
     groups = []
@@ -429,21 +429,22 @@ def test_axioms_report_between_the_calls_evicts_nothing(monkeypatch):
         report = group_axioms_report(S.field, group)
         assert report["closed_under_composition"] and report["closed_under_inverse"]
         assert two_route_agreement(L, S, stabs) == (True, [])
-        assert oracle._LAST.key == (stabs.ab.dtype.str, stabs.ab.shape, stabs.ab.tobytes())
+        # the list's images and linear parts, cached at the first draw
+        assert [misses(cache) for cache in LIST_CACHES[1:]] == [1, 1, 1]
         groups.append(len(group))
     assert len(stabs) not in groups
     # 180 linear parts, 180 / |F4*|^2 = 20 classes (SWEEP_SETS)
     assert full_runs(calls) == [kernel_maps(S.field, stabs.ab)] * 4 == [20] * 4
-    assert builds == [len(stabs)]
+    assert misses(oracle._stabilizer_images) == 1
     # per draw the kernel keys the list's linear parts (its offset lemma)
-    # and the axioms report the group's; the memo keys the list's once
+    # and the axioms report the group's; the cache keys the list's once
     assert parts == [len(stabs), groups[0], len(stabs)] + [
         size for g in groups[1:] for size in (len(stabs), g)]
     assert shifts == [S]
 
 
 def test_what_the_memo_holds_is_read_only():
-    # no write into an array the memo hands out can change a later result:
+    # no write into an array a cache hands out can change a later result:
     # span masks are fresh copies, every held array is read-only
     S = CartesianSet([full_component(GF(4))] * 2)
     stabs = oracle_stabilizers(S)
@@ -451,11 +452,13 @@ def test_what_the_memo_holds_is_read_only():
     L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
     want = two_route_agreement(L, S, stabs)
     span = cold_span(S, L, stabs.ab)
-    last = oracle._last(stabs.ab)
-    assert last is oracle._LAST and last.span is not None
-    shifts, shift_images = last.translations(kern, S)
-    images = oracle._stabilizer_images(kern, S, stabs.ab)
-    held = [*last.linear_parts(stabs.ab, kern.q), shifts, last.span[1]]
+    key = oracle._ArrayKey(stabs.ab)
+    shifts, shift_images = oracle._translation_images(kern, S)
+    images = oracle._stabilizer_images(key, kern, S)
+    held = [*oracle._list_linear_parts(key, kern.q), shifts,
+            oracle._span_verdicts(key, kern, exponent_set(L, S), S)]
+    # each is the one two_route_agreement cached
+    assert [misses(cache) for cache in LIST_CACHES] == [1] * 4
     for im in (images, shift_images):
         held += [*im.rows, *(table for table, _ in im.tables)]
     assert all(len(x) for x in held)
@@ -467,3 +470,35 @@ def test_what_the_memo_holds_is_read_only():
     assert two_route_agreement(L, S, stabs) == want == (True, [])
     assert np.array_equal(span_ok(kern, L, S, stabs.ab), span)
     assert same_images(images, oracle._Images(kern, S, stabs.ab), len(stabs))
+
+
+def test_translations_survive_a_change_of_list(monkeypatch):
+    # the translation basis and its images are a fact of S: a second list
+    # on the same S, the stabilizers in reverse order, reuses them, while
+    # its span verdicts, images and linear parts are its own
+    S = CartesianSet([full_component(GF(4))] * 2)
+    stabs = oracle_stabilizers(S)
+    L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
+    shifts = calls_of(monkeypatch, "_translations", lambda kern, S: S)
+    for maps in (stabs, AffineMaps(S.field, stabs.ab[::-1].copy())):
+        assert two_route_agreement(L, S, maps) == (True, [])
+    assert shifts == [S]
+    assert [misses(cache) for cache in LIST_CACHES] == [2, 2, 2, 1]
+
+
+def test_a_list_changed_in_place_is_a_new_key(monkeypatch):
+    # the caches hold the caller's array itself, not a copy of its bytes:
+    # written to in place, it hashes anew and misses, so no verdict or
+    # image of its old maps is handed out for its new ones
+    S = CartesianSet([full_component(GF(3))] * 2)
+    L = divisibility_closure(MonomialSet(2, [(1, 1)], bound=S.sizes))
+    kern = S.field.np_tables()
+    ab = oracle_stabilizers(S).ab.copy()
+    before = span_ok(kern, L, S, ab)
+    images = images_of(kern, S, ab)
+    ab[:] = ab[::-1].copy()
+    assert np.array_equal(span_ok(kern, L, S, ab), before[::-1])
+    assert np.array_equal(span_ok(kern, L, S, ab), cold_span(S, L, ab))
+    assert images_of(kern, S, ab) is not images
+    assert same_images(images_of(kern, S, ab), cold_images(kern, S, ab), len(ab))
+    assert [misses(cache) for cache in LIST_CACHES[:2]] == [2, 2]

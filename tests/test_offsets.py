@@ -25,12 +25,6 @@ from cartperm.points import CartesianSet, full_component, mult_component
 from cartperm.poly import affine_pullback
 
 
-@pytest.fixture(autouse=True)
-def fresh_memo(monkeypatch):
-    """An empty memo for each test, put back afterwards."""
-    monkeypatch.setattr(oracle, "_LAST", oracle._Last())
-
-
 def every_map(F, m):
     """All q^(m^2 + m) maps [A | b] over F, singular ones and offsets
     among them, as one (N, m, m + 1) array."""

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from cartperm import oracle
 from cartperm.affine import (
@@ -150,6 +150,9 @@ def row_sets(draw):
     return CartesianSet([draw(components(F)) for _ in range(draw(st.integers(1, 3)))])
 
 
+# pinned to the examples that derandomize=True drew from this test's
+# source before it was last edited, so an edit does not redraw them
+@seed(17848251889284148300929739453167799567955864699570431639484332795451564107295542803525882000191303758128242870276990)
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(row_sets())
 @example(gf16_additive_triple())
@@ -341,14 +344,15 @@ def offset_twins():
     return S, MonomialSet(2, [(1, 0)], bound=S.sizes), ts
 
 
+# pinned to the examples that derandomize=True drew from this test's
+# source before it was last edited, so an edit does not redraw them
+@seed(23412684430870691146054256781818822069621720188429923061341643336749321140178147542733749961034944818295571264980249)
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(offset_batches())
 @example(offset_twins())
 def test_span_ok_matches_span_checker_on_maps_with_offsets(batch):
     S, L, ts = batch
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_LAST", oracle._Last())
-        got = oracle._span_ok(S.field.np_tables(), L, S, oracle._as_array(ts, S.m))
+    got = oracle._span_ok(S.field.np_tables(), L, S, oracle._as_array(ts, S.m))
     checker = SpanChecker(L, S)
     assert got.tolist() == [checker.check(T) for T in ts]
 
@@ -497,6 +501,9 @@ def gf16_triple_config():
     return S, divisibility_closure(MonomialSet(3, [(2, 0, 0), (1, 1, 0)], bound=S.sizes))
 
 
+# pinned to the examples that derandomize=True drew from this test's
+# source before it was last edited, so an edit does not redraw them
+@seed(7566850215546970825034770973864806747418091721648746415469091991192360407224317723627534720995927110647839900861310)
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(search_cases())
 @example(gf4_square_config())

@@ -28,12 +28,6 @@ from test_poly import components
 FIELDS = [GF(2), GF(3), GF(4), GF(5), GF(7), GF(9), Field(2, 3, (1, 0, 1, 1))]
 
 
-@pytest.fixture(autouse=True)
-def fresh_memo(monkeypatch):
-    """An empty memo for each test, put back afterwards."""
-    monkeypatch.setattr(oracle, "_LAST", oracle._Last())
-
-
 def monic_row(F, row):
     """A row divided by its first nonzero entry, by the scalar arithmetic;
     a zero row as it is."""

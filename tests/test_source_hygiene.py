@@ -11,7 +11,8 @@ nonzero entries; one function (oracle._scaling_classes) reduces a map
 array to its classes under row scaling, called by the span kernel and
 reduced_pullbacks alone; and within oracle.py only the span kernel
 (oracle._span_scan) asks whether a monomial set is closed under division,
-for its offset lemma."""
+for its offset lemma; and no module rebinds its state through a global
+statement (the oracle's caches are functools caches)."""
 
 import ast
 import pathlib
@@ -200,7 +201,15 @@ def test_one_diagonal_normalization():
 def test_one_offset_reduction():
     # the span kernel drops the offsets at its entry when its checked
     # members with 1 are closed under division: no other function of the
-    # oracle, such as the memo layer (_span_ok), asks for divisor_closed to
+    # oracle, such as the cache layer (_span_ok), asks for divisor_closed to
     # hand the kernel the linear parts itself
     sites = {site for site in call_sites("divisor_closed") if site.startswith("oracle.py: ")}
     assert sites == {"oracle.py: _span_scan"}, sorted(sites)
+
+
+def test_no_module_state_is_rebound():
+    # module state is built once (constants, functools caches), never
+    # replaced from inside a function
+    rebinds = [f"{name}: {', '.join(node.names)}" for name, tree in MODULES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert rebinds == []

@@ -249,10 +249,10 @@ def test_second_route_catches_a_wrong_decreasing_guard(monkeypatch):
     S = CartesianSet([full_component(GF(3))] * 2)
     L = MonomialSet(2, [(0, 0), (2, 0)], bound=S.sizes)
     stabs = oracle_stabilizers(S)
-    monkeypatch.setattr(oracle, "_LAST", oracle._Last())
     assert two_route_agreement(L, S, stabs) == (True, [])
     monkeypatch.setattr(oracle, "divisor_closed", lambda monomials: True)
-    monkeypatch.setattr(oracle, "_LAST", oracle._Last())
+    # the verdicts of the correct guard are cached for this list and L
+    oracle._span_verdicts.cache_clear()
     agree, disagreements = two_route_agreement(L, S, stabs)
     assert not agree and len(disagreements) == 72
     for d in disagreements:
@@ -437,10 +437,10 @@ def test_images_match_induced_permutation(S):
     got = images(np.arange(len(maps)))
     for t, T in enumerate(maps):
         assert inside[t] and tuple(got[t].tolist()) == induced_permutation(T, S)
-    oracle._stabilizer_images(kern, S, ab[:len(maps)])
+    oracle._stabilizer_images(oracle._ArrayKey(ab[:len(maps)]), kern, S)
     for t, T in enumerate(others, start=len(maps)):
         with pytest.raises(ValueError, match="non-stabilizer"):
-            oracle._stabilizer_images(kern, S, ab[t:t + 1])
+            oracle._stabilizer_images(oracle._ArrayKey(ab[t:t + 1]), kern, S)
         # outside S, or inside but not injective
         assert not inside[t] or len(set(images(np.array([t]))[0].tolist())) < S.n
 
